@@ -12,16 +12,6 @@
  * are bit-identical, and reports the wall-clock speedup; `--serial`
  * runs only the one-thread fallback.
  *
- * `--prune` switches to the early-exit sweep: candidates are
- * submitted to the async service lowest-accuracy-loss first at
- * descending priority, and as soon as a completed candidate
- * dominates another's growing EDP lower bound, the dominated
- * candidate's queued layer evaluations are *cancelled* instead of
- * computed. The reclaimed work is reported as "evaluations saved";
- * the frontier is provably unchanged, which `--frontier-json` makes
- * checkable: the pruned and exhaustive dumps are byte-identical
- * (a smoke ctest asserts this, serial and parallel).
- *
  * `--shard i/N` runs this driver as one shard of a multi-process
  * sweep: each model's candidate list is partitioned with the
  * deterministic DesignSpaceExplorer::shardRange (a pure function of
@@ -35,10 +25,7 @@
  * order, and extracts a frontier byte-identical to this driver's
  * single-process dump — ctest-asserted by compare_shard.cmake,
  * which also asserts a second (warm) sharded run is 100% cache
- * hits. Sharding is deliberately exhaustive per shard: --prune's
- * cancellations are completion-timing-dependent, so a pruned
- * shard's evaluated-job set would vary run to run and break the
- * warm-run guarantee; the two flags therefore refuse to combine.
+ * hits.
  */
 
 #include <iostream>
@@ -247,83 +234,6 @@ runShard(const EvalCacheConfig &cache_cfg, const ShardSpec &shard,
     return 0;
 }
 
-/**
- * The --prune path: one Pareto-pruned sweep per model through the
- * explorer's cancellation-backed paretoSweep. Returns the frontier
- * entries (byte-identical values to the exhaustive path).
- */
-std::vector<FrontierEntry>
-prunedModelSweep(const Evaluator &ev, const DesignSpaceExplorer &ex,
-                 const DnnModel &model, DnnName nm,
-                 ParetoSweepStats *total_stats)
-{
-    const auto scenarios = candidatesFor();
-    std::vector<ParetoCandidate> candidates;
-    candidates.reserve(scenarios.size());
-    for (const auto &c : scenarios) {
-        ParetoCandidate cand;
-        cand.label = labelOf(c);
-        cand.x = AccuracyModel::loss(nm, c.approach, c.weight_sparsity);
-        const Accelerator &accel = ev.design(c.design);
-        for (auto &w : ev.buildDnnWorkloads(model, c))
-            cand.jobs.push_back({&accel, w});
-        // The dense-TC baseline normalizes every EDP below; it must
-        // complete unconditionally (it is also the lowest-x point, so
-        // it would never be pruned anyway).
-        cand.never_prune =
-            c.design == "TC" && c.approach == PruningApproach::Dense;
-        candidates.push_back(std::move(cand));
-    }
-
-    const auto sweep = ex.paretoSweep(ev, candidates, /*prune=*/true);
-    total_stats->jobs_submitted += sweep.stats.jobs_submitted;
-    total_stats->jobs_skipped += sweep.stats.jobs_skipped;
-    total_stats->tickets_cancelled += sweep.stats.tickets_cancelled;
-    total_stats->evaluations_saved += sweep.stats.evaluations_saved;
-
-    const double tc_edp = sweep.outcomes.front().edp();
-    std::vector<ParetoPoint> points;
-    for (const auto &oc : sweep.outcomes) {
-        if (oc.completed && oc.supported)
-            points.push_back({oc.x, oc.edp() / tc_edp, oc.label});
-    }
-    const auto mask = frontierMask(points);
-
-    TextTable t("Fig 15 (pruned sweep): " + model.name +
-                " (EDP normalized to dense TC)");
-    t.setHeader({"design", "accuracy loss", "norm. EDP",
-                 "on Pareto frontier"});
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        t.addRow({points[i].label, TextTable::fmt(points[i].x, 2),
-                  TextTable::fmt(points[i].y, 3),
-                  mask[i] ? "YES" : ""});
-    }
-    t.print(std::cout);
-    std::size_t pruned = 0;
-    for (const auto &oc : sweep.outcomes) {
-        if (oc.pruned) {
-            ++pruned;
-            std::cout << "  pruned: " << oc.label << " (" << oc.note
-                      << ")\n";
-        }
-    }
-    std::cout << "  [prune] candidates pruned=" << pruned
-              << " jobs submitted=" << sweep.stats.jobs_submitted
-              << " skipped=" << sweep.stats.jobs_skipped
-              << " tickets cancelled="
-              << sweep.stats.tickets_cancelled
-              << " queued evals dropped="
-              << sweep.stats.evaluations_saved << "\n\n";
-
-    std::vector<FrontierEntry> frontier;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (mask[i])
-            frontier.push_back({model.name, points[i].label,
-                                points[i].x, points[i].y});
-    }
-    return frontier;
-}
-
 } // namespace
 
 int
@@ -331,7 +241,6 @@ main(int argc, char **argv)
 {
     const DriverThreads threads = configureTimedDriverThreads(argc, argv);
     const bool serial_only = threads.serial_only;
-    const bool prune = parseFlag(argc, argv, "--prune");
     const std::string json_path = parseOptionValue(argc, argv, "--json");
     const std::string frontier_path =
         parseOptionValue(argc, argv, "--frontier-json");
@@ -355,61 +264,9 @@ main(int argc, char **argv)
     const ArtifactFormat frontier_format = parseFormatFlag(
         argc, argv, "--frontier-format", ArtifactFormat::Text);
 
-    if (shard.enabled()) {
-        if (prune)
-            fatal("--shard contradicts --prune: pruning decisions are "
-                  "completion-timing-dependent, so a pruned shard's "
-                  "evaluated-job set would vary run to run and break "
-                  "the warm-cache determinism sharding guarantees");
+    if (shard.enabled())
         return runShard(cache_cfg, shard, frontier_path,
                         frontier_format);
-    }
-
-    if (prune) {
-        // Early-exit sweep on a cold cache: every saved evaluation is
-        // work the exhaustive run would actually have done.
-        Evaluator ev(cache_cfg);
-        const DesignSpaceExplorer ex;
-        const WallTimer timer;
-        std::vector<FrontierEntry> frontier;
-        ParetoSweepStats stats;
-        for (const auto &[model, nm] : modelCases()) {
-            const auto f = prunedModelSweep(ev, ex, model, nm, &stats);
-            frontier.insert(frontier.end(), f.begin(), f.end());
-        }
-        std::cout << "[prune] total: jobs submitted="
-                  << stats.jobs_submitted << " skipped="
-                  << stats.jobs_skipped << " tickets cancelled="
-                  << stats.tickets_cancelled
-                  << " queued evals dropped="
-                  << stats.evaluations_saved
-                  << " evaluations saved=" << stats.reclaimed()
-                  << " ("
-                  << TextTable::fmt(timer.seconds() * 1e3, 2)
-                  << " ms, threads="
-                  << ThreadPool::global().numThreads() << ")\n";
-        if (!json_path.empty()) {
-            // Fail loudly: silently skipping the requested dump would
-            // hand a downstream script a missing (or stale) file.
-            std::cerr << "fig15: --json is unavailable with --prune "
-                         "(pruned candidates have no totals); use "
-                         "--frontier-json\n";
-            return 1;
-        }
-        if (!frontier_path.empty() &&
-            !writeFrontierFile(frontier_path, frontier,
-                               frontier_format)) {
-            std::cerr << "fig15: cannot write " << frontier_path
-                      << "\n";
-            return 1;
-        }
-        if (stats.reclaimed() == 0) {
-            std::cerr << "fig15: --prune saved no evaluations — "
-                         "pruning never reclaimed any work\n";
-            return 1;
-        }
-        return 0;
-    }
 
     Evaluator ev(cache_cfg);
     const WallTimer timer;

@@ -10,15 +10,8 @@
  * into speedup; HighLight only gates operand B, so its speed stays at
  * the A-side 2x.
  *
- * The analytical evaluations are submitted through the async service
- * with priorities matching the table's consumption order (h
- * ascending), so the first row's wait() returns as early as possible.
- * `--prune` additionally submits a speculative extension of the sweep
- * (H up to 16) at low priority and sheds whatever is still unconsumed
- * with cancelAll() once the table is done — the abandoned-sweep
- * server pattern — reporting how many queued evaluations were
- * reclaimed. The `--json` dump covers only the tabulated degrees and
- * is byte-identical with or without --prune.
+ * The analytical evaluations run as one batch, (DSSO, HighLight) per
+ * degree in table order, before the per-degree microsim cross-checks.
  *
  * `--shard i/N` evaluates only this shard's contiguous slice of the
  * degree list (DesignSpaceExplorer::shardRange — the same pure
@@ -27,10 +20,6 @@
  * the matching contiguous slice of the full run's array
  * (ctest-asserted by compare_shard.cmake, which re-assembles the
  * shards' dumps and byte-compares against the single-process dump).
- * --prune refuses to combine with --shard: whether a speculative
- * job lands before cancelAll() is timing-dependent, which would
- * make the shared cache's contents — and a warm rerun's hit rate —
- * nondeterministic.
  */
 
 #include <iostream>
@@ -50,13 +39,9 @@ main(int argc, char **argv)
 {
     using namespace highlight;
 
-    const bool prune = parseFlag(argc, argv, "--prune");
     configureRuntimeThreads(argc, argv);
     const std::string json_path = parseOptionValue(argc, argv, "--json");
     const ShardSpec shard = parseShardFlag(argc, argv);
-    if (shard.enabled() && prune)
-        fatal("--shard contradicts --prune: speculative-shed timing "
-              "would make the shared cache contents nondeterministic");
 
     // --cache-file: persistent eval cache, shareable across shard
     // processes (flushes are locked merge-on-flush).
@@ -104,18 +89,7 @@ main(int argc, char **argv)
                  "DSSO speed", "DSSO / HighLight", "microsim ratio",
                  "microsim max|err|"});
 
-    // Submit every analytical evaluation up front through the async
-    // service; the per-degree microsim cross-checks below then overlap
-    // with the evaluations still in flight. Priorities follow the
-    // table's consumption order (h ascending), so the first wait()
-    // below blocks as briefly as possible.
-    struct DegreeJobs
-    {
-        int h = 0;
-        EvalService::Ticket dsso_ticket = 0;
-        EvalService::Ticket hl_ticket = 0;
-    };
-    // The tabulated degrees, h ascending; a shard submits (and
+    // The tabulated degrees, h ascending; a shard evaluates (and
     // cross-checks) only its contiguous slice, so the full table is
     // the concatenation of the shards' tables in shard order.
     std::vector<int> hs;
@@ -123,38 +97,22 @@ main(int argc, char **argv)
         hs.push_back(h);
     const auto [h_begin, h_end] = DesignSpaceExplorer::shardRange(
         hs.size(), shard.index, shard.count);
+    const std::vector<int> degrees(hs.begin() + h_begin,
+                                   hs.begin() + h_end);
 
-    std::vector<DegreeJobs> degrees;
-    std::vector<EvalResult> analytic; // dsso, hl per degree, h order
-    for (std::size_t i = h_begin; i < h_end; ++i) {
-        const int h = hs[i];
+    std::vector<EvalJob> jobs; // dsso, hl per degree, h order
+    for (const int h : degrees) {
         const auto [w, w_hl] = workloadsFor(h);
-        DegreeJobs d;
-        d.h = h;
-        d.dsso_ticket = ev.submit({&dsso, w}, /*priority=*/100 - h);
-        d.hl_ticket = ev.submit({&hl, w_hl}, /*priority=*/100 - h);
-        degrees.push_back(d);
+        jobs.push_back({&dsso, w});
+        jobs.push_back({&hl, w_hl});
     }
-    // --prune: speculatively extend the sweep to sparser degrees at
-    // low priority. The table never consumes them; cancelAll() below
-    // sheds whatever the workers have not already picked up.
-    std::size_t speculative = 0;
-    if (prune) {
-        for (int h = 9; h <= 16; ++h) {
-            const auto [w, w_hl] = workloadsFor(h);
-            ev.submit({&dsso, w}, /*priority=*/-1);
-            ev.submit({&hl, w_hl}, /*priority=*/-1);
-            speculative += 2;
-        }
-    }
+    const std::vector<EvalResult> analytic = ev.runBatch(jobs);
 
-    for (const DegreeJobs &d : degrees) {
-        const int h = d.h;
+    for (std::size_t d = 0; d < degrees.size(); ++d) {
+        const int h = degrees[d];
         const double b_density = 2.0 / h;
-        const EvalResult r_dsso = ev.service().wait(d.dsso_ticket);
-        const EvalResult r_hl = ev.service().wait(d.hl_ticket);
-        analytic.push_back(r_dsso);
-        analytic.push_back(r_hl);
+        const EvalResult &r_dsso = analytic[2 * d];
+        const EvalResult &r_hl = analytic[2 * d + 1];
 
         const double hl_speed = 1.0; // normalization target
         const double dsso_speed = r_hl.cycles / r_dsso.cycles;
@@ -194,17 +152,6 @@ main(int argc, char **argv)
                  "HighLight's speed at the\ncommonly supported degrees "
                  "(B 2:4) and scales further with sparser B, at\nthe "
                  "cost of fewer supported operand-B degrees.\n";
-
-    if (prune) {
-        // The table is done — abandon the speculative tail. Queued
-        // evaluations are reclaimed outright; already-computed ones
-        // are discarded (and stay cached for a future sweep).
-        const std::size_t shed = ev.service().cancelAll();
-        std::cout << "\n[prune] speculative submissions="
-                  << speculative << " shed=" << shed
-                  << " evaluations saved="
-                  << ev.service().evaluationsSaved() << "\n";
-    }
 
     if (!json_path.empty() && !writeResultsJson(json_path, analytic)) {
         std::cerr << "fig17: cannot write " << json_path << "\n";

@@ -1,6 +1,8 @@
 #include "common/file_lock.hh"
 
+#include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,25 +66,35 @@ bool
 FileLock::claim()
 {
     contended_ = false;
+    // Build the lockfile under a private name first — flocked and
+    // pid-stamped — and only then link() it to the lock path. Were the
+    // lock path created directly, a stealer could open it between the
+    // create and the flock, win the flock, read an empty stamp as a
+    // dead holder and unlink a claim still in flight. The pid and the
+    // process-wide counter keep concurrent claimants' names apart.
+    static std::atomic<std::uint64_t> claim_seq{0};
+    const std::string staged = msgOf(path_, ".claim.", ::getpid(), ".",
+                                     claim_seq.fetch_add(1));
     const int fd =
-        ::open(path_.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd < 0) {
-        contended_ = errno == EEXIST;
-        return false;
-    }
+        ::open(staged.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
+    if (fd < 0)
+        return false; // ENOENT/EACCES/...: not contention
     // The flock backs the stale-takeover protocol: it evaporates if
     // this process dies, letting a stealer prove the file is orphaned.
-    // With O_EXCL already won it cannot block.
-    if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
-        ::close(fd);
-        ::unlink(path_.c_str());
-        return false;
-    }
+    // Nobody else knows the private name, so it cannot block.
     const std::string stamp = msgOf(static_cast<long>(::getpid()), "\n");
-    if (::write(fd, stamp.c_str(), stamp.size()) !=
-        static_cast<ssize_t>(stamp.size())) {
+    bool linked = false;
+    if (::flock(fd, LOCK_EX | LOCK_NB) == 0 &&
+        ::write(fd, stamp.c_str(), stamp.size()) ==
+            static_cast<ssize_t>(stamp.size())) {
+        // link() is the atomic create-exclusive step: it fails with
+        // EEXIST while another holder's lockfile is in place.
+        linked = ::link(staged.c_str(), path_.c_str()) == 0;
+        contended_ = !linked && errno == EEXIST;
+    }
+    ::unlink(staged.c_str());
+    if (!linked) {
         ::close(fd); // drops the flock
-        ::unlink(path_.c_str());
         return false;
     }
     fd_ = fd;
@@ -95,10 +107,12 @@ FileLock::takeOverIfStale()
     const int fd = ::open(path_.c_str(), O_RDWR);
     if (fd < 0)
         return; // already gone — the next claim() decides
-    // A live holder keeps LOCK_EX on its fd, so winning this flock
-    // proves the creating process is gone (or still mid-claim; the
-    // pid check below separates the two). Only the flock winner may
-    // unlink, so two stealers cannot both remove a fresh lock.
+    // A live holder keeps LOCK_EX on its fd from before the lock path
+    // exists, so winning this flock proves the creating process is
+    // gone; the pid check below additionally spares a lockfile that
+    // names a live process without a flock on it. Only the flock
+    // winner may unlink, so two stealers cannot both remove a fresh
+    // lock.
     if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
         ::close(fd);
         return;

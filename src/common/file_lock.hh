@@ -8,15 +8,17 @@
  * data loss. FileLock serializes those flushes with an advisory
  * lockfile next to the protected path:
  *
- *  - The lock is *claimed* by creating the lockfile with
- *    `open(O_CREAT|O_EXCL)` — atomic on POSIX filesystems — and
- *    stamping the holder's pid into it.
- *  - The creator additionally holds `flock(LOCK_EX)` on the open fd.
- *    The flock dies with the process, which is what makes stale-lock
- *    takeover race-free: a would-be stealer must first win the flock
- *    on the *existing* lockfile's inode before it may unlink it, so
- *    two stealers can never both "clean up" and both think they own
- *    the lock.
+ *  - The lock is *claimed* by creating a private file next to the
+ *    lockfile, stamping the holder's pid into it, and `link()`ing it
+ *    to the lockfile name — atomic and exclusive on POSIX
+ *    filesystems — so the lockfile never exists without its stamp.
+ *  - The creator holds `flock(LOCK_EX)` on the open fd from before
+ *    the link. The flock dies with the process, which is what makes
+ *    stale-lock takeover race-free: a would-be stealer must first win
+ *    the flock on the *existing* lockfile's inode before it may
+ *    unlink it, so two stealers can never both "clean up" and both
+ *    think they own the lock, and a claim in flight is never mistaken
+ *    for a dead holder.
  *  - Staleness is decided by pid liveness: a lockfile whose recorded
  *    pid no longer exists (`kill(pid, 0)` -> ESRCH) was left behind
  *    by a crashed holder and is taken over; a live holder's lock is
@@ -113,7 +115,8 @@ class CAPABILITY("filelock") FileLock
     static std::string lockPathFor(const std::string &target);
 
   private:
-    /** Claim by O_CREAT|O_EXCL; true on success. Sets contended_. */
+    /** Claim by linking a flocked, pid-stamped private file to the
+     *  lock path; true on success. Sets contended_. */
     bool claim();
 
     /** Remove an existing lockfile iff its recorded pid is dead,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "accel/dsso.hh"
 #include "common/logging.hh"
@@ -61,69 +62,13 @@ EvalResult
 Evaluator::run(const std::string &design_name,
                const GemmWorkload &w) const
 {
-    // Through the service, not cache_.evaluate() directly, so a run()
-    // racing a runBatch() with the same key shares the in-flight
-    // computation and the exactly-one-miss-per-unique-key stats
-    // contract holds across every entry point.
-    return runner().run({{&design(design_name), w}}).front();
-}
-
-BatchRunner &
-Evaluator::runner() const
-{
-    // Lazy so the worker count reflects the global pool (and thus any
-    // --serial / HIGHLIGHT_THREADS pin) at first use, not at
-    // construction.
-    MutexLock lock(runner_mu_);
-    if (!runner_)
-        runner_ = std::make_unique<BatchRunner>(&cache_);
-    // Dereferenced under the lock; the BatchRunner itself is
-    // internally synchronized, so handing out the reference is safe
-    // once the unique_ptr is populated (it is never reset).
-    return *runner_;
+    return runBatch({{&design(design_name), w}}).front();
 }
 
 std::vector<EvalResult>
 Evaluator::runBatch(const std::vector<EvalJob> &jobs) const
 {
-    return runner().run(jobs);
-}
-
-std::vector<EvalResult>
-Evaluator::runBatch(
-    const std::vector<EvalJob> &jobs,
-    const std::function<void(std::size_t, const EvalResult &)> &on_result)
-    const
-{
-    return runner().run(jobs, on_result);
-}
-
-std::vector<EvalResult>
-Evaluator::runBatch(
-    const std::vector<EvalJob> &jobs,
-    const std::function<void(std::size_t, const EvalResult &,
-                             BatchRunner::Stream &)> &on_result,
-    int priority) const
-{
-    return runner().run(jobs, on_result, priority);
-}
-
-EvalService::Ticket
-Evaluator::submit(const EvalJob &job, int priority) const
-{
-    return service().submit(job, priority);
-}
-
-bool
-Evaluator::cancel(EvalService::Ticket ticket) const
-{
-    return service().cancel(ticket);
-}
-
-EvalService &
-Evaluator::service() const
-{
-    return runner().service();
+    return evaluateBatch(jobs, cache_);
 }
 
 namespace
@@ -150,6 +95,9 @@ Evaluator::buildDnnWorkloads(const DnnModel &model,
                              const DnnScenario &scenario) const
 {
     std::vector<GemmWorkload> suite;
+    // The HSS weight pattern depends only on the scenario: chosen once,
+    // when the first prunable layer needs it.
+    std::optional<OperandSparsity> hss_weights;
     for (const auto &layer : model.layers) {
         GemmWorkload w;
         w.name = model.name + "/" + layer.name;
@@ -174,8 +122,11 @@ Evaluator::buildDnnWorkloads(const DnnModel &model,
                     oneRankSpecFor(scenario.design, density));
                 break;
               case PruningApproach::Hss:
-                w.a = OperandSparsity::structured(chooseSpecForDensity(
-                    highlightWeightSupport(), density));
+                if (!hss_weights)
+                    hss_weights = OperandSparsity::structured(
+                        chooseSpecForDensity(highlightWeightSupport(),
+                                             density));
+                w.a = *hss_weights;
                 break;
               case PruningApproach::Channel:
                 // Channel pruning removes whole output channels: the

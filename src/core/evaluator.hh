@@ -12,14 +12,12 @@
 #ifndef HIGHLIGHT_CORE_EVALUATOR_HH
 #define HIGHLIGHT_CORE_EVALUATOR_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "accel/harness.hh"
 #include "accuracy/accuracy_model.hh"
-#include "common/mutex.hh"
 #include "dnn/layer.hh"
 #include "runtime/batch_runner.hh"
 
@@ -74,73 +72,23 @@ class Evaluator
     const Accelerator &design(const std::string &name) const;
 
     /**
-     * Evaluate one workload on one design with operand swapping
-     * (memoized through the evaluator's cache). Routed through the
-     * shared async service — starting its worker crew on first use —
-     * so a run() racing a runBatch() on the same key shares the
-     * in-flight evaluation and the cache stats stay exact.
+     * Evaluate one workload on one design with operand swapping,
+     * memoized through the evaluator's cache (a one-job runBatch).
      */
     EvalResult run(const std::string &design_name,
                    const GemmWorkload &w) const;
 
     /**
-     * Evaluate a batch of heterogeneous (design, workload) jobs on
-     * the evaluator's async service through the cache. Results come
-     * back in input order and are bit-identical to evaluating each
-     * job serially, independent of the worker count.
+     * Evaluate a batch of heterogeneous (design, workload) jobs through
+     * the evaluator's cache with evaluateBatch() on the global thread
+     * pool. Results come back in input order and are bit-identical to
+     * evaluating each job serially, at any thread count; so are the
+     * cache counters, for batches that do not overlap. Overlapping
+     * batches on one Evaluator return correct results but may
+     * evaluate a key they share twice.
      */
     std::vector<EvalResult> runBatch(
         const std::vector<EvalJob> &jobs) const;
-
-    /**
-     * Streaming runBatch: additionally calls on_result(index, result)
-     * as each job lands (in completion order). The returned vector is
-     * still in input order. Unlike the blocking runBatch(), a
-     * streaming call needs exclusive use of this Evaluator's service:
-     * its drain claims every outstanding ticket, so it must not
-     * overlap any other runBatch()/run()/service() activity on the
-     * same Evaluator (panics on a foreign ticket).
-     */
-    std::vector<EvalResult> runBatch(
-        const std::vector<EvalJob> &jobs,
-        const std::function<void(std::size_t, const EvalResult &)>
-            &on_result) const;
-
-    /**
-     * Cancellable streaming runBatch: the callback's Stream
-     * controller can drop still-pending jobs mid-batch (queued
-     * evaluations never run). Cancelled slots come back as
-     * unsupported placeholders with note "cancelled". Same
-     * exclusive-use caveat as the streaming overload.
-     */
-    std::vector<EvalResult> runBatch(
-        const std::vector<EvalJob> &jobs,
-        const std::function<void(std::size_t, const EvalResult &,
-                                 BatchRunner::Stream &)> &on_result,
-        int priority = 0) const;
-
-    /**
-     * Submit one job to the persistent service without blocking;
-     * higher priority jobs are evaluated first. Claim the result
-     * later with service().wait(ticket) (or tryNext/drain).
-     */
-    EvalService::Ticket submit(const EvalJob &job,
-                               int priority = 0) const;
-
-    /**
-     * Cancel a submitted-but-unclaimed ticket on the persistent
-     * service (see EvalService::cancel for the exact semantics).
-     */
-    bool cancel(EvalService::Ticket ticket) const;
-
-    /**
-     * The evaluator's async evaluation service: submit(EvalJob) now
-     * (optionally with priority/deadline), wait()/tryNext()/drain()
-     * later, cancel()/cancelAll() to shed abandoned work. Lazily
-     * started with the global thread pool's worker count at first
-     * use.
-     */
-    EvalService &service() const;
 
     /**
      * Build the per-layer workloads for a DNN under a scenario: the
@@ -176,13 +124,8 @@ class Evaluator
     void clearCache() const { cache_.clear(); }
 
   private:
-    /** The lazily-started batch runner backing runBatch()/service(). */
-    BatchRunner &runner() const;
-
     std::vector<std::unique_ptr<Accelerator>> owned_;
     mutable EvalCache cache_;
-    mutable Mutex runner_mu_; ///< Guards runner_ creation.
-    mutable std::unique_ptr<BatchRunner> runner_ GUARDED_BY(runner_mu_);
 };
 
 } // namespace highlight

@@ -1,11 +1,7 @@
 #include "core/explorer.hh"
 
 #include <algorithm>
-#include <numeric>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 
 #include "common/logging.hh"
 #include "common/mutex.hh"
@@ -13,16 +9,6 @@
 
 namespace highlight
 {
-
-double
-ParetoCandidateOutcome::edp() const
-{
-    // Exactly DnnEvalResult::edp()'s floating-point sequence, so a
-    // completed candidate's EDP is bit-identical to the exhaustive
-    // runDnn path's.
-    const double seconds = total_cycles / 1e9; // 1 GHz clock
-    return total_energy_pj * 1e-12 * seconds;
-}
 
 std::vector<double>
 HssDesignReport::latencies() const
@@ -170,219 +156,6 @@ searchRankConfig(int ranks, int min_degrees, double min_density)
 }
 
 } // namespace
-
-ParetoSweepResult
-DesignSpaceExplorer::paretoSweep(
-    const Evaluator &ev, const std::vector<ParetoCandidate> &candidates,
-    bool prune) const
-{
-    EvalService &service = ev.service();
-    const std::uint64_t saved_before = service.evaluationsSaved();
-    const std::uint64_t cancelled_before = service.cancelledCount();
-
-    const std::size_t n = candidates.size();
-    ParetoSweepResult out;
-    out.outcomes.resize(n);
-    for (std::size_t ci = 0; ci < n; ++ci) {
-        out.outcomes[ci].label = candidates[ci].label;
-        out.outcomes[ci].x = candidates[ci].x;
-    }
-
-    /** Streaming state of one candidate. */
-    struct State
-    {
-        std::vector<EvalResult> results; ///< Slot per job.
-        std::vector<char> landed;
-        /** Tickets not yet streamed to us (cancellation targets). */
-        std::unordered_set<EvalService::Ticket> outstanding;
-        std::size_t submitted = 0; ///< Jobs submitted so far.
-        std::size_t next = 0; ///< Layer-order prefix pointer.
-        bool done = false;    ///< Completed, unsupported or pruned.
-    };
-    std::vector<State> state(n);
-    std::unordered_map<EvalService::Ticket,
-                       std::pair<std::size_t, std::size_t>>
-        where;
-
-    // Submit lowest-x candidates first at descending priority:
-    // likely frontier points complete earliest, which is what lets
-    // pruning retire the backlog behind them.
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return candidates[a].x < candidates[b].x;
-                     });
-    std::vector<int> priority(n, 0);
-    for (std::size_t rank = 0; rank < n; ++rank)
-        priority[order[rank]] = static_cast<int>(n - rank);
-
-    std::vector<std::size_t> dominators; // completed candidates
-
-    // Each candidate keeps at most `window` jobs in flight, topping
-    // up one-for-one as its results stream back. The window is the
-    // early-exit lever: a pruned candidate's unsubmitted tail is
-    // never even handed to the service, so pruning reclaims work even
-    // when the workers would otherwise keep pace with submission.
-    const std::size_t window = std::max<std::size_t>(
-        16, 4 * static_cast<std::size_t>(service.numWorkers()));
-
-    const auto submitNext = [&](std::size_t ci) {
-        auto &st = state[ci];
-        const auto &jobs = candidates[ci].jobs;
-        const std::size_t j = st.submitted++;
-        const auto t = service.submit(jobs[j], priority[ci]);
-        st.outstanding.insert(t);
-        where.emplace(t, std::make_pair(ci, j));
-        ++out.stats.jobs_submitted;
-    };
-
-    for (const std::size_t ci : order) {
-        auto &st = state[ci];
-        const auto &jobs = candidates[ci].jobs;
-        st.results.resize(jobs.size());
-        st.landed.assign(jobs.size(), 0);
-        for (std::size_t j = 0;
-             j < std::min(window, jobs.size()); ++j)
-            submitNext(ci);
-        if (jobs.empty()) {
-            // Vacuously complete (and, at y = 0, the strongest
-            // possible dominator — same treatment as the normal
-            // completion path gives finished candidates).
-            st.done = true;
-            out.outcomes[ci].completed = true;
-            dominators.push_back(ci);
-        }
-    }
-
-    const auto retireCandidate = [&](std::size_t ci) {
-        auto &st = state[ci];
-        st.done = true;
-        out.stats.jobs_skipped +=
-            candidates[ci].jobs.size() - st.submitted;
-        // lint-allow(no-unordered-iter): cancel() retires each ticket
-        // independently; counters and results are order-invariant.
-        for (const auto t : st.outstanding)
-            service.cancel(t);
-        st.outstanding.clear();
-    };
-
-    const auto pruneCandidate = [&](std::size_t ci, std::size_t by) {
-        out.outcomes[ci].pruned = true;
-        out.outcomes[ci].note =
-            msgOf("pruned: dominated by ", candidates[by].label);
-        retireCandidate(ci);
-    };
-
-    // d strictly dominates c's *lower bound*: d finished at no-worse
-    // x with strictly lower EDP than c's layer-order prefix — and the
-    // prefix only ever grows (nonnegative additions are monotone in
-    // IEEE round-to-nearest), so c's final EDP must exceed d's too.
-    // Dominated points can never be on the frontier, and removing
-    // them never changes any other point's frontier membership
-    // (dominance is transitive), so pruning preserves the frontier.
-    const auto dominatorOf = [&](std::size_t ci) -> std::ptrdiff_t {
-        if (candidates[ci].never_prune)
-            return -1;
-        const double bound = out.outcomes[ci].edp();
-        for (const std::size_t d : dominators) {
-            if (out.outcomes[d].x <= out.outcomes[ci].x &&
-                out.outcomes[d].edp() < bound)
-                return static_cast<std::ptrdiff_t>(d);
-        }
-        return -1;
-    };
-
-    const auto consume = [&](EvalService::Ticket t,
-                             const EvalResult &r) {
-        const auto wit = where.find(t);
-        if (wit == where.end())
-            panic(msgOf("paretoSweep: drained foreign ticket ", t,
-                        " — the sweep needs exclusive use of the "
-                        "evaluator's service"));
-        const std::size_t ci = wit->second.first;
-        const std::size_t j = wit->second.second;
-        auto &st = state[ci];
-        st.outstanding.erase(t);
-        // Top up the candidate's window (one landed -> one
-        // submitted). An unsupported candidate keeps submitting in
-        // exhaustive mode — the exhaustive run evaluates every layer
-        // — but is cut short when pruning is on.
-        if (st.submitted < candidates[ci].jobs.size() &&
-            !(prune && st.done))
-            submitNext(ci);
-        if (st.done)
-            return; // retired candidate's stragglers: ignore
-        st.results[j] = r;
-        st.landed[j] = 1;
-        bool advanced = false;
-        while (st.next < st.landed.size() && st.landed[st.next]) {
-            EvalResult &lr = st.results[st.next];
-            if (!lr.supported) {
-                // First failing layer in layer order wins, totals
-                // zeroed — Evaluator::runDnn's exact semantics.
-                auto &oc = out.outcomes[ci];
-                oc.supported = false;
-                oc.note = msgOf("layer ", lr.workload, ": ", lr.note);
-                oc.total_energy_pj = 0.0;
-                oc.total_cycles = 0.0;
-                if (prune) {
-                    retireCandidate(ci);
-                } else {
-                    st.done = true;
-                }
-                return;
-            }
-            out.outcomes[ci].total_energy_pj += lr.totalEnergyPj();
-            out.outcomes[ci].total_cycles += lr.cycles;
-            ++st.next;
-            advanced = true;
-        }
-        if (st.next == st.landed.size()) {
-            st.done = true;
-            out.outcomes[ci].completed = true;
-            dominators.push_back(ci);
-            if (!prune)
-                return;
-            // The new point may retire other candidates' bounds.
-            for (std::size_t ck = 0; ck < n; ++ck) {
-                if (state[ck].done || candidates[ck].never_prune)
-                    continue;
-                if (out.outcomes[ci].x <= out.outcomes[ck].x &&
-                    out.outcomes[ci].edp() < out.outcomes[ck].edp())
-                    pruneCandidate(ck, ci);
-            }
-        } else if (prune && advanced) {
-            const std::ptrdiff_t d = dominatorOf(ci);
-            if (d >= 0)
-                pruneCandidate(ci, static_cast<std::size_t>(d));
-        }
-    };
-
-    try {
-        service.drain(consume);
-    } catch (...) {
-        // A throwing evaluation stops the drain; claim every other
-        // candidate's outstanding tickets (cancel discards queued,
-        // running, landed and errored alike) before propagating, so
-        // a single bad layer cannot leak foreign tickets into the
-        // evaluator's shared persistent service.
-        for (auto &st : state) {
-            // lint-allow(no-unordered-iter): order-invariant — every
-            // ticket is cancelled regardless of visit order.
-            for (const auto t : st.outstanding)
-                service.cancel(t);
-            st.outstanding.clear();
-        }
-        throw;
-    }
-
-    out.stats.tickets_cancelled =
-        service.cancelledCount() - cancelled_before;
-    out.stats.evaluations_saved =
-        service.evaluationsSaved() - saved_before;
-    return out;
-}
 
 std::vector<HssDesignReport>
 DesignSpaceExplorer::rankAblation(int min_degrees,

@@ -1,7 +1,6 @@
 /**
  * @file
- * HSS design-space exploration (paper Sec 5, Fig 6) and the
- * Pareto-pruned evaluation sweep (Fig 15 with --prune).
+ * HSS design-space exploration (paper Sec 5, Fig 6).
  *
  * Given candidate hardware configurations — how many HSS ranks, which
  * fixed G and H range per rank, and how the SAFs are laid out across
@@ -9,27 +8,16 @@
  * sparsity degrees, its per-rank Hmax, its relative processing latency
  * at each degree, and its muxing sparsity tax. This regenerates the
  * S-vs-SS comparison of Fig 6(a)/(b) and the rank-count ablation.
- *
- * paretoSweep() is the service-backed sweep with early-exit pruning:
- * candidates whose x coordinate (accuracy loss) is known up front
- * stream their y coordinate (EDP) as a monotonically growing
- * layer-order prefix sum, and as soon as a completed candidate
- * strictly dominates another candidate's prefix *lower bound*, the
- * dominated candidate's remaining evaluations are cancelled on the
- * EvalService — reclaiming worker time without ever changing the
- * Pareto frontier.
  */
 
 #ifndef HIGHLIGHT_CORE_EXPLORER_HH
 #define HIGHLIGHT_CORE_EXPLORER_HH
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/evaluator.hh"
 #include "energy/mux_model.hh"
 #include "sparsity/hss.hh"
 
@@ -59,70 +47,6 @@ struct HssDesignReport
 
     /** Relative processing latency at each degree (= density). */
     std::vector<double> latencies() const;
-};
-
-/**
- * One candidate of a Pareto-pruned sweep: its x coordinate (lower is
- * better, e.g. accuracy loss) is known before evaluation; its y
- * coordinate (lower is better, e.g. EDP) is the energy-delay product
- * of the layer-order sums over `jobs`.
- */
-struct ParetoCandidate
-{
-    std::string label;
-    double x = 0.0;
-    std::vector<EvalJob> jobs;
-    /** Exempt from pruning — e.g. the normalization baseline, which
-     *  downstream reporting needs completed unconditionally. */
-    bool never_prune = false;
-};
-
-/** Per-candidate outcome of a Pareto-pruned sweep. */
-struct ParetoCandidateOutcome
-{
-    std::string label;
-    double x = 0.0;
-    /** Layer-order sums — the exact floating-point accumulation
-     *  sequence of Evaluator::runDnn, so a completed candidate's
-     *  totals are bit-identical to an exhaustive run's. */
-    double total_energy_pj = 0.0;
-    double total_cycles = 0.0;
-    bool completed = false; ///< Every job landed, all supported.
-    bool supported = true;  ///< False: some layer was unsupported.
-    bool pruned = false;    ///< Cancelled by dominance before finishing.
-    std::string note;       ///< Why unsupported / which point pruned it.
-
-    /** Same formula (and FP sequence) as DnnEvalResult::edp(). While
-     *  the candidate is incomplete this is a sound lower bound on the
-     *  final EDP: the sums only ever grow. */
-    double edp() const;
-};
-
-/** Work accounting of one paretoSweep() call. */
-struct ParetoSweepStats
-{
-    std::size_t jobs_submitted = 0;
-    /** Jobs of pruned candidates never even submitted: the sweep
-     *  keeps a bounded window per candidate in flight, so a pruned
-     *  tail is skipped at the source rather than queued-then-
-     *  cancelled. */
-    std::size_t jobs_skipped = 0;
-    std::uint64_t tickets_cancelled = 0;
-    /** Service-level queued computations dropped before running. */
-    std::uint64_t evaluations_saved = 0;
-
-    /** Total work pruning reclaimed: skipped + dropped-while-queued. */
-    std::uint64_t reclaimed() const
-    {
-        return jobs_skipped + evaluations_saved;
-    }
-};
-
-/** Result of paretoSweep(): outcomes in candidate input order. */
-struct ParetoSweepResult
-{
-    std::vector<ParetoCandidateOutcome> outcomes;
-    ParetoSweepStats stats;
 };
 
 /**
@@ -157,36 +81,6 @@ class DesignSpaceExplorer
         const std::vector<HssDesignConfig> &configs,
         const std::function<void(std::size_t, const HssDesignReport &)>
             &on_report) const;
-
-    /**
-     * Evaluate every candidate through the evaluator's async service
-     * with early-exit Pareto pruning. Candidates are submitted lowest
-     * x first at descending priority (likely dominators finish
-     * early), each with a bounded window of jobs in flight that tops
-     * up as results stream back; the candidate's y accumulates as a
-     * layer-order prefix sum. When `prune` is set and a completed
-     * candidate's EDP at no-worse x strictly undercuts another
-     * candidate's prefix EDP, the dominated candidate is retired
-     * three ways at once: its unsubmitted tail is skipped
-     * (stats.jobs_skipped), its queued evaluations are dropped on the
-     * service (stats.evaluations_saved), and its in-flight dedupe
-     * tickets detach without disturbing sibling candidates sharing
-     * the same layer shapes.
-     *
-     * Pruning is sound for frontier extraction: only candidates that
-     * provably cannot be on the Pareto frontier are retired (the
-     * prefix sums only grow, so a dominated lower bound stays
-     * dominated), so the frontier over the completed outcomes —
-     * values bit-identical to an exhaustive run at any worker
-     * count — equals the exhaustive frontier.
-     *
-     * Needs exclusive use of the evaluator's service while it drains
-     * (same caveat as the streaming runBatch).
-     */
-    ParetoSweepResult paretoSweep(
-        const Evaluator &ev,
-        const std::vector<ParetoCandidate> &candidates,
-        bool prune) const;
 
     /**
      * Deterministic candidate partition for sharded multi-process

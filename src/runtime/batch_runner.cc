@@ -1,5 +1,6 @@
 #include "runtime/batch_runner.hh"
 
+#include <string_view>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -7,154 +8,52 @@
 namespace highlight
 {
 
-BatchRunner::BatchRunner(EvalCache *cache, ThreadPool *pool)
-    : service_(std::make_unique<EvalService>(
-          cache, (pool ? pool : &ThreadPool::global())->numThreads()))
-{
-}
-
-BatchRunner::~BatchRunner() = default;
-
-bool
-BatchRunner::Stream::cancel(std::size_t index)
-{
-    if (index >= tickets_.size() || state_[index] != kPending)
-        return false;
-    if (!service_.cancel(tickets_[index]))
-        return false;
-    state_[index] = kCancelled;
-    return true;
-}
-
-std::size_t
-BatchRunner::Stream::cancelRemaining()
-{
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < tickets_.size(); ++i)
-        count += cancel(i) ? 1 : 0;
-    return count;
-}
-
-namespace
-{
-
-/**
- * wait() on every ticket even after a failure, so an errored job can
- * never leave the rest of its batch unclaimed in the service (leaked
- * results, and a later drain() would trip over the foreign tickets).
- * The first exception is rethrown once everything is claimed.
- */
 std::vector<EvalResult>
-claimAll(EvalService &service,
-         const std::vector<EvalService::Ticket> &tickets)
+evaluateBatch(const std::vector<EvalJob> &jobs, EvalCache &cache,
+              ThreadPool &pool)
 {
-    std::vector<EvalResult> out;
-    out.reserve(tickets.size());
-    std::exception_ptr first_error;
-    for (const auto t : tickets) {
-        try {
-            out.push_back(service.wait(t));
-        } catch (...) {
-            if (!first_error)
-                first_error = std::current_exception();
-            out.emplace_back();
-        }
+    const std::size_t n = jobs.size();
+    std::vector<std::string> keys(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (jobs[i].design == nullptr)
+            fatal("evaluateBatch: job with null design");
+        keys[i] = EvalCache::keyOf(jobs[i].design->name(),
+                                   jobs[i].workload);
     }
-    if (first_error)
-        std::rethrow_exception(first_error);
-    return out;
-}
 
-/**
- * Reject bad jobs before anything is submitted: a mid-batch fatal
- * from EvalService::submit would leave the already-submitted tickets
- * unclaimed in the (possibly shared, persistent) service.
- */
-void
-validate(const std::vector<EvalJob> &jobs)
-{
-    for (const auto &j : jobs) {
-        if (j.design == nullptr)
-            fatal("BatchRunner: job with null design");
+    // first[i] is the index of the batch's first job with keys[i]; a
+    // first occurrence that misses the cache is queued in `misses`.
+    std::vector<EvalResult> out(n);
+    std::vector<std::size_t> first(n);
+    std::vector<std::size_t> misses;
+    std::unordered_map<std::string_view, std::size_t> first_of;
+    first_of.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto [it, inserted] = first_of.emplace(keys[i], i);
+        first[i] = it->second;
+        if (!inserted)
+            cache.noteHit();
+        else if (!cache.lookup(keys[i], jobs[i].workload.name, &out[i]))
+            misses.push_back(i);
     }
-}
 
-} // namespace
-
-std::vector<EvalResult>
-BatchRunner::run(const std::vector<EvalJob> &jobs, int priority) const
-{
-    // Submit in input order (the service's dedupe accounting happens
-    // on this thread, so the hit/miss counters are deterministic),
-    // then collect by ticket in input order.
-    validate(jobs);
-    return claimAll(*service_, service_->submitBatch(jobs, priority));
-}
-
-std::vector<EvalResult>
-BatchRunner::run(
-    const std::vector<EvalJob> &jobs,
-    const std::function<void(std::size_t, const EvalResult &)> &on_result)
-    const
-{
-    return run(
-        jobs,
-        [&](std::size_t i, const EvalResult &r, Stream &) {
-            on_result(i, r);
-        },
-        /*priority=*/0);
-}
-
-std::vector<EvalResult>
-BatchRunner::run(
-    const std::vector<EvalJob> &jobs,
-    const std::function<void(std::size_t, const EvalResult &, Stream &)>
-        &on_result,
-    int priority) const
-{
-    validate(jobs);
-    const auto tickets = service_->submitBatch(jobs, priority);
-    std::unordered_map<EvalService::Ticket, std::size_t> index_of;
-    index_of.reserve(tickets.size());
-    for (std::size_t i = 0; i < tickets.size(); ++i)
-        index_of.emplace(tickets[i], i);
-
-    std::vector<EvalResult> out(jobs.size());
-    std::vector<char> state(jobs.size(), Stream::kPending);
-    Stream stream(*service_, tickets, state);
-    try {
-        service_->drain([&](EvalService::Ticket t, const EvalResult &r) {
-            const auto it = index_of.find(t);
-            if (it == index_of.end())
-                panic(msgOf("BatchRunner: drained foreign ticket ", t,
-                            " — streaming run() needs exclusive use "
-                            "of the service"));
-            state[it->second] = Stream::kStreamed;
-            out[it->second] = r;
-            on_result(it->second, r, stream);
+    std::vector<EvalResult> computed =
+        pool.parallelMap(misses.size(), [&](std::size_t u) {
+            const EvalJob &job = jobs[misses[u]];
+            return evaluateBest(*job.design, job.workload);
         });
-    } catch (...) {
-        // An errored job stops the drain; claim this batch's
-        // remaining tickets before propagating so nothing leaks into
-        // the (possibly shared, persistent) service. Cancelled
-        // tickets are already claimed — their wait() below fatals
-        // and is swallowed like an already-drained one.
-        for (const auto t : tickets) {
-            try {
-                service_->wait(t);
-            } catch (...) {
-                // Already claimed by the drain/cancel, or the error.
-            }
-        }
-        throw;
-    }
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (state[i] != Stream::kCancelled)
-            continue;
-        out[i].design = jobs[i].design->name();
+
+    for (std::size_t u = 0; u < misses.size(); ++u) {
+        const std::size_t i = misses[u];
+        cache.insert(keys[i], computed[u]);
+        out[i] = std::move(computed[u]);
         out[i].workload = jobs[i].workload.name;
-        out[i].supported = false;
-        out[i].note = "cancelled";
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        if (first[i] != i) {
+            out[i] = out[first[i]];
+            out[i].workload = jobs[i].workload.name;
+        }
     }
     return out;
 }

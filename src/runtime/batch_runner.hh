@@ -1,136 +1,51 @@
 /**
  * @file
- * Batched scheduling of heterogeneous evaluation jobs.
+ * Batched evaluation of heterogeneous (design, workload) jobs.
  *
- * A BatchRunner is the synchronous, order-preserving front of the
- * async EvalService: it submits an ordered list of (design, workload)
- * jobs — which the service dedupes against the EvalCache and among
- * in-flight submissions — and collects the results back in input
- * order. Because each unique key is computed exactly once and results
- * are collected by ticket, the output — including the cache hit/miss
- * counters — is bit-identical whether the service runs 1 worker or N.
- *
- * The streaming overload additionally invokes a callback per result
- * as it lands (in completion order, which is scheduling-dependent),
- * so a caller can start consuming while the tail is still computing.
- * The cancellable variant hands the callback a Stream controller that
- * can drop still-pending jobs mid-batch — the early-exit hook the
- * Pareto-pruned sweeps use: once a landed result proves the rest of a
- * candidate's jobs useless, they are cancelled instead of computed.
+ * evaluateBatch() is one synchronous function in five steps: key every
+ * job with EvalCache::keyOf; dedupe in input order (a repeated key
+ * counts a hit via noteHit, a first occurrence goes through the
+ * cache's lookup); evaluate only the unique misses with
+ * ThreadPool::parallelMap; insert those results into the cache in
+ * input order; and fan every result out to its jobs with each job's
+ * workload name patched in. Every cache call happens on the calling
+ * thread in input order, so the results and the hit/miss/insert
+ * counters are bit-identical at any thread count.
  */
 
 #ifndef HIGHLIGHT_RUNTIME_BATCH_RUNNER_HH
 #define HIGHLIGHT_RUNTIME_BATCH_RUNNER_HH
 
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "runtime/eval_service.hh"
+#include "runtime/eval_cache.hh"
 #include "runtime/thread_pool.hh"
 
 namespace highlight
 {
 
-/**
- * Schedules eval jobs through a persistent EvalService.
- */
-class BatchRunner
+/** One evaluation job: a design applied to a workload. */
+struct EvalJob
 {
-  public:
-    /**
-     * Mid-batch cancellation controller handed to the cancellable
-     * streaming run()'s callback. Only valid during that callback
-     * (it runs on the draining thread; no synchronization needed).
-     */
-    class Stream
-    {
-      public:
-        /**
-         * Cancel job `index`: a queued evaluation is dropped before
-         * running, a running or landed one has its result discarded.
-         * False when the job was already streamed (or cancelled).
-         * The returned vector's slot for a cancelled job holds an
-         * unsupported placeholder result with note "cancelled".
-         */
-        bool cancel(std::size_t index);
-
-        /** cancel() every job not yet streamed; returns the count. */
-        std::size_t cancelRemaining();
-
-      private:
-        friend class BatchRunner;
-        enum : char { kPending = 0, kStreamed = 1, kCancelled = 2 };
-        Stream(EvalService &service,
-               const std::vector<EvalService::Ticket> &tickets,
-               std::vector<char> &state)
-            : service_(service), tickets_(tickets), state_(state)
-        {
-        }
-        EvalService &service_;
-        const std::vector<EvalService::Ticket> &tickets_;
-        std::vector<char> &state_;
-    };
-
-    /**
-     * @param cache Memo table to dedupe through; nullptr disables
-     *        caching (every job is evaluated).
-     * @param pool Sizes the worker crew (numThreads()); nullptr uses
-     *        ThreadPool::global().
-     */
-    explicit BatchRunner(EvalCache *cache = nullptr,
-                         ThreadPool *pool = nullptr);
-    ~BatchRunner();
-
-    BatchRunner(const BatchRunner &) = delete;
-    BatchRunner &operator=(const BatchRunner &) = delete;
-
-    /**
-     * Evaluate every job, returning results in input order. Cache
-     * semantics: a job whose key is already cached — or that repeats
-     * an earlier job in this batch — counts as a hit; each unique
-     * uncached key counts as one miss and one evaluation. `priority`
-     * orders this batch against other work on the shared service.
-     */
-    std::vector<EvalResult> run(const std::vector<EvalJob> &jobs,
-                                int priority = 0) const;
-
-    /**
-     * Same contract, but additionally streams each result through
-     * on_result(job_index, result) the moment it lands. The callback
-     * runs on the draining (calling) thread; its invocation order is
-     * scheduling-dependent even though the returned vector is not.
-     * Needs exclusive use of the runner's service while it drains:
-     * concurrent blocking run() calls (safe with each other) or
-     * direct service() submissions would hand this drain foreign
-     * tickets, which is a panic.
-     */
-    std::vector<EvalResult> run(
-        const std::vector<EvalJob> &jobs,
-        const std::function<void(std::size_t, const EvalResult &)>
-            &on_result) const;
-
-    /**
-     * Cancellable streaming run: the callback additionally receives a
-     * Stream controller whose cancel(index)/cancelRemaining() drop
-     * still-pending jobs — queued evaluations never run (reclaimed
-     * worker time is visible in service().evaluationsSaved()).
-     * Cancelled slots in the returned vector hold an unsupported
-     * placeholder with note "cancelled". Same exclusive-use caveat as
-     * the streaming overload above.
-     */
-    std::vector<EvalResult> run(
-        const std::vector<EvalJob> &jobs,
-        const std::function<void(std::size_t, const EvalResult &,
-                                 Stream &)> &on_result,
-        int priority = 0) const;
-
-    /** The underlying async service (for direct submit/drain use). */
-    EvalService &service() const { return *service_; }
-
-  private:
-    std::unique_ptr<EvalService> service_;
+    const Accelerator *design = nullptr;
+    GemmWorkload workload;
 };
+
+/**
+ * Evaluate every job with evaluateBest() through `cache`, returning the
+ * results in input order. A job whose key is already cached, or that
+ * repeats an earlier job of this batch, counts as a hit; each unique
+ * uncached key counts as one miss, one evaluation and one insertion.
+ *
+ * If evaluations throw, the exception of the lowest-index failing job
+ * propagates and nothing from this batch is inserted; the cache stays
+ * usable. Concurrent calls on one cache are safe and return correct
+ * results, but a key missing in both may be evaluated by each.
+ * A job with a null design is fatal.
+ */
+std::vector<EvalResult> evaluateBatch(const std::vector<EvalJob> &jobs,
+                                      EvalCache &cache,
+                                      ThreadPool &pool = ThreadPool::global());
 
 } // namespace highlight
 

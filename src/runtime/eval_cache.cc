@@ -1,14 +1,15 @@
 #include "runtime/eval_cache.hh"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <iomanip>
 #include <limits>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -26,19 +27,36 @@ namespace highlight
 namespace
 {
 
+/** Append the decimal form of an integer or, for a double, printf's
+ *  "%.17g" (max_digits10, so distinct densities never collide). */
+template <typename T>
 void
-appendOperand(std::ostringstream &oss, const OperandSparsity &s)
+appendNumber(std::string &key, T value)
+{
+    char buf[32];
+    std::to_chars_result res;
+    if constexpr (std::is_floating_point_v<T>)
+        res = std::to_chars(buf, buf + sizeof(buf), value,
+                            std::chars_format::general, 17);
+    else
+        res = std::to_chars(buf, buf + sizeof(buf), value);
+    key.append(buf, res.ptr);
+}
+
+void
+appendOperand(std::string &key, const OperandSparsity &s)
 {
     switch (s.kind) {
       case PatternKind::Dense:
-        oss << "D";
+        key += 'D';
         break;
       case PatternKind::Unstructured:
-        // max_digits10 so distinct densities can never collide.
-        oss << "U" << std::setprecision(17) << s.density;
+        key += 'U';
+        appendNumber(key, s.density);
         break;
       case PatternKind::Hss:
-        oss << "H" << s.hss.str();
+        key += 'H';
+        key += s.hss.str();
         break;
     }
 }
@@ -90,12 +108,20 @@ EvalCache::~EvalCache()
 std::string
 EvalCache::keyOf(const std::string &design, const GemmWorkload &w)
 {
-    std::ostringstream oss;
-    oss << design << "|" << w.m << "x" << w.k << "x" << w.n << "|";
-    appendOperand(oss, w.a);
-    oss << "|";
-    appendOperand(oss, w.b);
-    return oss.str();
+    std::string key;
+    key.reserve(design.size() + 96);
+    key += design;
+    key += '|';
+    appendNumber(key, w.m);
+    key += 'x';
+    appendNumber(key, w.k);
+    key += 'x';
+    appendNumber(key, w.n);
+    key += '|';
+    appendOperand(key, w.a);
+    key += '|';
+    appendOperand(key, w.b);
+    return key;
 }
 
 EvalResult

@@ -61,9 +61,9 @@ namespace highlight
 /**
  * Cache counters. All counters are updated under the same lock as the
  * map itself, so they are exact (not merely approximate) under
- * concurrent BatchRunner / EvalService use: every lookup is counted as
- * exactly one hit or one miss, and hits + misses == lookups() always
- * holds, at any thread count.
+ * concurrent use: every lookup is counted as exactly one hit or one
+ * miss, and hits + misses == lookups() always holds, at any thread
+ * count.
  */
 struct EvalCacheStats
 {
@@ -177,7 +177,7 @@ class EvalCache
      *  first. */
     void insert(const std::string &key, const EvalResult &r);
 
-    /** Count a hit without a lookup (within-batch / in-flight dedupe). */
+    /** Count a hit without a lookup (a key repeated within a batch). */
     void noteHit();
 
     /** Max resident entries (0 = unbounded). */

@@ -17,12 +17,10 @@ std::vector<SuiteResult>
 evaluateSuite(const std::vector<const Accelerator *> &designs,
               const std::vector<GemmWorkload> &suite)
 {
-    // One flat batch, design-major; a suite-local cache dedupes
-    // repeated (design, shape, sparsity) cells within the matrix.
-    // The runner spawns its worker crew for this call only — a few
-    // hundred microseconds, amortized over the whole matrix; callers
-    // that sweep repeatedly should prefer Evaluator::runBatch, whose
-    // service (and cache) persist across batches.
+    // One flat batch, design-major, on the global thread pool; a
+    // suite-local cache dedupes repeated (design, shape, sparsity)
+    // cells within the matrix. Callers that sweep repeatedly should
+    // prefer Evaluator::runBatch, whose cache persists across batches.
     std::vector<EvalJob> jobs;
     jobs.reserve(designs.size() * suite.size());
     for (const Accelerator *design : designs) {
@@ -30,7 +28,7 @@ evaluateSuite(const std::vector<const Accelerator *> &designs,
             jobs.push_back({design, w});
     }
     EvalCache cache;
-    const std::vector<EvalResult> flat = BatchRunner(&cache).run(jobs);
+    const std::vector<EvalResult> flat = evaluateBatch(jobs, cache);
 
     std::vector<SuiteResult> all;
     all.reserve(designs.size());

@@ -92,8 +92,10 @@ ThreadPool::drain(Job &job)
                 (*job.fn)(i);
             } catch (...) {
                 MutexLock lock(job.err_mu);
-                if (!job.error)
+                if (!job.error || i < job.error_index) {
                     job.error = std::current_exception();
+                    job.error_index = i;
+                }
             }
         }
         job.done.fetch_add(end - begin, std::memory_order_acq_rel);
@@ -174,11 +176,14 @@ ThreadPool::parallelFor(std::size_t n,
         MutexLock lock(mu_);
         while (job->done.load(std::memory_order_acquire) < job->n)
             done_cv_.wait(lock);
-        job_ = nullptr;
+        // A concurrent caller may have posted its own job since; that
+        // one must keep its workers.
+        if (job_ == job)
+            job_ = nullptr;
     }
 
-    // Read the first captured failure under its mutex: workers that
-    // lost the race to set it may still be inside the catch block.
+    // Read the failure under its mutex: workers that lost the race to
+    // set it may still be inside the catch block.
     std::exception_ptr err;
     {
         MutexLock lock(job->err_mu);

@@ -78,9 +78,13 @@ class ThreadPool
      * Run fn(i) for every i in [0, n), blocking until all complete.
      *
      * The caller participates in the work. If any invocation throws,
-     * the first captured exception is rethrown here after every
-     * claimed index has finished; the pool stays usable. Nested calls
-     * from inside a worker run inline (serially) to avoid deadlock.
+     * the exception of the lowest failing index is rethrown here after
+     * every claimed index has finished, so which error a call reports
+     * never depends on the thread count; the pool stays usable. Nested
+     * calls from inside a worker run inline (serially) to avoid
+     * deadlock. Several threads may call concurrently on one pool:
+     * each call covers its own range exactly once, and the workers
+     * serve the most recently posted call.
      *
      * @param grain Indices claimed per atomic fetch. Each claim takes
      *        a contiguous [begin, begin+grain) block, so on very
@@ -141,8 +145,9 @@ class ThreadPool
         std::atomic<std::size_t> next{0};
         std::atomic<std::size_t> done{0};
         Mutex err_mu;
-        /** First failure across all workers. */
+        /** Failure of the lowest failing index across all workers. */
         std::exception_ptr error GUARDED_BY(err_mu);
+        std::size_t error_index GUARDED_BY(err_mu) = 0;
     };
 
     void workerLoop();

@@ -85,13 +85,17 @@ HssSpec::totalSpan() const
 std::string
 HssSpec::str() const
 {
-    std::ostringstream oss;
+    std::string out;
     for (std::size_t i = patterns_.size(); i-- > 0;) {
-        oss << "C" << i << "(" << patterns_[i].str() << ")";
+        out += 'C';
+        out += std::to_string(i);
+        out += '(';
+        out += patterns_[i].str();
+        out += ')';
         if (i)
-            oss << "->";
+            out += "->";
     }
-    return oss.str();
+    return out;
 }
 
 SparsitySpec

@@ -1,35 +1,36 @@
 /**
  * @file
- * Concurrency tests for the async evaluation service and the
- * streaming BatchRunner: multi-producer submit/drain stress with
- * exact cache-stats accounting, serial-vs-parallel determinism with
- * and without a cache, the streaming callback contract, and the
- * double-claim guard. Everything here must also pass under
- * ThreadSanitizer (the CI tsan job runs this binary).
+ * Concurrency tests for the batch runtime: results and hit/miss
+ * counters do not depend on the pool's thread count, two threads may
+ * call runBatch on one Evaluator at once, and a throwing design
+ * surfaces its lowest-index error without poisoning the cache.
+ * Everything here must also pass under ThreadSanitizer (the CI tsan
+ * job runs this binary).
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <future>
-#include <mutex>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/logging.hh"
 #include "core/evaluator.hh"
 #include "runtime/batch_runner.hh"
-#include "runtime/eval_service.hh"
+#include "runtime/eval_cache.hh"
+#include "runtime/thread_pool.hh"
 
 namespace highlight
 {
 namespace
 {
+
+/** Restores the global pool to its default size on scope exit. */
+struct GlobalPoolGuard
+{
+    ~GlobalPoolGuard() { ThreadPool::setGlobalThreads(0); }
+};
 
 GemmWorkload
 makeWorkload(const std::string &name, std::int64_t m)
@@ -52,339 +53,7 @@ expectSameNumbers(const EvalResult &a, const EvalResult &b)
     EXPECT_EQ(a.totalEnergyPj(), b.totalEnergyPj());
 }
 
-TEST(AsyncService, SubmitWaitMatchesDirectEvaluation)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    const auto w = makeWorkload("direct", 128);
-
-    EvalCache cache;
-    EvalService service(&cache, 4);
-    const auto ticket = service.submit({&tc, w});
-    const EvalResult r = service.wait(ticket);
-    EXPECT_EQ(r.workload, "direct");
-    expectSameNumbers(r, evaluateBest(tc, w));
-    EXPECT_EQ(service.pendingCount(), 0u);
-}
-
-TEST(AsyncService, TicketsAreDistinctAndMonotonic)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    EvalService service(nullptr, 2);
-    std::vector<EvalJob> jobs;
-    for (int i = 0; i < 10; ++i)
-        jobs.push_back({&tc, makeWorkload("t", 8 + i)});
-    const auto tickets = service.submitBatch(jobs);
-    for (std::size_t i = 1; i < tickets.size(); ++i)
-        EXPECT_LT(tickets[i - 1], tickets[i]);
-    for (const auto t : tickets)
-        service.wait(t);
-}
-
-TEST(AsyncService, InFlightDuplicatesShareOneEvaluation)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    EvalCache cache;
-    EvalService service(&cache, 4);
-
-    // 32 submissions of the same key, different display names.
-    std::vector<EvalService::Ticket> tickets;
-    for (int i = 0; i < 32; ++i) {
-        auto w = makeWorkload("dup-" + std::to_string(i), 256);
-        tickets.push_back(service.submit({&tc, w}));
-    }
-    for (std::size_t i = 0; i < tickets.size(); ++i) {
-        const auto r = service.wait(tickets[i]);
-        EXPECT_EQ(r.workload, "dup-" + std::to_string(i));
-    }
-    // Exactly one miss and one evaluation, no matter how the worker
-    // races the submissions; every other submission is a hit.
-    const auto s = cache.stats();
-    EXPECT_EQ(s.misses, 1u);
-    EXPECT_EQ(s.hits, 31u);
-    EXPECT_EQ(s.insertions, 1u);
-    EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(AsyncStress, MultiProducerStatsStayExact)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    const Accelerator &hl = ev.design("HighLight");
-
-    constexpr int kProducers = 8;
-    constexpr int kPerProducer = 50;
-    constexpr int kUniqueShapes = 10;
-
-    EvalCache cache;
-    EvalService service(&cache, 4);
-
-    // Reference results, computed serially outside the service.
-    std::vector<EvalResult> reference;
-    for (int u = 0; u < kUniqueShapes; ++u) {
-        const Accelerator &accel = (u % 2 == 0) ? tc : hl;
-        reference.push_back(
-            evaluateBest(accel, makeWorkload("ref", 16 + 16 * u)));
-    }
-
-    std::atomic<int> mismatches{0};
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&, p] {
-            std::vector<std::pair<EvalService::Ticket, int>> mine;
-            for (int i = 0; i < kPerProducer; ++i) {
-                const int u = (p + i) % kUniqueShapes;
-                const Accelerator &accel = (u % 2 == 0) ? tc : hl;
-                auto w = makeWorkload(
-                    "p" + std::to_string(p) + "-" + std::to_string(i),
-                    16 + 16 * u);
-                mine.emplace_back(service.submit({&accel, w}), u);
-            }
-            for (const auto &[ticket, u] : mine) {
-                const auto r = service.wait(ticket);
-                if (r.cycles != reference[static_cast<std::size_t>(u)]
-                                     .cycles ||
-                    r.totalEnergyPj() !=
-                        reference[static_cast<std::size_t>(u)]
-                            .totalEnergyPj())
-                    mismatches.fetch_add(1);
-            }
-        });
-    }
-    for (auto &t : producers)
-        t.join();
-
-    EXPECT_EQ(mismatches.load(), 0);
-    EXPECT_EQ(service.pendingCount(), 0u);
-
-    // The exactness contract: every submission is exactly one hit or
-    // one miss, and each unique key misses exactly once.
-    const auto s = cache.stats();
-    const std::uint64_t total = kProducers * kPerProducer;
-    EXPECT_EQ(s.lookups(), total);
-    EXPECT_EQ(s.misses, static_cast<std::uint64_t>(kUniqueShapes));
-    EXPECT_EQ(s.hits, total - kUniqueShapes);
-    EXPECT_EQ(s.insertions, static_cast<std::uint64_t>(kUniqueShapes));
-    EXPECT_EQ(s.evictions, 0u);
-    EXPECT_EQ(cache.size(), static_cast<std::size_t>(kUniqueShapes));
-}
-
-TEST(AsyncService, DrainStreamsEveryOutstandingResult)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    EvalCache cache;
-    EvalService service(&cache, 4);
-
-    std::vector<EvalJob> jobs;
-    for (int i = 0; i < 40; ++i)
-        jobs.push_back({&tc, makeWorkload("d" + std::to_string(i),
-                                          8 + 8 * (i % 7))});
-    const auto tickets = service.submitBatch(jobs);
-
-    std::set<EvalService::Ticket> seen;
-    const std::size_t streamed =
-        service.drain([&](EvalService::Ticket t, const EvalResult &r) {
-            EXPECT_TRUE(seen.insert(t).second) << "duplicate ticket";
-            EXPECT_GT(r.cycles, 0.0);
-        });
-    EXPECT_EQ(streamed, jobs.size());
-    EXPECT_EQ(seen.size(), tickets.size());
-    for (const auto t : tickets)
-        EXPECT_EQ(seen.count(t), 1u);
-    EXPECT_EQ(service.pendingCount(), 0u);
-
-    // A second drain with nothing outstanding returns immediately.
-    EXPECT_EQ(service.drain([](EvalService::Ticket, const EvalResult &) {
-                  FAIL() << "nothing should land";
-              }),
-              0u);
-}
-
-TEST(AsyncService, TryNextPollsCompletionsInLandingOrder)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    EvalService service(nullptr, 2);
-
-    const auto t0 = service.submit({&tc, makeWorkload("x", 64)});
-    const auto t1 = service.submit({&tc, makeWorkload("y", 128)});
-
-    std::set<EvalService::Ticket> seen;
-    EvalService::Completed c;
-    while (seen.size() < 2) {
-        if (service.tryNext(&c))
-            seen.insert(c.ticket);
-        else
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_EQ(seen, (std::set<EvalService::Ticket>{t0, t1}));
-    EXPECT_FALSE(service.tryNext(&c));
-    EXPECT_EQ(service.pendingCount(), 0u);
-}
-
-/**
- * A test accelerator whose evaluations block on a gate the test
- * controls (to pin down submit/wait/drain interleavings) or throw (to
- * exercise the per-ticket error path).
- */
-class GateAccel : public Accelerator
-{
-  public:
-    explicit GateAccel(bool throw_on_eval = false)
-        : Accelerator([] {
-              ArchSpec spec;
-              spec.name = "Gate";
-              return spec;
-          }()),
-          throw_on_eval_(throw_on_eval)
-    {
-    }
-
-    void open() { gate_.set_value(); }
-
-    std::string supportedPatternsA() const override { return "any"; }
-    std::string supportedPatternsB() const override { return "any"; }
-    bool supports(const GemmWorkload &) const override { return true; }
-
-    EvalResult
-    evaluate(const GemmWorkload &w) const override
-    {
-        gate_future_.wait();
-        if (throw_on_eval_)
-            throw std::runtime_error("gate: evaluation failed");
-        EvalResult r;
-        r.design = name();
-        r.workload = w.name;
-        r.cycles = static_cast<double>(w.m);
-        return r;
-    }
-
-    std::vector<BreakdownEntry> areaBreakdown() const override
-    {
-        return {};
-    }
-
-  private:
-    // evaluateBest probes the workload both ways and workers run
-    // concurrently; a shared_future lets every evaluation wait on the
-    // one gate.
-    std::promise<void> gate_;
-    std::shared_future<void> gate_future_ = gate_.get_future().share();
-    bool throw_on_eval_ = false;
-};
-
-TEST(AsyncService, DrainNeverStealsAWaitedTicket)
-{
-    // A ticket a wait() call is blocked on belongs to that waiter; a
-    // concurrent drain() must stream everything else and leave the
-    // waited ticket alone (pre-fix this either panicked the drainer
-    // or deadlocked the waiter). The gate keeps every job in flight
-    // until the waiter has provably reserved its ticket, so the test
-    // is not a sleep-based race.
-    const Evaluator ev;
-    GateAccel gate;
-    EvalCache cache;
-    EvalService service(&cache, 2);
-
-    std::vector<EvalJob> jobs;
-    for (int i = 0; i < 12; ++i)
-        jobs.push_back({&gate, makeWorkload("w" + std::to_string(i),
-                                            8 + 8 * i)});
-    const auto tickets = service.submitBatch(jobs);
-    const auto waited = tickets.front();
-
-    // Nothing can land while the gate is closed, so once the waiter
-    // is inside wait() its ticket is reserved before any completion
-    // exists; the flag + settle sleep only cover the instants between
-    // thread start, the store, and the reservation.
-    EvalResult waited_result;
-    std::atomic<bool> entering_wait{false};
-    bool waiter_lost_ticket = false;
-    std::thread waiter([&] {
-        entering_wait.store(true);
-        try {
-            waited_result = service.wait(waited);
-        } catch (const FatalError &) {
-            waiter_lost_ticket = true; // drain stole it: must not happen
-        }
-    });
-    while (!entering_wait.load())
-        std::this_thread::yield();
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    gate.open();
-
-    std::set<EvalService::Ticket> streamed;
-    service.drain([&](EvalService::Ticket t, const EvalResult &) {
-        streamed.insert(t);
-    });
-    waiter.join();
-
-    EXPECT_FALSE(waiter_lost_ticket);
-    EXPECT_EQ(streamed.count(waited), 0u);
-    EXPECT_EQ(streamed.size(), tickets.size() - 1);
-    EXPECT_EQ(waited_result.workload, jobs.front().workload.name);
-    EXPECT_EQ(service.pendingCount(), 0u);
-}
-
-TEST(AsyncService, ThrowingJobFailsOnlyItsTicketsAndServiceSurvives)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    GateAccel bad(/*throw_on_eval=*/true);
-    bad.open(); // no gating — throw immediately
-    EvalCache cache;
-    EvalService service(&cache, 2);
-
-    // Two submissions of the failing key: both attached tickets see
-    // the exception.
-    const auto t_bad1 = service.submit({&bad, makeWorkload("b1", 64)});
-    const auto t_bad2 = service.submit({&bad, makeWorkload("b2", 64)});
-    const auto t_good = service.submit({&tc, makeWorkload("g", 64)});
-    EXPECT_THROW(service.wait(t_bad1), std::runtime_error);
-    EXPECT_THROW(service.wait(t_bad2), std::runtime_error);
-
-    // The failure is per-ticket: the good job and every later
-    // submission still succeed (no poisoned-service state).
-    expectSameNumbers(service.wait(t_good),
-                      evaluateBest(tc, makeWorkload("g", 64)));
-    const auto t_after = service.submit({&tc, makeWorkload("a", 128)});
-    expectSameNumbers(service.wait(t_after),
-                      evaluateBest(tc, makeWorkload("a", 128)));
-    EXPECT_EQ(service.pendingCount(), 0u);
-
-    // A failed evaluation is never cached.
-    EvalResult unused;
-    EXPECT_FALSE(cache.lookup(EvalCache::keyOf("Gate",
-                                               makeWorkload("b1", 64)),
-                              "b1", &unused));
-}
-
-TEST(AsyncService, DoubleClaimIsFatalNotDeadlock)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    EvalService service(nullptr, 2);
-    const auto t = service.submit({&tc, makeWorkload("once", 64)});
-    service.wait(t);
-    EXPECT_THROW(service.wait(t), FatalError);
-    EXPECT_THROW(service.wait(t + 100), FatalError);
-}
-
-TEST(AsyncService, UncachedServiceEvaluatesEverySubmission)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    EvalService service(nullptr, 3);
-    const auto w = makeWorkload("same", 64);
-    const auto t0 = service.submit({&tc, w});
-    const auto t1 = service.submit({&tc, w});
-    expectSameNumbers(service.wait(t0), service.wait(t1));
-}
-
-TEST(AsyncDeterminism, WorkerCountNeverChangesResults)
+TEST(EvaluateBatch, ThreadCountNeverChangesResultsOrCounters)
 {
     const Evaluator ev;
     const Accelerator &tc = ev.design("TC");
@@ -397,106 +66,136 @@ TEST(AsyncDeterminism, WorkerCountNeverChangesResults)
                                              8 + 8 * (i % 5))});
     }
 
-    // With a cache: results and hit/miss accounting are identical.
     ThreadPool serial_pool(1), parallel_pool(8);
     EvalCache serial_cache, parallel_cache;
-    const auto serial =
-        BatchRunner(&serial_cache, &serial_pool).run(jobs);
+    const auto serial = evaluateBatch(jobs, serial_cache, serial_pool);
     const auto parallel =
-        BatchRunner(&parallel_cache, &parallel_pool).run(jobs);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].workload, parallel[i].workload);
-        expectSameNumbers(serial[i], parallel[i]);
-    }
-    EXPECT_EQ(serial_cache.stats().hits, parallel_cache.stats().hits);
-    EXPECT_EQ(serial_cache.stats().misses,
-              parallel_cache.stats().misses);
-
-    // Without a cache: positional results are still identical.
-    const auto serial_nc = BatchRunner(nullptr, &serial_pool).run(jobs);
-    const auto parallel_nc =
-        BatchRunner(nullptr, &parallel_pool).run(jobs);
-    ASSERT_EQ(serial_nc.size(), parallel_nc.size());
-    for (std::size_t i = 0; i < serial_nc.size(); ++i)
-        expectSameNumbers(serial_nc[i], parallel_nc[i]);
-    // And cached == uncached numbers.
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectSameNumbers(serial[i], serial_nc[i]);
-}
-
-TEST(AsyncStreaming, CallbackFiresOncePerJobAndMatchesReturn)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    std::vector<EvalJob> jobs;
-    for (int i = 0; i < 30; ++i)
-        jobs.push_back({&tc, makeWorkload("s" + std::to_string(i),
-                                          8 + 8 * (i % 4))});
-
-    ThreadPool pool(4);
-    EvalCache cache;
-    const BatchRunner runner(&cache, &pool);
-
-    std::vector<int> fired(jobs.size(), 0);
-    std::vector<EvalResult> streamed(jobs.size());
-    const auto results =
-        runner.run(jobs, [&](std::size_t i, const EvalResult &r) {
-            ++fired[i];
-            streamed[i] = r;
-        });
-
-    ASSERT_EQ(results.size(), jobs.size());
+        evaluateBatch(jobs, parallel_cache, parallel_pool);
+    ASSERT_EQ(serial.size(), jobs.size());
+    ASSERT_EQ(parallel.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(fired[i], 1) << "index " << i;
-        EXPECT_EQ(results[i].workload, jobs[i].workload.name);
-        expectSameNumbers(streamed[i], results[i]);
+        EXPECT_EQ(serial[i].workload, jobs[i].workload.name);
+        EXPECT_EQ(parallel[i].workload, jobs[i].workload.name);
+        expectSameNumbers(serial[i], parallel[i]);
+        expectSameNumbers(
+            serial[i], evaluateBest(*jobs[i].design, jobs[i].workload));
     }
-
-    // Streaming and blocking runs agree.
-    EvalCache cache2;
-    const auto blocking = BatchRunner(&cache2, &pool).run(jobs);
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        expectSameNumbers(blocking[i], results[i]);
+    const auto s = serial_cache.stats(), p = parallel_cache.stats();
+    EXPECT_EQ(s.hits, p.hits);
+    EXPECT_EQ(s.misses, p.misses);
+    EXPECT_EQ(s.insertions, p.insertions);
+    EXPECT_EQ(serial_cache.keysMruFirst(), parallel_cache.keysMruFirst());
 }
 
-TEST(AsyncStreaming, SharedServiceSupportsConcurrentBlockingBatches)
+TEST(EvaluateBatch, ConcurrentBatchesOnOneEvaluatorAreCorrect)
 {
-    // Evaluator::runBatch shares one service across callers; two
-    // threads batching concurrently must each get their own results.
+    GlobalPoolGuard guard;
+    ThreadPool::setGlobalThreads(4);
     const Evaluator ev;
     const Accelerator &tc = ev.design("TC");
     const Accelerator &hl = ev.design("HighLight");
 
-    const auto batchOf = [&](const Accelerator &accel,
-                             const std::string &tag) {
+    // Both batches share most keys, so they race on the same misses.
+    const auto batchOf = [&](const std::string &tag) {
         std::vector<EvalJob> jobs;
-        for (int i = 0; i < 20; ++i)
+        for (int i = 0; i < 40; ++i) {
+            const Accelerator &accel = (i % 2 == 0) ? tc : hl;
             jobs.push_back({&accel, makeWorkload(tag + std::to_string(i),
-                                                 8 + 8 * (i % 6))});
+                                                 8 + 8 * (i % 12))});
+        }
         return jobs;
     };
-    const auto jobs_a = batchOf(tc, "a");
-    const auto jobs_b = batchOf(hl, "b");
+    const auto jobs_a = batchOf("a");
+    const auto jobs_b = batchOf("b");
+    const auto check = [](const std::vector<EvalJob> &jobs,
+                          const std::vector<EvalResult> &got) {
+        ASSERT_EQ(got.size(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            EXPECT_EQ(got[i].workload, jobs[i].workload.name);
+            expectSameNumbers(
+                got[i], evaluateBest(*jobs[i].design, jobs[i].workload));
+        }
+    };
 
-    std::vector<EvalResult> got_a, got_b;
-    std::thread ta([&] { got_a = ev.runBatch(jobs_a); });
-    std::thread tb([&] { got_b = ev.runBatch(jobs_b); });
-    ta.join();
-    tb.join();
+    for (int round = 0; round < 5; ++round) {
+        ev.clearCache();
+        std::vector<EvalResult> got_a, got_b;
+        std::thread ta([&] { got_a = ev.runBatch(jobs_a); });
+        std::thread tb([&] { got_b = ev.runBatch(jobs_b); });
+        ta.join();
+        tb.join();
+        check(jobs_a, got_a);
+        check(jobs_b, got_b);
+        // Every job is exactly one hit or one miss, even when both
+        // batches evaluate a shared key.
+        const auto s = ev.cacheStats();
+        EXPECT_EQ(s.lookups(), jobs_a.size() + jobs_b.size());
+    }
+}
 
-    ASSERT_EQ(got_a.size(), jobs_a.size());
-    ASSERT_EQ(got_b.size(), jobs_b.size());
-    for (std::size_t i = 0; i < got_a.size(); ++i) {
-        EXPECT_EQ(got_a[i].workload, jobs_a[i].workload.name);
-        expectSameNumbers(got_a[i],
-                          evaluateBest(tc, jobs_a[i].workload));
+/**
+ * Throws std::runtime_error(workload name) from every evaluation;
+ * workloads with m == 64 first sleep, so a later job's failure is
+ * captured first in time.
+ */
+class ThrowingAccel : public Accelerator
+{
+  public:
+    ThrowingAccel()
+        : Accelerator([] {
+              ArchSpec spec;
+              spec.name = "Throwing";
+              return spec;
+          }())
+    {
     }
-    for (std::size_t i = 0; i < got_b.size(); ++i) {
-        EXPECT_EQ(got_b[i].workload, jobs_b[i].workload.name);
-        expectSameNumbers(got_b[i],
-                          evaluateBest(hl, jobs_b[i].workload));
+
+    std::string supportedPatternsA() const override { return "any"; }
+    std::string supportedPatternsB() const override { return "any"; }
+    bool supports(const GemmWorkload &) const override { return true; }
+
+    EvalResult
+    evaluate(const GemmWorkload &w) const override
+    {
+        if (w.m == 64)
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw std::runtime_error(w.name);
     }
+
+    std::vector<BreakdownEntry> areaBreakdown() const override
+    {
+        return {};
+    }
+};
+
+TEST(EvaluateBatch, ThrowingDesignRethrowsLowestIndexAndCachesNothing)
+{
+    GlobalPoolGuard guard;
+    ThreadPool::setGlobalThreads(4);
+    const Evaluator ev;
+    const Accelerator &tc = ev.design("TC");
+    const ThrowingAccel bad;
+
+    std::vector<EvalJob> jobs = {{&tc, makeWorkload("good", 32)},
+                                 {&bad, makeWorkload("first", 64)}};
+    for (int i = 0; i < 16; ++i)
+        jobs.push_back({&bad, makeWorkload("later", 128 + i)});
+    try {
+        ev.runBatch(jobs);
+        FAIL() << "runBatch swallowed the evaluation error";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "first");
+    }
+    EXPECT_EQ(ev.cacheStats().insertions, 0u);
+
+    // The Evaluator stays usable, and the failing key was never
+    // cached: it misses (and throws) again.
+    expectSameNumbers(ev.run("TC", makeWorkload("after", 32)),
+                      evaluateBest(tc, makeWorkload("after", 32)));
+    const auto misses = ev.cacheStats().misses;
+    EXPECT_THROW(ev.runBatch({{&bad, makeWorkload("again", 64)}}),
+                 std::runtime_error);
+    EXPECT_EQ(ev.cacheStats().misses, misses + 1);
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 /**
  * @file
  * ThreadPool edge cases: degenerate ranges, grain-size chunking,
- * nested-call handling, and the HIGHLIGHT_THREADS=1 serial
+ * nested-call handling, which error a failing call reports,
+ * concurrent callers, and the HIGHLIGHT_THREADS=1 serial
  * equivalence. The determinism-under-load coverage lives in
  * test_runtime.cc; this file pins down the boundary behavior that a
  * chunked claimer could silently get wrong (an off-by-one in block
@@ -12,8 +13,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -146,6 +149,47 @@ TEST(PoolEdge, HighlightThreads1MatchesMultiThreadedResults)
         ASSERT_EQ(setenv("HIGHLIGHT_THREADS", saved.c_str(), 1), 0);
     else
         ASSERT_EQ(unsetenv("HIGHLIGHT_THREADS"), 0);
+}
+
+TEST(PoolErrors, LowestFailingIndexWinsRegardlessOfTiming)
+{
+    // Index 63 fails first in time; index 0 fails later but is the
+    // lowest failing index, so its error is the one reported — the
+    // same one a 1-thread pool would report.
+    ThreadPool pool(4);
+    try {
+        pool.parallelFor(64, [](std::size_t i) {
+            if (i == 0) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                throw std::runtime_error("0");
+            }
+            if (i == 63)
+                throw std::runtime_error("63");
+        });
+        FAIL() << "parallelFor swallowed the errors";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "0");
+    }
+}
+
+TEST(PoolConcurrency, ConcurrentCallersEachCoverTheirRangeOnce)
+{
+    // Two threads share one pool: a caller that finishes must not take
+    // the workers away from the other caller's job, and neither call
+    // may lose or repeat an index.
+    ThreadPool pool(4);
+    std::atomic<int> bad_rounds{0};
+    const auto caller = [&](std::size_t n) {
+        for (int round = 0; round < 50; ++round) {
+            if (coverage(pool, n, 0) != std::vector<int>(n, 1))
+                bad_rounds.fetch_add(1);
+        }
+    };
+    std::thread a(caller, 300);
+    std::thread b(caller, 517);
+    a.join();
+    b.join();
+    EXPECT_EQ(bad_rounds.load(), 0);
 }
 
 TEST(PoolGroups, FixedPartitionCoversEveryIndexExactlyOnce)

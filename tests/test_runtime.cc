@@ -2,10 +2,11 @@
  * @file
  * Unit tests for the parallel evaluation runtime: the thread pool's
  * determinism and exception safety, the eval cache's keying and
- * hit/miss accounting, the batch runner's dedupe, and — the load-
- * bearing guarantee — bit-identical results between the serial
- * fallback and the N-thread path for runDnn, rankAblation, the
- * Pareto sweep, and per-job-seeded microsim fidelity runs.
+ * hit/miss accounting, evaluateBatch's dedupe, and — the load-bearing
+ * guarantee — bit-identical results between the serial fallback and
+ * the N-thread path for runDnn, rankAblation, the Pareto frontier, and
+ * per-job-seeded microsim fidelity runs. evaluateBatch's error and
+ * concurrency contracts are in test_async.cc.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "common/random.hh"
 #include "core/evaluator.hh"
@@ -154,7 +156,33 @@ TEST(EvalCache, HitReturnsPatchedNameAndCounts)
     EXPECT_EQ(cache.stats().misses, 1u);
 }
 
-TEST(BatchRunner, DedupesWithinBatchDeterministically)
+TEST(EvalCache, KeyBytesArePinned)
+{
+    // The key is persisted in cache files, so its bytes are a format:
+    // densities print as printf's "%.17g".
+    GemmWorkload w;
+    w.m = 64;
+    w.k = 128;
+    w.n = 4096;
+    w.a = OperandSparsity::dense();
+    w.b = OperandSparsity::dense();
+    EXPECT_EQ(EvalCache::keyOf("TC", w), "TC|64x128x4096|D|D");
+
+    w.b = OperandSparsity::unstructured(0.1);
+    EXPECT_EQ(EvalCache::keyOf("DSTC", w),
+              "DSTC|64x128x4096|D|U0.10000000000000001");
+    w.b = OperandSparsity::unstructured(0.5);
+    EXPECT_EQ(EvalCache::keyOf("DSTC", w), "DSTC|64x128x4096|D|U0.5");
+
+    w.a = OperandSparsity::structured(
+        HssSpec({GhPattern(2, 4), GhPattern(4, 8)}));
+    w.b = OperandSparsity::unstructured(2.0 / 3.0);
+    EXPECT_EQ(EvalCache::keyOf("HighLight", w),
+              "HighLight|64x128x4096|HC1(4:8)->C0(2:4)|"
+              "U0.66666666666666663");
+}
+
+TEST(EvaluateBatch, DedupesWithinBatchDeterministically)
 {
     const Evaluator ev;
     const Accelerator &tc = ev.design("TC");
@@ -170,7 +198,7 @@ TEST(BatchRunner, DedupesWithinBatchDeterministically)
     for (int threads : {1, 4}) {
         ThreadPool pool(threads);
         EvalCache cache;
-        const auto results = BatchRunner(&cache, &pool).run(jobs);
+        const auto results = evaluateBatch(jobs, cache, pool);
         ASSERT_EQ(results.size(), jobs.size());
         // One compute, five in-batch hits — regardless of threads.
         EXPECT_EQ(cache.stats().misses, 1u);
@@ -181,20 +209,6 @@ TEST(BatchRunner, DedupesWithinBatchDeterministically)
             EXPECT_EQ(results[i].cycles, results[0].cycles);
         }
     }
-}
-
-TEST(BatchRunner, NullCacheEvaluatesEveryJob)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    GemmWorkload w;
-    w.name = "plain";
-    w.m = w.k = w.n = 64;
-    ThreadPool pool(2);
-    const auto results =
-        BatchRunner(nullptr, &pool).run({{&tc, w}, {&tc, w}});
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].cycles, results[1].cycles);
 }
 
 /** Full comparison of two DNN eval results, bit-exact. */
