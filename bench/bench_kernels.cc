@@ -22,8 +22,9 @@
 
 #include <unistd.h>
 
-#include "accel/highlight.hh"
+#include "accel/harness.hh"
 #include "common/random.hh"
+#include "core/evaluator.hh"
 #include "format/hierarchical_cp.hh"
 #include "io/bench_io.hh"
 #include "microsim/simulator.hh"
@@ -105,21 +106,27 @@ BM_HierarchicalCpDecompress(benchmark::State &state)
 }
 BENCHMARK(BM_HierarchicalCpDecompress)->Arg(16)->Arg(64);
 
+/**
+ * One analytical layer job for one design: evaluateBest, which
+ * evaluates both operand orders, on a 1024^3 GEMM with unstructured A
+ * and B. Designs that cannot run unstructured A report unsupported
+ * quickly; DSTC runs its balance model for both operands in both
+ * orders. main() registers one row per design of the Evaluator lineup,
+ * named BM_EvaluateBest/<design>.
+ */
 void
-BM_AnalyticalEvaluate(benchmark::State &state)
+BM_EvaluateBest(benchmark::State &state, const Accelerator *design)
 {
-    const HighLightAccel hl;
     GemmWorkload w;
     w.name = "bench";
     w.m = w.k = w.n = 1024;
-    w.a = OperandSparsity::structured(benchSpec());
-    w.b = OperandSparsity::unstructured(0.5);
+    w.a = OperandSparsity::unstructured(0.5);
+    w.b = OperandSparsity::unstructured(0.35);
     for (auto _ : state) {
-        auto r = hl.evaluate(w);
+        auto r = evaluateBest(*design, w);
         benchmark::DoNotOptimize(r.cycles);
     }
 }
-BENCHMARK(BM_AnalyticalEvaluate);
 
 void
 BM_Microsim(benchmark::State &state)
@@ -378,6 +385,13 @@ int
 main(int argc, char **argv)
 {
     const std::string json_path = extractJsonPath(argc, argv);
+    // No cache file: the lineup only owns the design models.
+    const Evaluator lineup{EvalCacheConfig{}};
+    for (const Accelerator *design : lineup.designs()) {
+        const std::string name = "BM_EvaluateBest/" + design->name();
+        benchmark::RegisterBenchmark(name.c_str(), BM_EvaluateBest,
+                                     design);
+    }
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

@@ -111,7 +111,7 @@ DssoAccel::evaluate(const GemmWorkload &w) const
 
     EvalResult r = evaluateTraffic(arch_, lib_, p);
     r.workload = w.name;
-    r.note = msgOf("dual-side speedup ", 1.0 / (da * db));
+    r.note = "dual-side speedup " + formatG6(1.0 / (da * db));
     return r;
 }
 

@@ -73,7 +73,7 @@ DstcLike::evaluate(const GemmWorkload &w) const
 
     EvalResult r = evaluateTraffic(arch_, lib_, p);
     r.workload = w.name;
-    r.note = msgOf("utilization ", util_a * util_b);
+    r.note = "utilization " + formatG6(util_a * util_b);
     return r;
 }
 

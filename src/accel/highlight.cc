@@ -134,8 +134,8 @@ HighLightAccel::evaluate(const GemmWorkload &w) const
     EvalResult r = evaluateTraffic(arch_, lib_, p);
     r.workload = w.name;
     if (a_sparse)
-        r.note = msgOf("A as ", w.a.hss.str(), ", speedup ",
-                       1.0 / a_density);
+        r.note = "A as " + w.a.hss.str() + ", speedup " +
+                 formatG6(1.0 / a_density);
     return r;
 }
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
-#include "common/logging.hh"
 #include "format/hierarchical_cp.hh"
 #include "model/density.hh"
 
@@ -88,7 +88,8 @@ S2taLike::evaluate(const GemmWorkload &w) const
 
     EvalResult r = evaluateTraffic(arch_, lib_, p);
     r.workload = w.name;
-    r.note = msgOf("A as ", g_a, ":8, B as ", g_b, ":8");
+    r.note = "A as " + std::to_string(g_a) + ":8, B as " +
+             std::to_string(g_b) + ":8";
     return r;
 }
 

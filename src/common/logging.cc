@@ -1,5 +1,6 @@
 #include "common/logging.hh"
 
+#include <charconv>
 #include <iostream>
 
 namespace highlight
@@ -40,6 +41,16 @@ void
 setVerbose(bool verbose)
 {
     verboseEnabled = verbose;
+}
+
+std::string
+formatG6(double value)
+{
+    // The longest "%.6g" output, "-1.23457e-308", fits with room left.
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), value,
+                                   std::chars_format::general, 6);
+    return std::string(buf, res.ptr);
 }
 
 } // namespace highlight

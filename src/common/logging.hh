@@ -73,6 +73,14 @@ msgOf(Args &&...args)
     return oss.str();
 }
 
+/**
+ * `value` byte for byte as msgOf(value) prints it (an ostream with
+ * default flags: printf's "%g", 6 significant digits, C locale), but
+ * without constructing a stream. For strings built on every
+ * evaluation, such as EvalResult notes.
+ */
+std::string formatG6(double value);
+
 } // namespace highlight
 
 #endif // HIGHLIGHT_COMMON_LOGGING_HH

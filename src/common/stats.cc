@@ -19,6 +19,29 @@ requireNonEmpty(const std::vector<double> &values, const char *who)
         fatal(msgOf(who, ": empty sample"));
 }
 
+// lgamma_r, not std::lgamma: the latter writes the global signgam and
+// the evaluation runtime calls this from concurrent workers.
+double
+lgammaTs(double x)
+{
+    int sign = 0;
+    return ::lgamma_r(x, &sign);
+}
+
+/**
+ * exp(log C(n,k) + k log p + (n-k) log1p(-p)) from its precomputed
+ * logs. binomialPmf and binomialPmfs both evaluate the mass through
+ * this one expression, so the two agree bit for bit.
+ */
+double
+pmfFromLogs(int n, int k, double lg_n1, double lg_k1, double lg_nk1,
+            double log_p, double log_q)
+{
+    const double log_choose = lg_n1 - lg_k1 - lg_nk1;
+    const double log_pmf = log_choose + k * log_p + (n - k) * log_q;
+    return std::exp(log_pmf);
+}
+
 } // namespace
 
 double
@@ -78,29 +101,35 @@ binomialPmf(int n, int k, double p)
     if (p >= 1.0)
         return k == n ? 1.0 : 0.0;
     // log C(n,k) via lgamma keeps the computation stable for large n.
-    // lgamma_r, not std::lgamma: the latter writes the global signgam
-    // and the evaluation runtime calls this from concurrent workers.
-    const auto lgamma_ts = [](double x) {
-        int sign = 0;
-        return ::lgamma_r(x, &sign);
-    };
-    const double log_choose = lgamma_ts(n + 1.0) - lgamma_ts(k + 1.0) -
-                              lgamma_ts(n - k + 1.0);
-    const double log_pmf = log_choose + k * std::log(p) +
-                           (n - k) * std::log1p(-p);
-    return std::exp(log_pmf);
+    return pmfFromLogs(n, k, lgammaTs(n + 1.0), lgammaTs(k + 1.0),
+                       lgammaTs(n - k + 1.0), std::log(p),
+                       std::log1p(-p));
 }
 
-double
-binomialExpectation(int n, double p, double (*f)(int, const void *),
-                    const void *ctx)
+void
+binomialPmfs(int n, double p, std::vector<double> &out)
 {
     if (n < 0)
-        panic("binomialExpectation: negative n");
-    double acc = 0.0;
-    for (int k = 0; k <= n; ++k)
-        acc += binomialPmf(n, k, p) * f(k, ctx);
-    return acc;
+        panic("binomialPmfs: negative n");
+    out.resize(static_cast<std::size_t>(n) + 1);
+    if (p <= 0.0 || p >= 1.0) {
+        for (int k = 0; k <= n; ++k)
+            out[k] = binomialPmf(n, k, p);
+        return;
+    }
+    // out[j] holds lgamma(j + 1) until the pair (j, n - j) overwrites
+    // it with the two masses that share those two values.
+    for (int j = 0; j <= n; ++j)
+        out[j] = lgammaTs(j + 1.0);
+    const double lg_n1 = out[n];
+    const double log_p = std::log(p);
+    const double log_q = std::log1p(-p);
+    for (int k = 0, j = n; k <= j; ++k, --j) {
+        const double lg_k1 = out[k];
+        const double lg_j1 = out[j];
+        out[k] = pmfFromLogs(n, k, lg_n1, lg_k1, lg_j1, log_p, log_q);
+        out[j] = pmfFromLogs(n, j, lg_n1, lg_j1, lg_k1, log_p, log_q);
+    }
 }
 
 } // namespace highlight

@@ -43,22 +43,27 @@ struct SampleSummary
 /** Compute all SampleSummary fields for a strictly positive sample. */
 SampleSummary summarize(const std::vector<double> &values);
 
-/**
- * Exact expectation E[f(X)] for X ~ Binomial(n, p).
- *
- * Used by the DSTC workload-balance model (Sec 2.2.1: occupancy must be
- * a multiple of the compute-column width for perfect balance). n is
- * small (<= a few thousand) so the direct sum is fine.
- *
- * @param n Number of Bernoulli trials.
- * @param p Success probability.
- * @param f Function evaluated at each outcome k in [0, n].
- */
-double binomialExpectation(int n, double p, double (*f)(int, const void *),
-                           const void *ctx);
-
 /** Probability mass P[X = k] for X ~ Binomial(n, p), computed stably. */
 double binomialPmf(int n, int k, double p);
+
+/**
+ * The whole mass function of X ~ Binomial(n, p): out[k] = P[X = k] for
+ * every k in [0, n], each bit-identical to binomialPmf(n, k, p).
+ *
+ * Used by the DSTC workload-balance model (Sec 2.2.1: occupancy must be
+ * a multiple of the compute-column width for perfect balance), which
+ * DSTC evaluates four times per layer. Summing binomialPmf term by term
+ * costs three lgamma calls plus a log, a log1p and an exp per k; here
+ * lgamma(n+1), log p and log1p(-p) are computed once and each
+ * lgamma(j+1) once for both k = j and k = n - j, so a call costs
+ * n + 1 lgamma and n + 1 exp.
+ *
+ * @param n   Number of Bernoulli trials; panics when negative.
+ * @param p   Success probability.
+ * @param out Resized to n + 1; reuses its capacity, so a caller that
+ *            keeps the vector does not allocate after the first call.
+ */
+void binomialPmfs(int n, double p, std::vector<double> &out);
 
 } // namespace highlight
 

@@ -1,6 +1,7 @@
 #include "model/density.hh"
 
 #include <cmath>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -26,33 +27,6 @@ expectedBlockOccupancy(double density, std::int64_t block)
     return density * static_cast<double>(block);
 }
 
-namespace
-{
-
-struct UtilCtx
-{
-    int lane_width;
-};
-
-double
-ceilToLanes(int k, const void *ctx)
-{
-    const auto *c = static_cast<const UtilCtx *>(ctx);
-    if (k == 0)
-        return 0.0;
-    const int groups = (k + c->lane_width - 1) / c->lane_width;
-    return static_cast<double>(groups) *
-           static_cast<double>(c->lane_width);
-}
-
-double
-identityK(int k, const void *)
-{
-    return static_cast<double>(k);
-}
-
-} // namespace
-
 double
 unstructuredUtilization(double density, int lane_width, int sample_block)
 {
@@ -60,11 +34,20 @@ unstructuredUtilization(double density, int lane_width, int sample_block)
         fatal("unstructuredUtilization: bad geometry");
     if (density <= 0.0)
         return 1.0; // no work at all: vacuous full utilization
-    UtilCtx ctx{lane_width};
-    const double e_occ =
-        binomialExpectation(sample_block, density, identityK, nullptr);
-    const double e_slots =
-        binomialExpectation(sample_block, density, ceilToLanes, &ctx);
+    // Per-thread scratch (H2Pack's thread_buf idiom): pool workers call
+    // this concurrently, and after a thread's first call no call
+    // allocates.
+    thread_local std::vector<double> pmf;
+    binomialPmfs(sample_block, density, pmf);
+    // E[occ] and E[ceil(occ / lanes) * lanes], summed in k order.
+    double e_occ = 0.0;
+    double e_slots = 0.0;
+    for (int k = 0; k <= sample_block; ++k) {
+        const int groups = (k + lane_width - 1) / lane_width;
+        e_occ += pmf[k] * static_cast<double>(k);
+        e_slots += pmf[k] * (static_cast<double>(groups) *
+                             static_cast<double>(lane_width));
+    }
     if (e_slots <= 0.0)
         return 1.0;
     return e_occ / e_slots;

@@ -38,7 +38,9 @@ double expectedBlockOccupancy(double density, std::int64_t block);
  * a multiple of the lane width (Sec 2.2.1); otherwise the last lane
  * group runs partially empty. util = E[occ] / E[ceil(occ/W) * W] with
  * occ ~ Binomial(sample_block, density). Structured operands (exact
- * occupancy) get util = 1 from the same formula.
+ * occupancy) get util = 1 from the same formula. Makes no heap
+ * allocation after its first call on a thread, unless sample_block
+ * grows.
  */
 double unstructuredUtilization(double density, int lane_width,
                                int sample_block = 128);

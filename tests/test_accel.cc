@@ -411,5 +411,36 @@ TEST(Table3, SupportedPatternStrings)
               "dense; unstructured sparse");
 }
 
+TEST(Notes, PinnedBytesPerDesign)
+{
+    // The notes land in every --json dump, so their bytes are part of
+    // the output. These are the strings the stream-built notes printed.
+    EXPECT_EQ(DstcLike()
+                  .evaluate(makeWorkload(OperandSparsity::unstructured(0.5),
+                                         OperandSparsity::unstructured(0.35)))
+                  .note,
+              "utilization 0.48036");
+    EXPECT_EQ(HighLightAccel()
+                  .evaluate(makeWorkload(
+                      OperandSparsity::structured(
+                          HssSpec({GhPattern(2, 3), GhPattern(4, 7)})),
+                      OperandSparsity::unstructured(0.5)))
+                  .note,
+              "A as C1(4:7)->C0(2:3), speedup 2.625");
+    EXPECT_EQ(S2taLike()
+                  .evaluate(makeWorkload(
+                      OperandSparsity::structured(HssSpec({GhPattern(2, 4)})),
+                      OperandSparsity::unstructured(0.3)))
+                  .note,
+              "A as 4:8, B as 3:8");
+    EXPECT_EQ(DssoAccel()
+                  .evaluate(makeWorkload(
+                      OperandSparsity::structured(HssSpec({GhPattern(2, 3)})),
+                      OperandSparsity::structured(
+                          HssSpec({GhPattern(4, 4), GhPattern(2, 7)}))))
+                  .note,
+              "dual-side speedup 5.25");
+}
+
 } // namespace
 } // namespace highlight

@@ -13,6 +13,10 @@
  *    allocation free; only the one-time setup (stream build,
  *    compression, output tensor) allocates, and push_back growth of
  *    the setup vectors is at most logarithmic in N.
+ *
+ * It also pins the analytical engine's DSTC balance model
+ * (unstructuredUtilization) as allocation free after a thread's first
+ * call.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +30,7 @@
 #include "format/operand_b.hh"
 #include "microsim/simulator.hh"
 #include "microsim/vfmu.hh"
+#include "model/density.hh"
 #include "sparsity/sparsify.hh"
 #include "tensor/generator.hh"
 
@@ -307,6 +312,20 @@ TEST(AllocFree, GroupWorkerSteadyStateAllocatesNothingAfterWarmUp)
             << (compressed ? "compressed" : "dense") << " groups";
         EXPECT_GT(worker.stats().cycles, 0);
     }
+}
+
+TEST(AllocFree, UnstructuredUtilizationAllocatesNothingAfterFirstCall)
+{
+    HIGHLIGHT_REQUIRE_COUNTING();
+    // DSTC's balance model runs four times per evaluateBest; its mass
+    // function lives in per-thread scratch sized by the first call.
+    double acc = unstructuredUtilization(0.5, 32, 64);
+    const long long before = g_allocs.load();
+    for (int i = 1; i <= 1000; ++i)
+        acc += unstructuredUtilization(i / 1001.0, 32, 64);
+    const long long after = g_allocs.load();
+    EXPECT_EQ(after - before, 0);
+    EXPECT_GT(acc, 0.0);
 }
 
 TEST(AllocFree, PeLoadAndStepFromPointersNeverAllocate)

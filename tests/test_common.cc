@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -46,6 +49,19 @@ TEST(Logging, FatalMessageIsPreserved)
 TEST(Logging, MsgOfConcatenatesStreamably)
 {
     EXPECT_EQ(msgOf("H=", 4, " G=", 2), "H=4 G=2");
+}
+
+TEST(Logging, FormatG6MatchesDefaultStreamOutput)
+{
+    // One value per "%g" branch: trailing-zero trim, 6-digit rounding,
+    // integers, a half that rounds to even, exponent form above and
+    // below the fixed range, a round-up that carries into the exponent.
+    for (double v : {0.1, 1.0 / 3.0, 2.5, 12.0, 123456.5, 1234567.0, 1e-5,
+                     6.02e23, 0.0, -0.75, 1e-4, 999999.5, 0.48036}) {
+        std::ostringstream oss;
+        oss << v;
+        EXPECT_EQ(formatG6(v), oss.str()) << "value " << v;
+    }
 }
 
 TEST(Rng, DeterministicForSameSeed)
@@ -174,19 +190,71 @@ TEST(Stats, BinomialPmfOutOfRangeIsZero)
     EXPECT_DOUBLE_EQ(binomialPmf(5, 6, 0.5), 0.0);
 }
 
-TEST(Stats, BinomialExpectationOfIdentityIsNp)
+TEST(Stats, BinomialPmfsMeanIsNp)
 {
-    auto identity = [](int k, const void *) {
-        return static_cast<double>(k);
-    };
-    EXPECT_NEAR(binomialExpectation(100, 0.25, identity, nullptr), 25.0,
-                1e-9);
+    std::vector<double> pmf;
+    binomialPmfs(100, 0.25, pmf);
+    ASSERT_EQ(pmf.size(), 101u);
+    double mean = 0.0;
+    for (int k = 0; k <= 100; ++k)
+        mean += pmf[k] * static_cast<double>(k);
+    EXPECT_NEAR(mean, 25.0, 1e-9);
 }
 
-TEST(Stats, BinomialExpectationOfConstant)
+TEST(Stats, BinomialPmfsSumToOne)
 {
-    auto one = [](int, const void *) { return 1.0; };
-    EXPECT_NEAR(binomialExpectation(64, 0.7, one, nullptr), 1.0, 1e-9);
+    std::vector<double> pmf;
+    binomialPmfs(64, 0.7, pmf);
+    double total = 0.0;
+    for (double v : pmf)
+        total += v;
+    EXPECT_NEAR(total, 1.0, 1e-9);
+}
+
+TEST(Stats, BinomialPmfsRejectsNegativeN)
+{
+    std::vector<double> pmf;
+    EXPECT_THROW(binomialPmfs(-1, 0.5, pmf), PanicError);
+}
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+TEST(Stats, BinomialPmfsMatchBinomialPmfBitForBit)
+{
+    // Every (n, k) with n in [0, 300], on a 1001-point p grid (which
+    // includes the degenerate p = 0 and p = 1) plus two p next to the
+    // ends: the hoisted logs and shared lgamma values must reproduce
+    // binomialPmf's bits, including in builds that fuse multiply-adds.
+    std::vector<double> ps;
+    for (int i = 0; i <= 1000; ++i)
+        ps.push_back(i / 1000.0);
+    ps.push_back(1e-9);
+    ps.push_back(1.0 - 1e-12);
+    std::vector<double> pmf;
+    long long checked = 0, mismatches = 0;
+    for (double p : ps) {
+        for (int n = 0; n <= 300; ++n) {
+            binomialPmfs(n, p, pmf);
+            ASSERT_EQ(pmf.size(), static_cast<std::size_t>(n) + 1);
+            for (int k = 0; k <= n; ++k, ++checked) {
+                const double want = binomialPmf(n, k, p);
+                if (bitsOf(pmf[k]) == bitsOf(want))
+                    continue;
+                if (++mismatches <= 5)
+                    ADD_FAILURE() << "n=" << n << " k=" << k << " p="
+                                  << p << ": " << pmf[k] << " vs "
+                                  << want;
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0) << "of " << checked << " values";
+    EXPECT_EQ(checked, 1003LL * 301 * 302 / 2);
 }
 
 TEST(Env, ParsePositiveIntAcceptsOnlyCleanPositiveDecimals)

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "arch/arch_spec.hh"
 #include "common/logging.hh"
+#include "common/stats.hh"
 #include "model/density.hh"
 #include "model/engine.hh"
 #include "model/result.hh"
@@ -53,6 +56,55 @@ TEST(Density, UtilizationHandComputedSmallCase)
     // {1/4, 1/2, 1/4}; slots ceil(occ/2)*2 in {0, 2, 2}.
     // E[occ] = 1; E[slots] = 0.25*0 + 0.5*2 + 0.25*2 = 1.5.
     EXPECT_NEAR(unstructuredUtilization(0.5, 2, 2), 1.0 / 1.5, 1e-9);
+}
+
+/**
+ * Reference for the balance model, written as two separate passes:
+ * E[occ], then E[ceil(occ/W)*W], each summed in k order from
+ * binomialPmf.
+ */
+double
+twoPassUtilization(double density, int lane_width, int sample_block)
+{
+    if (density <= 0.0)
+        return 1.0;
+    double e_occ = 0.0;
+    for (int k = 0; k <= sample_block; ++k)
+        e_occ += binomialPmf(sample_block, k, density) *
+                 static_cast<double>(k);
+    double e_slots = 0.0;
+    for (int k = 0; k <= sample_block; ++k) {
+        const double slots =
+            k == 0 ? 0.0
+                   : static_cast<double>((k + lane_width - 1) /
+                                         lane_width) *
+                         static_cast<double>(lane_width);
+        e_slots += binomialPmf(sample_block, k, density) * slots;
+    }
+    if (e_slots <= 0.0)
+        return 1.0;
+    return e_occ / e_slots;
+}
+
+TEST(Density, UtilizationMatchesTwoPassFormulaBitForBit)
+{
+    long long checked = 0, mismatches = 0;
+    for (int lanes : {1, 2, 3, 8, 16, 32}) {
+        for (int block : {1, 2, 3, 8, 64, 100, 128, 257}) {
+            for (int i = 0; i <= 2000; ++i, ++checked) {
+                const double d = i / 2000.0;
+                const double got = unstructuredUtilization(d, lanes, block);
+                const double want = twoPassUtilization(d, lanes, block);
+                if (std::memcmp(&got, &want, sizeof(got)) == 0)
+                    continue;
+                if (++mismatches <= 5)
+                    ADD_FAILURE() << "lanes=" << lanes << " block="
+                                  << block << " d=" << d << ": " << got
+                                  << " vs " << want;
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0) << "of " << checked << " values";
 }
 
 TEST(Density, HssDensityDelegates)
