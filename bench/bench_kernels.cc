@@ -26,6 +26,7 @@
 #include "common/random.hh"
 #include "core/evaluator.hh"
 #include "format/hierarchical_cp.hh"
+#include "format/operand_b.hh"
 #include "io/bench_io.hh"
 #include "microsim/simulator.hh"
 #include "microsim/vfmu.hh"
@@ -216,22 +217,58 @@ BM_VfmuStream(benchmark::State &state)
 }
 BENCHMARK(BM_VfmuStream);
 
-/** One PE's load+step pair, the innermost unit of the datapath. */
+/**
+ * One PE step, the innermost unit of the datapath: G0 = 2 lanes
+ * selecting from H0 = 4 blocks as in fig16's C0(2:4), over a ring of
+ * random B blocks that are dense or hold the given B sparsity in
+ * percent. With sparse B which lanes gate is unpredictable, so the
+ * sparse row shows what gating on the data costs.
+ */
 void
 BM_PeStep(benchmark::State &state)
 {
-    MicroPe pe(4);
-    const float vals[4] = {1.0f, 2.0f, 0.0f, 3.0f};
-    const std::uint8_t offs[4] = {0, 2, 5, 3};
-    const float block[8] = {0.5f, 0.0f, 1.5f, 2.5f,
-                            1.0f, 0.0f, 2.0f, 0.0f};
+    constexpr std::int64_t kBlocks = 4096, kH0 = 4;
+    Rng rng(11);
+    const auto ring = randomUnstructured(
+        TensorShape({{"K", kBlocks * kH0}}),
+        static_cast<double>(state.range(0)) / 100.0, rng);
+    MicroPe pe(2);
+    const float vals[2] = {1.5f, -0.75f};
+    const std::uint8_t offs[2] = {1, 3};
+    pe.loadBlock(vals, offs);
+    const float *blocks = ring.data().data();
+    std::int64_t i = 0;
     for (auto _ : state) {
-        pe.loadBlock(vals, offs);
-        benchmark::DoNotOptimize(pe.step(block, 8));
+        benchmark::DoNotOptimize(
+            pe.step(blocks + i * kH0, static_cast<int>(kH0)));
+        i = (i + 1) % kBlocks;
     }
-    state.SetItemsProcessed(state.iterations() * 4);
+    state.SetItemsProcessed(state.iterations() * 2);
 }
-BENCHMARK(BM_PeStep);
+BENCHMARK(BM_PeStep)->ArgName("b_sparsity")->Arg(0)->Arg(65);
+
+/**
+ * Compressing a fig16-sized operand B (K1024 x N128 at 65% sparsity,
+ * in the C1(4:8)->C0(2:4) set order): the format layer's serial step
+ * before the compressed-B steady state.
+ */
+void
+BM_OperandBCompress(benchmark::State &state)
+{
+    Rng rng(7);
+    const auto b = randomUnstructured(
+        TensorShape({{"K", 1024}, {"N", 128}}), 0.65, rng);
+    const auto stream = buildOrderedBStream(b, benchSpec().totalSpan());
+    for (auto _ : state) {
+        const OperandBStream comp(
+            stream.data(), static_cast<std::int64_t>(stream.size()),
+            benchSpec().rank(0).h, benchSpec().rank(1).h);
+        benchmark::DoNotOptimize(comp.dataWords());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(stream.size()));
+}
+BENCHMARK(BM_OperandBCompress);
 
 /**
  * Cold-start load of a large persisted eval cache, text vs binary —

@@ -47,6 +47,12 @@ HierarchicalCpRow::compress(const float *row, CpRowScratch &scratch)
         fatal(msgOf("HierarchicalCpRow: cols ", cols_,
                     " not divisible by HSS span ", spec_.totalSpan()));
     const std::size_t nranks = spec_.numRanks();
+    for (std::size_t n = 0; n < nranks; ++n) {
+        if (spec_.rank(n).h > kMaxOffsetSpan)
+            fatal(msgOf("HierarchicalCpRow: rank ", n, " H=",
+                        spec_.rank(n).h, " exceeds ", kMaxOffsetSpan,
+                        ", the most its 8-bit offsets can address"));
+    }
     offsets_.assign(nranks, {});
 
     // The padded layout makes every size exact up front: each rank-n

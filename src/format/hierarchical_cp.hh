@@ -57,7 +57,8 @@ class HierarchicalCpRow
     /**
      * Compress a conforming row. `row` must have `cols` entries with
      * cols divisible by spec.totalSpan(); occupancy above G at any rank
-     * is fatal (run the conformance checker first for diagnostics).
+     * is fatal (run the conformance checker first for diagnostics), and
+     * so is H above kMaxOffsetSpan at any rank.
      */
     HierarchicalCpRow(const float *row, std::int64_t cols,
                       const HssSpec &spec);
@@ -150,6 +151,14 @@ class HierarchicalCpMatrix
 
 /** ceil(log2(n)) with log2(1) = 1 bit minimum for a stored field. */
 int bitsFor(std::int64_t n);
+
+/**
+ * The largest block size H whose intra-block offsets (0 .. H-1) fit
+ * the 8-bit offset fields of the compressed formats. Every
+ * constructor that packs offsets into std::uint8_t rejects a larger H,
+ * which would otherwise wrap silently.
+ */
+constexpr int kMaxOffsetSpan = 256;
 
 } // namespace highlight
 

@@ -33,7 +33,8 @@ class OperandBStream
   public:
     /**
      * Compress a stream of `len` values against block geometry
-     * (h0, h1). len must be divisible by h0 * h1.
+     * (h0, h1). len must be divisible by h0 * h1, and h0 must not
+     * exceed kMaxOffsetSpan (the level-3 offsets are 8-bit).
      */
     OperandBStream(const float *data, std::int64_t len, int h0, int h1);
 

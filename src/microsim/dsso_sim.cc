@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "format/hierarchical_cp.hh"
 
 namespace highlight
 {
@@ -26,6 +27,10 @@ DssoSimulator::run(const DenseTensor &a, const GhPattern &a_rank0,
         fatal("DssoSimulator: inner dimensions differ");
     const int h0 = a_rank0.h;
     const int g0 = a_rank0.g;
+    if (h0 > kMaxOffsetSpan)
+        fatal(msgOf("DssoSimulator: A's H0=", h0, " exceeds ",
+                    kMaxOffsetSpan,
+                    ", the most its 8-bit rank-0 offsets can address"));
     if (k % (static_cast<std::int64_t>(h0) * b_rank1.h) != 0)
         fatal(msgOf("DssoSimulator: K=", k,
                     " not divisible by H0*Hb=", h0 * b_rank1.h));

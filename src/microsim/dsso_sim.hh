@@ -69,6 +69,8 @@ class DssoSimulator
      *
      * @param a       M x K operand conforming to C0(a_rank0) per row.
      * @param a_rank0 A's rank-0 pattern (e.g. 2:4); higher ranks dense.
+     *                Its H may be at most kMaxOffsetSpan (the lanes'
+     *                offsets are 8-bit).
      * @param b       K x N operand whose columns conform to
      *                C1(b_rank1) at block granularity a_rank0.h with
      *                dense rank 0.

@@ -34,30 +34,6 @@ MicroPe::loadBlock(const std::vector<float> &values,
 }
 
 double
-MicroPe::step(const float *b_block, int b_len)
-{
-    double psum = 0.0;
-    for (int lane = 0; lane < g0_; ++lane) {
-        const float a = a_values_[static_cast<std::size_t>(lane)];
-        const std::uint8_t off =
-            a_offsets_[static_cast<std::size_t>(lane)];
-        // Rank-0 mux: select the B value at the lane's CP offset.
-        ++stats_.mux_selects;
-        const float b =
-            off < b_len ? b_block[static_cast<std::size_t>(off)] : 0.0f;
-        if (a == 0.0f || b == 0.0f) {
-            // Gating SAF: the MAC stays idle; the cycle is still spent
-            // so PEs remain in sync (Sec 6.4).
-            ++stats_.gated_macs;
-        } else {
-            ++stats_.mac_ops;
-            psum += static_cast<double>(a) * static_cast<double>(b);
-        }
-    }
-    return psum;
-}
-
-double
 MicroPe::step(const std::vector<float> &b_block)
 {
     return step(b_block.data(), static_cast<int>(b_block.size()));

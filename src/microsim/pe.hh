@@ -11,13 +11,15 @@
  *
  * The pointer-based loadBlock/step overloads are the hot-loop entry
  * points: they never allocate (the G0 lane registers are sized once at
- * construction).
+ * construction), and step() gates lanes without a data-dependent
+ * branch.
  */
 
 #ifndef HIGHLIGHT_MICROSIM_PE_HH
 #define HIGHLIGHT_MICROSIM_PE_HH
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace highlight
@@ -63,11 +65,65 @@ class MicroPe
      * Process one step against a dense-expanded B block of `b_len`
      * values (offsets past `b_len` select the dummy zero). Returns the
      * PE's partial-sum contribution. Allocation free.
+     *
+     * A lane whose A or selected B value is zero (of either sign) is
+     * gated and adds +0.0 to the partial sum. That is the identity on
+     * the sum: it starts at +0.0 and cannot become -0.0 (a product of
+     * nonzero floats is a nonzero double, and a rounded sum is -0.0
+     * only when both addends are), so the effectual lanes add up in
+     * lane order exactly as if the gated ones were skipped. The gate
+     * masks the product's bits instead of branching, because B
+     * sparsity makes such a branch unpredictable; a masked inf * 0 or
+     * NaN * 0 product still adds +0.0, where scaling the product by a
+     * 0/1 factor would add NaN.
      */
-    double step(const float *b_block, int b_len);
+    double
+    step(const float *b_block, int b_len)
+    {
+        double psum = 0.0;
+        int effectual = 0;
+        for (int lane = 0; lane < g0_; ++lane) {
+            const float a = a_values_[static_cast<std::size_t>(lane)];
+            const int off = a_offsets_[static_cast<std::size_t>(lane)];
+            // Rank-0 mux: select the B value at the lane's CP offset.
+            const float b =
+                off < b_len ? b_block[static_cast<std::size_t>(off)]
+                            : 0.0f;
+            // Gating SAF: a gated MAC stays idle; the cycle is still
+            // spent so PEs remain in sync (Sec 6.4).
+            const int live = static_cast<int>(a != 0.0f) &
+                             static_cast<int>(b != 0.0f);
+            const double prod =
+                static_cast<double>(a) * static_cast<double>(b);
+            std::uint64_t bits = 0;
+            std::memcpy(&bits, &prod, sizeof bits);
+            bits &= -static_cast<std::uint64_t>(live);
+            double contribution = 0.0;
+            std::memcpy(&contribution, &bits, sizeof contribution);
+            psum += contribution;
+            effectual += live;
+        }
+        stats_.mux_selects += g0_;
+        stats_.mac_ops += effectual;
+        stats_.gated_macs += g0_ - effectual;
+        return psum;
+    }
 
     /** As above from a vector. */
     double step(const std::vector<float> &b_block);
+
+    /**
+     * Account one step against an all-zero B block without reading
+     * one: every lane selects through the mux and is gated, and the
+     * partial-sum contribution is +0.0. Moves the counters exactly as
+     * step() does on such a block.
+     */
+    void
+    gatedStep()
+    {
+        stats_.mux_selects += g0_;
+        stats_.gated_macs += g0_;
+    }
 
     const PeStats &stats() const { return stats_; }
 

@@ -105,7 +105,8 @@ RowGroupWorker::RowGroupWorker(const SimContext &ctx,
     block_offsets_.assign(pe_slots, 0);
     words_.assign(set_span, 0.0f);
     blocks_.assign(set_span, 0.0f);
-    expanded_stamp_.assign(static_cast<std::size_t>(ctx_.h1), 0);
+    selected_blocks_.assign(static_cast<std::size_t>(ctx_.h1), 0);
+    block_selected_.assign(static_cast<std::size_t>(ctx_.h1), 0);
     row_vals_.assign(cap, nullptr);
     row_offs0_.assign(cap, nullptr);
     row_offs1_.assign(cap, nullptr);
@@ -142,6 +143,8 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
     for (auto &pe : pes_)
         pe.resetStats();
 
+    const std::size_t pe_slots =
+        static_cast<std::size_t>(nrows) * static_cast<std::size_t>(g1);
     for (std::int64_t g = 0; g < ctx_.groups; ++g) {
         // Rank-1 skipping SAF: load each row's G1 selected blocks
         // (real or dummy) stationary into that row's PEs for this
@@ -161,12 +164,26 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
                 const std::uint8_t *lane_offs = cp_offs0 + entry * g0;
                 bool all_dummy = true;
                 for (int l = 0; l < g0; ++l)
-                    all_dummy = all_dummy && lane_vals[l] == 0.0f;
+                    all_dummy &= lane_vals[l] == 0.0f;
                 pes_[pe_base + static_cast<std::size_t>(p)].loadBlock(
                     lane_vals, lane_offs);
                 stats_.a_words_loaded += g0;
-                if (all_dummy)
-                    ++stats_.dummy_blocks;
+                stats_.dummy_blocks += all_dummy;
+            }
+        }
+
+        // The blocks the rows' rank-1 SAFs selected stay fixed for the
+        // whole K-group, so the distinct ones are collected once here
+        // rather than deduplicated again for every column.
+        std::size_t num_selected = 0;
+        if (compress_b) {
+            std::fill(block_selected_.begin(), block_selected_.end(), 0);
+            for (std::size_t s = 0; s < pe_slots; ++s) {
+                const std::uint8_t j = block_offsets_[s];
+                if (block_selected_[j] == 0) {
+                    block_selected_[j] = 1;
+                    selected_blocks_[num_selected++] = j;
+                }
             }
         }
 
@@ -176,36 +193,36 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
             const std::int64_t set_idx = g * n + col;
             if (compress_b) {
                 const std::int64_t count = bc->setCountAt(set_idx);
+                if (count == 0) {
+                    // An all-zero set: the VFMU does not shift
+                    // (readShift(0) touches no counter), every lane of
+                    // every PE selects a zero and gates, and each row's
+                    // partial sum is +0.0. Adding +0.0 leaves an output
+                    // unchanged (outputs start at +0.0 and never become
+                    // -0.0), so the step is charged without being run.
+                    for (std::size_t s = 0; s < pe_slots; ++s)
+                        pes_[s].gatedStep();
+                    stats_.cycles += nrows;
+                    stats_.psum_updates += nrows;
+                    continue;
+                }
                 const int got = vfmu_.readShift(
                     static_cast<int>(count), words_.data());
                 if (got != count)
                     truncatedStream(set_idx, count, got);
-                // Expand only the blocks some row's rank-1 SAF
-                // selected for this group, straight from the
-                // level-2/3 metadata, each at most once per step no
-                // matter how many rows selected it (the expansion
-                // depends only on the metadata, never on the row):
-                // a selected block is zeroed (H0 words) and scattered
-                // just before the PEs read it, so no all-zero
-                // invariant — and no per-step std::fill over the
-                // whole H1*H0 array — is needed. Unselected blocks
-                // are never touched: no PE reads them.
-                ++epoch_;
+                // Expand each selected block straight from the
+                // level-2/3 metadata, once per step no matter how many
+                // rows selected it: the block is zeroed (H0 words) and
+                // scattered just before the PEs read it, so no
+                // all-zero invariant, and no per-step fill over the
+                // whole H1*H0 array, is needed. Unselected blocks are
+                // never touched: no PE reads them.
                 const std::int64_t first_block = set_idx * h1;
                 const std::int64_t set_start =
                     first_block == 0 ? 0
                                      : bc->blockEndAt(first_block - 1);
-                const std::size_t pe_slots =
-                    static_cast<std::size_t>(nrows) *
-                    static_cast<std::size_t>(g1);
-                for (std::size_t s = 0; s < pe_slots; ++s) {
-                    const int j =
-                        static_cast<int>(block_offsets_[s]);
-                    if (expanded_stamp_[static_cast<std::size_t>(j)] ==
-                        epoch_)
-                        continue;
-                    expanded_stamp_[static_cast<std::size_t>(j)] =
-                        epoch_;
+                for (std::size_t i = 0; i < num_selected; ++i) {
+                    const int j = selected_blocks_[i];
                     const std::int64_t blk = first_block + j;
                     const std::int64_t begin =
                         blk == 0 ? 0 : bc->blockEndAt(blk - 1);
@@ -214,9 +231,9 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
                         blocks_.data() +
                         static_cast<std::int64_t>(j) * h0;
                     std::fill(block_j, block_j + h0, 0.0f);
-                    for (std::int64_t i = begin; i < end; ++i) {
-                        block_j[bc->offsetAt(i)] = words_
-                            [static_cast<std::size_t>(i - set_start)];
+                    for (std::int64_t w = begin; w < end; ++w) {
+                        block_j[bc->offsetAt(w)] = words_
+                            [static_cast<std::size_t>(w - set_start)];
                     }
                 }
             } else {

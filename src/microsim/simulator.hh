@@ -169,6 +169,9 @@ class RowGroupWorker
      * `nrows` must be in [1, groupCapacity()]. Panics if the
      * operand-B stream ends early (a short VFMU read would otherwise
      * silently compute with stale scratch from the previous step).
+     * An all-zero compressed set leaves the outputs untouched instead
+     * of adding +0.0, which is the same bits for every entry except
+     * -0.0; a fresh output tensor holds +0.0 and never gains a -0.0.
      */
     void runGroup(std::int64_t row0, int nrows, DenseTensor &out);
 
@@ -204,14 +207,19 @@ class RowGroupWorker
      * H1 aligned blocks, flat h1*h0, shared by every row of the
      * group (the expansion of a block depends only on the operand-B
      * metadata, never on the row). On the compressed-B path only the
-     * blocks some row's rank-1 SAF selected are zeroed and scattered
-     * (each at most once per step, tracked by `expanded_stamp_`);
-     * unselected slots hold stale words no PE ever reads.
+     * blocks some row's rank-1 SAF selected are zeroed and scattered,
+     * each once per step; unselected slots hold stale words no PE
+     * ever reads.
      */
     std::vector<float> blocks_;
-    /** Per-H1-slot epoch stamp: expanded this step iff == epoch_. */
-    std::vector<std::uint64_t> expanded_stamp_;
-    std::uint64_t epoch_ = 0;
+    /**
+     * The distinct rank-1 offsets the group's rows selected for the
+     * current K-group, in first-selection order (a prefix of at most
+     * H1 entries is valid), and the per-H1-slot flags that collect
+     * them.
+     */
+    std::vector<std::uint8_t> selected_blocks_;
+    std::vector<std::uint8_t> block_selected_;
     /** Per-row-slot CP row pointers, refreshed at group start. */
     std::vector<const float *> row_vals_;
     std::vector<const std::uint8_t *> row_offs0_;

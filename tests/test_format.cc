@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "format/bitmask.hh"
@@ -86,6 +89,33 @@ TEST(HierarchicalCp, RejectsBadLength)
     std::vector<float> row(10, 0.0f);
     const HssSpec spec({GhPattern(2, 4), GhPattern(2, 4)});
     EXPECT_THROW(HierarchicalCpRow(row.data(), 10, spec), FatalError);
+}
+
+TEST(HierarchicalCp, RejectsBlockSizesBeyondEightBitOffsets)
+{
+    // Offsets are stored as std::uint8_t, so H may be at most 256. A
+    // larger H used to wrap silently: a nonzero at position 300 of an
+    // H0 = 512 block decompressed to position 44.
+    std::vector<float> row(512, 0.0f);
+    row[300] = 1.0f;
+    EXPECT_THROW(HierarchicalCpRow(row.data(), 512,
+                                   HssSpec({GhPattern(1, 512)})),
+                 FatalError);
+    // Any rank: a wide rank-1 group is rejected the same way.
+    std::vector<float> wide(2 * 300, 0.0f);
+    wide[2 * 299] = 1.0f;
+    EXPECT_THROW(
+        HierarchicalCpRow(wide.data(), 600,
+                          HssSpec({GhPattern(1, 2), GhPattern(1, 300)})),
+        FatalError);
+
+    // H = 256 is the largest block the offsets address exactly.
+    std::vector<float> edge(256, 0.0f);
+    edge[255] = 2.0f;
+    const HierarchicalCpRow ok(edge.data(), 256,
+                               HssSpec({GhPattern(1, 256)}));
+    EXPECT_EQ(ok.offsets(0)[0], 255);
+    EXPECT_EQ(ok.decompress(), edge);
 }
 
 TEST(HierarchicalCp, MetadataBitsFormula)
@@ -255,6 +285,119 @@ TEST(OperandB, RejectsBadLength)
 {
     std::vector<float> v(10, 0.0f);
     EXPECT_THROW(OperandBStream(v.data(), 10, 4, 3), FatalError);
+}
+
+TEST(OperandB, RejectsBlockSizesBeyondEightBitOffsets)
+{
+    // Level-3 offsets are std::uint8_t: h0 > 256 used to wrap, so a
+    // nonzero at position 300 of a 512-value block came back at 44.
+    std::vector<float> v(512, 0.0f);
+    v[300] = 1.0f;
+    EXPECT_THROW(OperandBStream(v.data(), 512, 512, 1), FatalError);
+
+    std::vector<float> edge(256, 0.0f);
+    edge[255] = 3.0f;
+    const OperandBStream ok(edge.data(), 256, 256, 1);
+    ASSERT_EQ(ok.offsets().size(), 1u);
+    EXPECT_EQ(ok.offsets()[0], 255);
+    EXPECT_EQ(ok.decompress(), edge);
+}
+
+/**
+ * The compressed operand B of a naive reference: one pass that appends
+ * every nonzero, as the format was first built.
+ */
+struct NaiveOperandB
+{
+    std::vector<float> values;
+    std::vector<std::uint8_t> offsets;
+    std::vector<std::int64_t> block_ends;
+    std::vector<std::int64_t> set_counts;
+
+    NaiveOperandB(const std::vector<float> &data, int h0, int h1)
+    {
+        const std::int64_t nblocks =
+            static_cast<std::int64_t>(data.size()) / h0;
+        std::int64_t total = 0;
+        for (std::int64_t b = 0; b < nblocks; ++b) {
+            for (int i = 0; i < h0; ++i) {
+                const float v = data[static_cast<std::size_t>(b * h0 + i)];
+                if (v != 0.0f) {
+                    values.push_back(v);
+                    offsets.push_back(static_cast<std::uint8_t>(i));
+                    ++total;
+                }
+            }
+            block_ends.push_back(total);
+        }
+        for (std::int64_t s = 0; s < nblocks / h1; ++s) {
+            const std::int64_t start =
+                s == 0 ? 0
+                       : block_ends[static_cast<std::size_t>(s * h1 - 1)];
+            set_counts.push_back(
+                block_ends[static_cast<std::size_t>((s + 1) * h1 - 1)] -
+                start);
+        }
+    }
+};
+
+/** The bit patterns of `values`, so -0.0f, +0.0f and NaNs compare exactly. */
+std::vector<std::uint32_t>
+bitsOf(const std::vector<float> &values)
+{
+    std::vector<std::uint32_t> bits(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i)
+        std::memcpy(&bits[i], &values[i], sizeof(float));
+    return bits;
+}
+
+TEST(OperandB, MatchesNaiveReferenceOverRandomStreams)
+{
+    // Random geometry and density, plus the corner streams: all zero,
+    // fully dense, and ones holding -0.0f (a zero the format drops).
+    Rng rng(1234);
+    for (int trial = 0; trial < 400; ++trial) {
+        const int h0 = static_cast<int>(
+            trial % 10 == 0 ? rng.uniformInt(129, 256)
+                            : rng.uniformInt(1, 16));
+        const int h1 = static_cast<int>(rng.uniformInt(1, 8));
+        const std::int64_t sets = rng.uniformInt(0, 12);
+        const std::size_t len =
+            static_cast<std::size_t>(sets * h0 * h1);
+        const int kind = trial % 4; // random, zero, dense, signed zeros
+        const double density = rng.uniform();
+        std::vector<float> data(len, 0.0f);
+        for (float &v : data) {
+            const float x = static_cast<float>(rng.normal());
+            if (kind == 0)
+                v = rng.bernoulli(density) ? x : 0.0f;
+            else if (kind == 2)
+                v = x == 0.0f ? 1.0f : x;
+            else if (kind == 3)
+                v = rng.bernoulli(density) ? x : -0.0f;
+        }
+        SCOPED_TRACE("trial " + std::to_string(trial) +
+                     " h0=" + std::to_string(h0) +
+                     " h1=" + std::to_string(h1) +
+                     " len=" + std::to_string(len));
+
+        const OperandBStream b(data.data(),
+                               static_cast<std::int64_t>(len), h0, h1);
+        const NaiveOperandB ref(data, h0, h1);
+        EXPECT_EQ(bitsOf(b.values()), bitsOf(ref.values));
+        EXPECT_EQ(b.offsets(), ref.offsets);
+        EXPECT_EQ(b.blockEnds(), ref.block_ends);
+        EXPECT_EQ(b.setCounts(), ref.set_counts);
+        EXPECT_EQ(b.dataWords(),
+                  static_cast<std::int64_t>(ref.values.size()));
+        if (kind == 1 || kind == 3) {
+            for (float v : b.values())
+                EXPECT_FALSE(v == 0.0f);
+        }
+        if (kind == 2) {
+            EXPECT_EQ(b.dataWords(), static_cast<std::int64_t>(len));
+        }
+    }
 }
 
 TEST(OperandB, MetadataBitsPositiveWhenSparse)

@@ -9,7 +9,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -212,6 +215,59 @@ TEST(Pe, GatesWhenSelectedBIsZero)
     EXPECT_EQ(pe.stats().gated_macs, 1);
 }
 
+TEST(Pe, GatedLanesAddPositiveZeroEvenForInfAndNan)
+{
+    // An inf or NaN A lane against a zero B gates: it adds +0.0, not
+    // the NaN that inf * 0 or NaN * 0 would give.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    MicroPe pe(3);
+    pe.loadBlock({inf, nan, -inf}, {0, 1, 2});
+    const double psum = pe.step({0.0f, 0.0f, -0.0f, 5.0f});
+    EXPECT_EQ(psum, 0.0);
+    EXPECT_FALSE(std::signbit(psum));
+    EXPECT_EQ(pe.stats().mac_ops, 0);
+    EXPECT_EQ(pe.stats().gated_macs, 3);
+    EXPECT_EQ(pe.stats().mux_selects, 3);
+
+    // -0.0f gates on either side, and the gated lanes leave the sum of
+    // the effectual ones bit-exact.
+    MicroPe signed_zero(3);
+    signed_zero.loadBlock({-0.0f, 2.0f, 3.0f}, {0, 1, 2});
+    const double sum = signed_zero.step({7.0f, -0.0f, -1.5f});
+    EXPECT_EQ(sum, -4.5);
+    EXPECT_EQ(signed_zero.stats().mac_ops, 1);
+    EXPECT_EQ(signed_zero.stats().gated_macs, 2);
+
+    MicroPe all_gated(2);
+    all_gated.loadBlock({-0.0f, -2.0f}, {0, 1});
+    const double zero = all_gated.step({-3.0f, -0.0f});
+    EXPECT_EQ(zero, 0.0);
+    EXPECT_FALSE(std::signbit(zero));
+}
+
+TEST(Pe, GatedStepCountsLikeAStepOnAnAllZeroBlock)
+{
+    // Real lanes, a dummy lane and an offset past the block: every one
+    // gates against an all-zero block.
+    const std::vector<float> values = {1.5f, 0.0f, -2.0f, 4.0f};
+    const std::vector<std::uint8_t> offsets = {0, 3, 1, 7};
+    const std::vector<float> zeros(4, 0.0f);
+    MicroPe stepped(4), charged(4);
+    stepped.loadBlock(values, offsets);
+    charged.loadBlock(values, offsets);
+    for (int i = 0; i < 3; ++i) {
+        const double psum = stepped.step(zeros);
+        EXPECT_EQ(psum, 0.0);
+        EXPECT_FALSE(std::signbit(psum));
+        charged.gatedStep();
+    }
+    EXPECT_EQ(charged.stats().mac_ops, stepped.stats().mac_ops);
+    EXPECT_EQ(charged.stats().gated_macs, stepped.stats().gated_macs);
+    EXPECT_EQ(charged.stats().mux_selects, stepped.stats().mux_selects);
+    EXPECT_EQ(charged.stats().gated_macs, 12);
+}
+
 TEST(CompressionUnit, ReluThenCompressRoundTrip)
 {
     CompressionUnit cu(4, 3);
@@ -401,22 +457,61 @@ TEST(Simulator, GatedMacsTrackBSparsity)
 
 TEST(Simulator, CompressedBReducesGlbTraffic)
 {
-    const HssSpec spec({GhPattern(2, 4), GhPattern(2, 4)});
-    Rng rng(13);
-    const std::int64_t m = 2, k = 64, n = 8;
-    const auto a = hssSparsify(
-        randomDense(TensorShape({{"M", m}, {"K", k}}), rng), spec);
-    const auto b = randomUnstructured(
-        TensorShape({{"K", k}, {"N", n}}), 0.75, rng);
+    // Streaming B compressed changes only what the GLB and VFMU move:
+    // outputs are bit-identical to the dense stream and every
+    // datapath counter matches. The dense path steps the PEs on every
+    // set, so it checks the compressed path's shortcut for all-zero
+    // sets independently; the zeroed K range makes such sets common
+    // for both specs.
+    const HssSpec specs[] = {
+        HssSpec({GhPattern(2, 4)}),
+        HssSpec({GhPattern(2, 4), GhPattern(2, 4)})};
+    for (const HssSpec &spec : specs) {
+        for (const double sparsity : {0.5, 0.9, 0.97}) {
+            for (const bool zero_range : {false, true}) {
+                SCOPED_TRACE(spec.str() + " sparsity " +
+                             std::to_string(sparsity) +
+                             (zero_range ? " zeroed K range" : ""));
+                Rng rng(13);
+                const std::int64_t m = 5, k = 64, n = 8;
+                const auto a = hssSparsify(
+                    randomDense(TensorShape({{"M", m}, {"K", k}}), rng),
+                    spec);
+                auto b = randomUnstructured(
+                    TensorShape({{"K", k}, {"N", n}}), sparsity, rng);
+                if (zero_range) {
+                    for (std::int64_t kk = 16; kk < 48; ++kk)
+                        for (std::int64_t col = 0; col < n; ++col)
+                            b.set2(kk, col, 0.0f);
+                }
 
-    MicrosimConfig dense_cfg, comp_cfg;
-    comp_cfg.compress_b = true;
-    const auto r_dense = HighlightSimulator(dense_cfg).run(a, spec, b);
-    const auto r_comp = HighlightSimulator(comp_cfg).run(a, spec, b);
-    EXPECT_LT(r_comp.stats.glb_b.words_read,
-              r_dense.stats.glb_b.words_read);
-    // Functional equivalence between the two modes.
-    EXPECT_LT(r_comp.output.maxAbsDiff(r_dense.output), 1e-4);
+                MicrosimConfig dense_cfg, comp_cfg;
+                comp_cfg.compress_b = true;
+                const auto r_dense =
+                    HighlightSimulator(dense_cfg).run(a, spec, b);
+                const auto r_comp =
+                    HighlightSimulator(comp_cfg).run(a, spec, b);
+                EXPECT_LT(r_comp.stats.glb_b.words_read,
+                          r_dense.stats.glb_b.words_read);
+
+                ASSERT_EQ(r_comp.output.data().size(),
+                          r_dense.output.data().size());
+                EXPECT_EQ(std::memcmp(r_comp.output.data().data(),
+                                      r_dense.output.data().data(),
+                                      r_dense.output.data().size() *
+                                          sizeof(float)),
+                          0);
+                const SimStats &c = r_comp.stats, &d = r_dense.stats;
+                EXPECT_EQ(c.cycles, d.cycles);
+                EXPECT_EQ(c.psum_updates, d.psum_updates);
+                EXPECT_EQ(c.a_words_loaded, d.a_words_loaded);
+                EXPECT_EQ(c.dummy_blocks, d.dummy_blocks);
+                EXPECT_EQ(c.pe.mac_ops, d.pe.mac_ops);
+                EXPECT_EQ(c.pe.gated_macs, d.pe.gated_macs);
+                EXPECT_EQ(c.pe.mux_selects, d.pe.mux_selects);
+            }
+        }
+    }
 }
 
 TEST(Simulator, DummyBlocksCountedForUnderOccupiedGroups)
@@ -824,6 +919,20 @@ TEST(DssoSim, RejectsNonConformingOperands)
     const auto b_bad =
         randomDense(TensorShape({{"K", 32}, {"N", 2}}), rng);
     EXPECT_THROW(DssoSimulator().run(a_ok, a_rank0, b_bad, b_rank1),
+                 FatalError);
+}
+
+TEST(DssoSim, RejectsRankZeroBlocksBeyondEightBitOffsets)
+{
+    // A's rank-0 offsets are std::uint8_t, so H0 may be at most 256; a
+    // larger H0 used to wrap a nonzero at position 300 to 44.
+    const GhPattern a_rank0(1, 512);
+    const GhPattern b_rank1(1, 1);
+    DenseTensor a(TensorShape({{"M", 1}, {"K", 512}}));
+    a.set2(0, 300, 1.0f);
+    DenseTensor b(TensorShape({{"K", 512}, {"N", 1}}));
+    b.set2(300, 0, 2.0f);
+    EXPECT_THROW(DssoSimulator(1).run(a, a_rank0, b, b_rank1),
                  FatalError);
 }
 
