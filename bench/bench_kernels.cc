@@ -15,12 +15,8 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iomanip>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "accel/harness.hh"
 #include "common/random.hh"
@@ -30,7 +26,6 @@
 #include "io/bench_io.hh"
 #include "microsim/simulator.hh"
 #include "microsim/vfmu.hh"
-#include "runtime/eval_cache.hh"
 #include "runtime/thread_pool.hh"
 #include "runtime_flags.hh"
 #include "sparsity/sparsify.hh"
@@ -270,65 +265,6 @@ BM_OperandBCompress(benchmark::State &state)
 }
 BENCHMARK(BM_OperandBCompress);
 
-/**
- * Cold-start load of a large persisted eval cache, text vs binary —
- * the number the binary container exists to improve. The synthetic
- * entries mirror real ones (unique keys, breakdown components with
- * spaced names); both formats load byte-equal decoded contents, so
- * the axis isolates pure codec cost.
- */
-void
-BM_CacheLoad(benchmark::State &state)
-{
-    const std::int64_t count = state.range(0);
-    const ArtifactFormat format = state.range(1) != 0
-                                      ? ArtifactFormat::Binary
-                                      : ArtifactFormat::Text;
-    std::vector<CacheFileEntry> entries(
-        static_cast<std::size_t>(count));
-    for (std::int64_t i = 0; i < count; ++i) {
-        CacheFileEntry &e = entries[static_cast<std::size_t>(i)];
-        e.key = "HighLight|" + std::to_string(64 + i % 512) + "x1024x" +
-                std::to_string(128 + i) + "|HC1(4,8)C0(2,4)|U0.65";
-        e.result.design = "HighLight";
-        e.result.workload = "synthetic layer " + std::to_string(i);
-        e.result.supported = true;
-        e.result.cycles = 1e4 + 0.25 * static_cast<double>(i);
-        e.result.clock_mhz = 940.0;
-        e.result.addEnergy("mac array", 1.5 + 0.001 * i);
-        e.result.addEnergy("glb sram", 0.75 + 0.002 * i);
-        e.result.addEnergy("noc", 0.25);
-        e.result.addEnergy("dram", 3.125);
-        e.result.area_um2.push_back({"pe grid", 42.0});
-        e.result.area_um2.push_back({"glb banks", 17.5});
-        e.result.area_um2.push_back({"io ring", 3.25});
-    }
-    const std::string path =
-        "/tmp/bench_cacheload_" + std::to_string(::getpid()) + "_" +
-        std::to_string(state.range(1)) + ".evalcache";
-    {
-        std::ofstream out(path, std::ios::trunc | std::ios::binary);
-        if (!out || !writeCacheEntries(out, entries, format)) {
-            state.SkipWithError("cannot write synthetic cache");
-            return;
-        }
-    }
-    for (auto _ : state) {
-        EvalCache cache;
-        if (!cache.loadFile(path)) {
-            state.SkipWithError("cache load failed");
-            break;
-        }
-        benchmark::DoNotOptimize(cache.size());
-    }
-    state.SetItemsProcessed(state.iterations() * count);
-    std::remove(path.c_str());
-}
-BENCHMARK(BM_CacheLoad)
-    ->ArgsProduct({{10000}, {0, 1}})
-    ->ArgNames({"entries", "binary"})
-    ->Unit(benchmark::kMillisecond);
-
 void
 BM_ReferenceGemm(benchmark::State &state)
 {
@@ -422,8 +358,8 @@ int
 main(int argc, char **argv)
 {
     const std::string json_path = extractJsonPath(argc, argv);
-    // No cache file: the lineup only owns the design models.
-    const Evaluator lineup{EvalCacheConfig{}};
+    // The lineup only owns the design models.
+    const Evaluator lineup;
     for (const Accelerator *design : lineup.designs()) {
         const std::string name = "BM_EvaluateBest/" + design->name();
         benchmark::RegisterBenchmark(name.c_str(), BM_EvaluateBest,
@@ -443,11 +379,10 @@ main(int argc, char **argv)
                          json_path.c_str());
             return 1;
         }
-        // Text stays the checked-in ledger format: CI validates it
-        // with json.tool and greps, and the perf history wants to be
-        // diffable. (io/bench_io can re-encode it as a container.)
-        if (!writeBenchFile(json_path, "bench_kernels",
-                            reporter.entries(), ArtifactFormat::Text)) {
+        // CI validates the ledger with json.tool and greps, and the
+        // perf history wants to be diffable.
+        if (!writeBenchJson(json_path, "bench_kernels",
+                            reporter.entries())) {
             std::fprintf(stderr, "bench_kernels: cannot write %s\n",
                          json_path.c_str());
             return 1;

@@ -48,21 +48,12 @@ main(int argc, char **argv)
 {
     using namespace highlight;
 
+    rejectUnknownArgs(argc, argv);
     const DriverThreads threads = configureTimedDriverThreads(argc, argv);
     const bool serial_only = threads.serial_only;
     const std::string json_path = parseOptionValue(argc, argv, "--json");
 
-    // --cache-file makes the eval cache persistent: the first run
-    // saves every computed result and a rerun starts warm (the
-    // [runtime] line below then reports a ~100% hit rate).
-    EvalCacheConfig cache_cfg = EvalCacheConfig::fromEnv();
-    const std::string cache_file =
-        parseOptionValue(argc, argv, "--cache-file");
-    if (!cache_file.empty())
-        cache_cfg.file = cache_file;
-    cache_cfg.format = parseCacheFormatFlag(argc, argv, cache_cfg.format);
-
-    Evaluator ev(cache_cfg);
+    const Evaluator ev;
     const auto suite = syntheticSuite();
     const auto designs = ev.standardLineup();
     const std::size_t nw = suite.size();
@@ -137,29 +128,12 @@ main(int argc, char **argv)
               << TextTable::fmt(maxOf(vs_sparse_best), 2)
               << "x   (paper: 2.7x / 5.9x)\n";
 
-    // Runtime report. With a persistent cache a rerun resolves every
-    // job from the loaded file, so the hit rate is the incremental-
-    // regeneration health check (expect >= 90% on a second run).
     const auto stats = ev.cacheStats();
     std::cout << "\n[runtime] threads="
               << ThreadPool::global().numThreads() << " jobs="
               << matrix.flat().size() << " cache hits=" << stats.hits
               << " misses=" << stats.misses << " hit rate="
               << TextTable::fmt(stats.hitRate() * 100.0, 1) << "%\n";
-    bool cache_save_failed = false;
-    if (!cache_cfg.file.empty()) {
-        // FlushStatus separates a real I/O failure (the warm cache
-        // was dropped — fail the driver loudly) from "saved"; NoFile
-        // is impossible here since a file is configured.
-        const auto flushed = ev.flushCache();
-        cache_save_failed = flushed != EvalCache::FlushStatus::Saved;
-        std::cout << "[runtime] cache file: " << cache_cfg.file << " ("
-                  << (cache_save_failed ? "SAVE FAILED" : "saved")
-                  << ")\n";
-        if (cache_save_failed)
-            std::cerr << "fig14: cache save to " << cache_cfg.file
-                      << " failed — the next run starts cold\n";
-    }
     if (!json_path.empty() &&
         !writeResultsJson(json_path, matrix.flat())) {
         std::cerr << "fig14: cannot write " << json_path << "\n";
@@ -168,36 +142,25 @@ main(int argc, char **argv)
     if (serial_only) {
         std::cout << "[runtime] serial sweep: "
                   << TextTable::fmt(sweep_seconds * 1e3, 2) << " ms\n";
-        return cache_save_failed ? 1 : 0;
+        return 0;
     }
     ThreadPool::setGlobalThreads(1);
-    const Evaluator ev_serial{EvalCacheConfig{}}; // cold cache: fair pass
+    const Evaluator ev_serial; // fresh cache for a fair pass
     const WallTimer serial_timer;
     const EvalMatrix serial_matrix(ev_serial, designs, suite);
     const double serial_seconds = serial_timer.seconds();
     ThreadPool::setGlobalThreads(threads.requested);
     const bool identical =
         bitIdentical(matrix.flat(), serial_matrix.flat());
-    if (stats.misses == 0 && stats.hits > 0) {
-        // The main sweep was served entirely from a warm persistent
-        // cache; timing it against the cold serial pass would print a
-        // meaningless "speedup". The bit-identity check still stands.
-        std::cout << "[runtime] warm-cache sweep: "
-                  << TextTable::fmt(sweep_seconds * 1e3, 2)
-                  << " ms (speedup vs cold serial not comparable), "
-                  << "bit-identical: " << (identical ? "yes" : "NO")
-                  << "\n";
-    } else {
-        std::cout << "[runtime] parallel sweep: "
-                  << TextTable::fmt(sweep_seconds * 1e3, 2)
-                  << " ms, serial sweep: "
-                  << TextTable::fmt(serial_seconds * 1e3, 2)
-                  << " ms, speedup: "
-                  << TextTable::fmt(serial_seconds / sweep_seconds, 2)
-                  << "x, bit-identical: " << (identical ? "yes" : "NO")
-                  << "\n";
-    }
-    // A determinism regression (or a dropped warm cache) must fail
-    // the process so CI's smoke run catches it.
-    return identical && !cache_save_failed ? 0 : 1;
+    std::cout << "[runtime] parallel sweep: "
+              << TextTable::fmt(sweep_seconds * 1e3, 2)
+              << " ms, serial sweep: "
+              << TextTable::fmt(serial_seconds * 1e3, 2)
+              << " ms, speedup: "
+              << TextTable::fmt(serial_seconds / sweep_seconds, 2)
+              << "x, bit-identical: " << (identical ? "yes" : "NO")
+              << "\n";
+    // A determinism regression must fail the process so CI's smoke
+    // run catches it.
+    return identical ? 0 : 1;
 }

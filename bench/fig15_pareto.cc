@@ -10,29 +10,14 @@
  * dedupes repeated layer shapes through the eval cache. By default
  * the driver times the whole sweep serially too, verifies the results
  * are bit-identical, and reports the wall-clock speedup; `--serial`
- * runs only the one-thread fallback.
- *
- * `--shard i/N` runs this driver as one shard of a multi-process
- * sweep: each model's candidate list is partitioned with the
- * deterministic DesignSpaceExplorer::shardRange (a pure function of
- * (total, i, N), so N uncoordinated processes agree), the shard
- * evaluates only its own candidates (plus the dense-TC baseline,
- * which every shard needs for EDP normalization), and
- * `--frontier-json` dumps the shard's evaluated *points* instead of
- * a frontier. The examples/sharded_sweep supervisor forks N shards
- * sharing one `--cache-file` (safe: cache flushes are locked
- * merge-on-flush), merges the point dumps model-major in shard
- * order, and extracts a frontier byte-identical to this driver's
- * single-process dump — ctest-asserted by compare_shard.cmake,
- * which also asserts a second (warm) sharded run is 100% cache
- * hits.
+ * runs only the one-thread fallback. `--frontier-json PATH` dumps
+ * every model's frontier members.
  */
 
 #include <iostream>
 
 #include "common/table.hh"
 #include "core/evaluator.hh"
-#include "core/explorer.hh"
 #include "core/pareto.hh"
 #include "dnn/deit.hh"
 #include "dnn/resnet50.hh"
@@ -171,104 +156,19 @@ printModel(const Evaluator &ev, const DnnModel &model, DnnName nm)
     return frontier;
 }
 
-/**
- * The --shard i/N path: evaluate this shard's slice of every model's
- * candidate list and dump the evaluated points (not a frontier).
- * Returns the process exit code.
- */
-int
-runShard(const EvalCacheConfig &cache_cfg, const ShardSpec &shard,
-         const std::string &frontier_path, ArtifactFormat frontier_format)
-{
-    Evaluator ev(cache_cfg);
-    const auto candidates = candidatesFor();
-    std::vector<FrontierEntry> points;
-
-    TextTable t(msgOf("Fig 15 shard ", shard.str(),
-                      " (points; EDP normalized to dense TC)"));
-    t.setHeader({"model", "design", "accuracy loss", "norm. EDP"});
-    std::size_t evals = 0;
-    for (const auto &[model, nm] : modelCases()) {
-        // Every shard evaluates the dense-TC baseline: EDP is
-        // normalized to it, and through the shared cache file only
-        // the first shard to get there actually computes it.
-        const auto tc =
-            ev.runDnn(model, nm, {"TC", PruningApproach::Dense, 0.0});
-        ++evals;
-        const auto [begin, end] = DesignSpaceExplorer::shardRange(
-            candidates.size(), shard.index, shard.count);
-        for (std::size_t i = begin; i < end; ++i) {
-            const auto r = ev.runDnn(model, nm, candidates[i]);
-            ++evals;
-            if (!r.supported)
-                continue;
-            points.push_back({model.name, labelOf(candidates[i]),
-                              r.accuracy_loss, r.edp() / tc.edp()});
-            t.addRow({model.name, points.back().design,
-                      TextTable::fmt(points.back().accuracy_loss, 2),
-                      TextTable::fmt(points.back().norm_edp, 3)});
-        }
-    }
-    t.print(std::cout);
-
-    const auto stats = ev.cacheStats();
-    std::cout << "\n[runtime] shard " << shard.str() << " threads="
-              << ThreadPool::global().numThreads() << " dnn evals="
-              << evals << " cache hits=" << stats.hits
-              << " misses=" << stats.misses << " hit rate="
-              << TextTable::fmt(stats.hitRate() * 100.0, 1) << "%\n";
-
-    if (!frontier_path.empty() &&
-        !writeFrontierFile(frontier_path, points, frontier_format)) {
-        std::cerr << "fig15: cannot write " << frontier_path << "\n";
-        return 1;
-    }
-    // Merge this shard's results into the shared cache file now, so
-    // a save failure is reported while the sibling shards still run
-    // (the destructor's flush would only warn).
-    if (ev.flushCache() == EvalCache::FlushStatus::Failed) {
-        std::cerr << "fig15: shard " << shard.str()
-                  << " failed to save " << cache_cfg.file << "\n";
-        return 1;
-    }
-    return 0;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    rejectUnknownArgs(argc, argv, {"--frontier-json"});
     const DriverThreads threads = configureTimedDriverThreads(argc, argv);
     const bool serial_only = threads.serial_only;
     const std::string json_path = parseOptionValue(argc, argv, "--json");
     const std::string frontier_path =
         parseOptionValue(argc, argv, "--frontier-json");
-    const ShardSpec shard = parseShardFlag(argc, argv);
 
-    // --cache-file makes the eval cache persistent; sharded runs use
-    // it to share one warm cache across the shard processes (flushes
-    // are locked merge-on-flush, so concurrent shards cannot clobber
-    // each other's entries).
-    EvalCacheConfig cache_cfg = EvalCacheConfig::fromEnv();
-    const std::string cache_file =
-        parseOptionValue(argc, argv, "--cache-file");
-    if (!cache_file.empty())
-        cache_cfg.file = cache_file;
-    cache_cfg.format = parseCacheFormatFlag(argc, argv, cache_cfg.format);
-
-    // --frontier-format picks the `--frontier-json` encoding: text
-    // (the default, and what the figure consumers read) or the binary
-    // container (what the sharded-sweep supervisor asks its shards
-    // for). Readers auto-detect, so the two interoperate.
-    const ArtifactFormat frontier_format = parseFormatFlag(
-        argc, argv, "--frontier-format", ArtifactFormat::Text);
-
-    if (shard.enabled())
-        return runShard(cache_cfg, shard, frontier_path,
-                        frontier_format);
-
-    Evaluator ev(cache_cfg);
+    const Evaluator ev;
     const WallTimer timer;
     const auto results = sweepAll(ev);
     const double sweep_seconds = timer.seconds();
@@ -296,7 +196,7 @@ main(int argc, char **argv)
         return 1;
     }
     if (!frontier_path.empty() &&
-        !writeFrontierFile(frontier_path, frontier, frontier_format)) {
+        !writeFrontierJson(frontier_path, frontier)) {
         std::cerr << "fig15: cannot write " << frontier_path << "\n";
         return 1;
     }

@@ -12,14 +12,6 @@
  *
  * The analytical evaluations run as one batch, (DSSO, HighLight) per
  * degree in table order, before the per-degree microsim cross-checks.
- *
- * `--shard i/N` evaluates only this shard's contiguous slice of the
- * degree list (DesignSpaceExplorer::shardRange — the same pure
- * partition function the fig15 shards use), so N processes sharing
- * one `--cache-file` split the sweep; the shard's `--json` dump is
- * the matching contiguous slice of the full run's array
- * (ctest-asserted by compare_shard.cmake, which re-assembles the
- * shards' dumps and byte-compares against the single-process dump).
  */
 
 #include <iostream>
@@ -27,7 +19,6 @@
 #include "common/random.hh"
 #include "common/table.hh"
 #include "core/evaluator.hh"
-#include "core/explorer.hh"
 #include "microsim/dsso_sim.hh"
 #include "microsim/simulator.hh"
 #include "runtime_flags.hh"
@@ -39,18 +30,9 @@ main(int argc, char **argv)
 {
     using namespace highlight;
 
+    rejectUnknownArgs(argc, argv, {"--group-rows"});
     configureRuntimeThreads(argc, argv);
     const std::string json_path = parseOptionValue(argc, argv, "--json");
-    const ShardSpec shard = parseShardFlag(argc, argv);
-
-    // --cache-file: persistent eval cache, shareable across shard
-    // processes (flushes are locked merge-on-flush).
-    EvalCacheConfig cache_cfg = EvalCacheConfig::fromEnv();
-    const std::string cache_file =
-        parseOptionValue(argc, argv, "--cache-file");
-    if (!cache_file.empty())
-        cache_cfg.file = cache_file;
-    cache_cfg.format = parseCacheFormatFlag(argc, argv, cache_cfg.format);
     // Rows per shared operand-B pass for the microsim cross-checks
     // below (0 = auto). Outputs are byte-identical at any value, which
     // the smoke ctest asserts by diffing this driver's stdout across
@@ -58,7 +40,7 @@ main(int argc, char **argv)
     MicrosimConfig microsim_cfg;
     microsim_cfg.group_rows = parseGroupRowsFlag(argc, argv);
 
-    Evaluator ev(cache_cfg);
+    const Evaluator ev;
     const Accelerator &hl = ev.design("HighLight");
     const Accelerator &dsso = ev.design("DSSO");
 
@@ -89,16 +71,10 @@ main(int argc, char **argv)
                  "DSSO speed", "DSSO / HighLight", "microsim ratio",
                  "microsim max|err|"});
 
-    // The tabulated degrees, h ascending; a shard evaluates (and
-    // cross-checks) only its contiguous slice, so the full table is
-    // the concatenation of the shards' tables in shard order.
-    std::vector<int> hs;
+    // The tabulated degrees, h ascending.
+    std::vector<int> degrees;
     for (int h = 2; h <= 8; ++h)
-        hs.push_back(h);
-    const auto [h_begin, h_end] = DesignSpaceExplorer::shardRange(
-        hs.size(), shard.index, shard.count);
-    const std::vector<int> degrees(hs.begin() + h_begin,
-                                   hs.begin() + h_end);
+        degrees.push_back(h);
 
     std::vector<EvalJob> jobs; // dsso, hl per degree, h order
     for (const int h : degrees) {
@@ -155,13 +131,6 @@ main(int argc, char **argv)
 
     if (!json_path.empty() && !writeResultsJson(json_path, analytic)) {
         std::cerr << "fig17: cannot write " << json_path << "\n";
-        return 1;
-    }
-    // Merge into the (possibly shared) cache file now so a save
-    // failure fails the shard loudly instead of warning from the
-    // destructor's best-effort flush.
-    if (ev.flushCache() == EvalCache::FlushStatus::Failed) {
-        std::cerr << "fig17: failed to save " << cache_cfg.file << "\n";
         return 1;
     }
     return 0;

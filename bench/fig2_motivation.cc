@@ -68,6 +68,7 @@ runModel(const Evaluator &ev, const DnnModel &model, DnnName nm,
 int
 main(int argc, char **argv)
 {
+    rejectUnknownArgs(argc, argv);
     configureRuntimeThreads(argc, argv);
     const std::string json_path =
         parseOptionValue(argc, argv, "--json");

@@ -57,6 +57,7 @@ main(int argc, char **argv)
 {
     using namespace highlight;
 
+    rejectUnknownArgs(argc, argv);
     configureRuntimeThreads(argc, argv);
     const std::string json_path =
         parseOptionValue(argc, argv, "--json");

@@ -2,13 +2,13 @@
  * @file
  * Shared runtime helpers for the figure drivers: a `--serial` flag
  * that pins the global thread pool to one thread (the debugging
- * fallback), `--json PATH` / `--cache-file PATH` option parsing, a
- * wall-clock timer so drivers can report the parallel-vs-serial
- * speedup of the evaluation runtime, the batched design x workload
- * result matrix the sweep drivers share, and a machine-readable JSON
- * dump of results (full-precision doubles, so a byte-compare of two
- * dumps is a bit-identity check — the smoke ctests diff the serial
- * and parallel dumps of every sweep driver).
+ * fallback), `--json PATH` option parsing, rejection of any argument
+ * no option consumes, a wall-clock timer so drivers can report the
+ * parallel-vs-serial speedup of the evaluation runtime, the batched
+ * design x workload result matrix the sweep drivers share, and a
+ * machine-readable JSON dump of results (full-precision doubles, so a
+ * byte-compare of two dumps is a bit-identity check — the smoke
+ * ctests diff the serial and parallel dumps of every sweep driver).
  */
 
 #ifndef HIGHLIGHT_BENCH_RUNTIME_FLAGS_HH
@@ -17,8 +17,10 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iomanip>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/env.hh"
@@ -102,6 +104,43 @@ parseOptionValue(int argc, char **argv, const char *flag)
 }
 
 /**
+ * Fatal on any argument that no driver option consumes. Every driver
+ * takes `--serial`, `--threads N` and `--json PATH`; `value_options`
+ * names the value options it adds (e.g. "--frontier-json"). A value
+ * option consumes `--opt=V` or `--opt V`. A typo or a retired flag
+ * must not silently run a different configuration than the one the
+ * caller asked for.
+ */
+inline void
+rejectUnknownArgs(int argc, char **argv,
+                  std::initializer_list<const char *> value_options = {})
+{
+    std::vector<std::string_view> options = {"--threads", "--json"};
+    options.insert(options.end(), value_options.begin(),
+                   value_options.end());
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (arg == "--serial")
+            continue;
+        bool known = false;
+        for (const std::string_view opt : options) {
+            if (arg == opt) {
+                ++i; // the value is the next argument
+                known = true;
+                break;
+            }
+            if (arg.size() > opt.size() && arg.substr(0, opt.size()) == opt &&
+                arg[opt.size()] == '=') {
+                known = true;
+                break;
+            }
+        }
+        if (!known)
+            fatal(msgOf("unknown argument ", arg));
+    }
+}
+
+/**
  * Thread count requested on the command line: `--serial` pins one
  * thread, `--threads N` pins N (strictly parsed, like the
  * HIGHLIGHT_THREADS env knob), otherwise 0 = default resolution (env
@@ -141,39 +180,6 @@ inline void
 configureRuntimeThreads(int argc, char **argv)
 {
     ThreadPool::setGlobalThreads(parseThreadsFlag(argc, argv));
-}
-
-/**
- * Artifact format requested on the command line as `--<flag> F` /
- * `--<flag>=F` with F in {text, binary}; `fallback` when the flag is
- * absent. A malformed or bare flag is a user error and fatal — same
- * contract as `--threads` — while the HIGHLIGHT_CACHE_FORMAT env knob
- * warns and falls back instead (typed flags are deliberate, inherited
- * environments often are not).
- */
-inline ArtifactFormat
-parseFormatFlag(int argc, char **argv, const char *flag,
-                ArtifactFormat fallback)
-{
-    const std::string v = parseOptionValue(argc, argv, flag);
-    if (!v.empty()) {
-        ArtifactFormat format = fallback;
-        if (!parseArtifactFormat(v.c_str(), &format))
-            fatal(msgOf(flag, " ", v, ": expected text or binary"));
-        return format;
-    }
-    if (parseFlag(argc, argv, flag) ||
-        parseFlag(argc, argv, (std::string(flag) + "=").c_str()))
-        fatal(msgOf(flag, " requires a value"));
-    return fallback;
-}
-
-/** `--cache-format {text,binary}`: the persisted eval-cache encoding,
- *  overriding HIGHLIGHT_CACHE_FORMAT / the binary default. */
-inline ArtifactFormat
-parseCacheFormatFlag(int argc, char **argv, ArtifactFormat fallback)
-{
-    return parseFormatFlag(argc, argv, "--cache-format", fallback);
 }
 
 /**
@@ -224,11 +230,6 @@ configureTimedDriverThreads(int argc, char **argv)
     return t;
 }
 
-// jsonQuote / FrontierEntry / writeFrontierJson now live in
-// core/frontier_io.hh (included above) so the sharded-sweep
-// supervisor example can read, merge and re-emit frontier dumps
-// without depending on this bench-only header.
-
 /**
  * Dump eval results as a JSON array. Doubles print with max_digits10
  * so two dumps are byte-identical iff the results are bit-identical.
@@ -277,60 +278,6 @@ writeDnnResultsJson(const std::string &path,
     }
     out << "]\n";
     return static_cast<bool>(out);
-}
-
-/**
- * One shard of a deterministically partitioned multi-process sweep:
- * `--shard i/N` (strictly parsed, like --threads: a malformed value
- * is fatal, because a silently ignored typo would run the full sweep
- * N times instead of 1/N of it N times). index is in [0, count).
- */
-struct ShardSpec
-{
-    int index = 0;
-    int count = 1;
-
-    /** True when the driver runs as one shard of a larger sweep. */
-    bool enabled() const { return count > 1; }
-
-    std::string str() const { return msgOf(index, "/", count); }
-};
-
-/** Parse `--shard i/N` / `--shard=i/N`; {0,1} when absent. */
-inline ShardSpec
-parseShardFlag(int argc, char **argv)
-{
-    const std::string v = parseOptionValue(argc, argv, "--shard");
-    if (v.empty()) {
-        if (parseFlag(argc, argv, "--shard") ||
-            parseFlag(argc, argv, "--shard="))
-            fatal("--shard requires a value (i/N)");
-        return ShardSpec{};
-    }
-    const auto slash = v.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= v.size())
-        fatal(msgOf("--shard ", v, ": expected i/N (e.g. 0/4)"));
-    long long index = 0, count = 0;
-    // parsePositiveInt rejects 0, so parse index+1 semantics by hand:
-    // the index may be 0, the count must be >= 1.
-    const std::string index_s = v.substr(0, slash);
-    const std::string count_s = v.substr(slash + 1);
-    if (!parsePositiveInt(count_s.c_str(), 1 << 20, &count))
-        fatal(msgOf("--shard ", v,
-                    ": shard count must be a positive integer <= 2^20"));
-    if (index_s == "0") {
-        index = 0;
-    } else if (!parsePositiveInt(index_s.c_str(), 1 << 20, &index)) {
-        fatal(msgOf("--shard ", v,
-                    ": shard index must be an integer in [0, N)"));
-    }
-    if (index >= count)
-        fatal(msgOf("--shard ", v, ": index must be < count"));
-    ShardSpec s;
-    s.index = static_cast<int>(index);
-    s.count = static_cast<int>(count);
-    return s;
 }
 
 /**

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <string>
-#include <string_view>
 
 #include "common/logging.hh"
 
@@ -44,46 +43,11 @@ positiveIntFromEnv(const char *name, long long max_value,
     return fallback;
 }
 
-int
-parseChoice(const char *s, const char *const *choices, int count)
-{
-    if (s == nullptr || *s == '\0')
-        return -1;
-    for (int i = 0; i < count; ++i) {
-        if (std::string_view(s) == choices[i])
-            return i;
-    }
-    return -1;
-}
-
-int
-choiceFromEnv(const char *name, const char *const *choices, int count,
-              int fallback)
-{
-    const char *s = std::getenv(name);
-    if (s == nullptr)
-        return fallback;
-    const int i = parseChoice(s, choices, count);
-    if (i >= 0)
-        return i;
-    std::string accepted;
-    for (int c = 0; c < count; ++c) {
-        if (c > 0)
-            accepted += "|";
-        accepted += choices[c];
-    }
-    warn(msgOf(name, "=", s, " is not one of {", accepted,
-               "}; falling back to the default"));
-    return fallback;
-}
-
 std::string
 stringFromEnv(const char *name)
 {
     // NOLINTNEXTLINE(concurrency-mt-unsafe): getenv is only unsafe
-    // against a concurrent setenv; the runtime never calls setenv
-    // after main() starts (sharded_sweep mutates the environment only
-    // in the single-threaded child between fork and exec).
+    // against a concurrent setenv; the library never calls setenv.
     const char *s = std::getenv(name);
     return s == nullptr ? std::string() : std::string(s);
 }

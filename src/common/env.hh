@@ -2,13 +2,13 @@
  * @file
  * Strict parsing of numeric environment variables.
  *
- * The runtime knobs (HIGHLIGHT_THREADS, HIGHLIGHT_CACHE_CAP) must
- * reject garbage loudly instead of mis-parsing it: std::atoi("4x")
- * silently yields 4 and strtoull("-1") wraps to 2^64-1, both of which
- * turn a typo into a very wrong configuration. Every env knob goes
- * through parsePositiveInt(), which accepts decimal digits only —
- * no sign, whitespace, trailing junk or overflow — so the callers
- * can warn and fall back to their defaults on anything else.
+ * The runtime knob (HIGHLIGHT_THREADS) must reject garbage loudly
+ * instead of mis-parsing it: std::atoi("4x") silently yields 4 and
+ * strtoull("-1") wraps to 2^64-1, both of which turn a typo into a
+ * very wrong configuration. Numeric knobs go through
+ * parsePositiveInt(), which accepts decimal digits only — no sign,
+ * whitespace, trailing junk or overflow — so the callers can warn and
+ * fall back to their defaults on anything else.
  */
 
 #ifndef HIGHLIGHT_COMMON_ENV_HH
@@ -36,23 +36,6 @@ bool parsePositiveInt(const char *s, long long max_value,
  */
 long long positiveIntFromEnv(const char *name, long long max_value,
                              long long fallback);
-
-/**
- * Index of `s` in `choices` (exact, case-sensitive match against the
- * `count` entries). Returns -1 for null, empty, or unknown strings —
- * same strictness as parsePositiveInt: "Text" or "text " do not match
- * "text".
- */
-int parseChoice(const char *s, const char *const *choices, int count);
-
-/**
- * Read environment variable `name` as one of `choices`, returning its
- * index. Returns `fallback` when the variable is unset; warns (naming
- * the variable, the rejected value, and the accepted choices) and
- * returns `fallback` when it is set to anything parseChoice rejects.
- */
-int choiceFromEnv(const char *name, const char *const *choices,
-                  int count, int fallback);
 
 /**
  * Read environment variable `name` as a string; "" when unset. The

@@ -17,12 +17,7 @@ DnnEvalResult::edp() const
     return total_energy_pj * 1e-12 * seconds;
 }
 
-Evaluator::Evaluator() : Evaluator(EvalCacheConfig::fromEnv())
-{
-}
-
-Evaluator::Evaluator(const EvalCacheConfig &cache_config)
-    : cache_(cache_config)
+Evaluator::Evaluator()
 {
     owned_ = standardDesigns();
     owned_.push_back(std::make_unique<DssoAccel>());

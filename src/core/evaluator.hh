@@ -52,15 +52,9 @@ struct DnnEvalResult
 class Evaluator
 {
   public:
-    /**
-     * Builds TC, STC, S2TA, DSTC, HighLight and DSSO. The memo cache
-     * is configured from the environment (HIGHLIGHT_CACHE_CAP bounds
-     * it, HIGHLIGHT_CACHE_FILE makes it persistent and pre-loads it).
-     */
+    /** Builds TC, STC, S2TA, DSTC, HighLight and DSSO, with an empty
+     *  in-memory memo cache. */
     Evaluator();
-
-    /** Same lineup with an explicit cache configuration. */
-    explicit Evaluator(const EvalCacheConfig &cache_config);
 
     /** All designs (stable order: TC, STC, S2TA, DSTC, HighLight, DSSO). */
     std::vector<const Accelerator *> designs() const;
@@ -109,16 +103,8 @@ class Evaluator
     DnnEvalResult runDnn(const DnnModel &model, DnnName accuracy_model,
                          const DnnScenario &scenario) const;
 
-    /** Hit/miss/eviction counters of the memoization cache. */
+    /** Hit/miss/insertion counters of the memoization cache. */
     EvalCacheStats cacheStats() const { return cache_.stats(); }
-
-    /**
-     * Save the cache to its configured persistence file (locked
-     * merge-on-flush; see EvalCache::saveFile). The status separates
-     * "no file configured" from a real I/O failure so drivers can
-     * report a dropped warm cache instead of silently losing it.
-     */
-    EvalCache::FlushStatus flushCache() const { return cache_.flush(); }
 
     /** Drop all cached evaluations and reset the counters. */
     void clearCache() const { cache_.clear(); }

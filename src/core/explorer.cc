@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "common/logging.hh"
-#include "common/mutex.hh"
 #include "runtime/thread_pool.hh"
 
 namespace highlight
@@ -52,24 +51,6 @@ DesignSpaceExplorer::analyze(const HssDesignConfig &config) const
     return report;
 }
 
-std::pair<std::size_t, std::size_t>
-DesignSpaceExplorer::shardRange(std::size_t total, int index, int count)
-{
-    if (count < 1)
-        fatal(msgOf("shardRange: count ", count, " must be >= 1"));
-    if (index < 0 || index >= count)
-        fatal(msgOf("shardRange: index ", index, " not in [0, ", count,
-                    ")"));
-    // floor(total * i / count) boundaries: contiguous, disjoint,
-    // covering, near-even — and a pure function of the arguments, so
-    // N uncoordinated shard processes agree on the partition.
-    const auto lo = static_cast<std::size_t>(
-        total * static_cast<unsigned long long>(index) / count);
-    const auto hi = static_cast<std::size_t>(
-        total * (static_cast<unsigned long long>(index) + 1) / count);
-    return {lo, hi};
-}
-
 HssDesignConfig
 DesignSpaceExplorer::designS()
 {
@@ -91,27 +72,6 @@ DesignSpaceExplorer::analyzeMany(
     return ThreadPool::global().parallelMap(
         configs.size(),
         [&](std::size_t i) { return analyze(configs[i]); }, 1);
-}
-
-std::vector<HssDesignReport>
-DesignSpaceExplorer::analyzeMany(
-    const std::vector<HssDesignConfig> &configs,
-    const std::function<void(std::size_t, const HssDesignReport &)>
-        &on_report) const
-{
-    std::vector<HssDesignReport> out(configs.size());
-    Mutex report_mu;
-    ThreadPool::global().parallelFor(
-        configs.size(),
-        [&](std::size_t i) {
-            out[i] = analyze(configs[i]);
-            // Stream the landed report; serialized so callbacks never
-            // overlap even though their order is scheduling-dependent.
-            MutexLock lock(report_mu);
-            on_report(i, out[i]);
-        },
-        1);
-    return out;
 }
 
 namespace

@@ -13,9 +13,7 @@
 #ifndef HIGHLIGHT_CORE_EXPLORER_HH
 #define HIGHLIGHT_CORE_EXPLORER_HH
 
-#include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "energy/mux_model.hh"
@@ -68,32 +66,6 @@ class DesignSpaceExplorer
      */
     std::vector<HssDesignReport> analyzeMany(
         const std::vector<HssDesignConfig> &configs) const;
-
-    /**
-     * Streaming analyzeMany: on_report(index, report) fires as each
-     * config's analysis lands (on whichever worker produced it, under
-     * an internal lock — callbacks never overlap). The returned
-     * vector is still in input order and bit-identical to the
-     * non-streaming overload; only the callback order is
-     * scheduling-dependent.
-     */
-    std::vector<HssDesignReport> analyzeMany(
-        const std::vector<HssDesignConfig> &configs,
-        const std::function<void(std::size_t, const HssDesignReport &)>
-            &on_report) const;
-
-    /**
-     * Deterministic candidate partition for sharded multi-process
-     * sweeps: the contiguous half-open range [begin, end) of
-     * candidates owned by shard `index` of `count`. A pure function
-     * of (total, index, count) — every shard computes the same
-     * partition with no coordination, ranges are disjoint, their
-     * union covers [0, total), and sizes differ by at most one
-     * (floor(total*i/count) boundaries). count must be >= 1 and
-     * index in [0, count); violations are fatal.
-     */
-    static std::pair<std::size_t, std::size_t> shardRange(
-        std::size_t total, int index, int count);
 
     /** Fig 6's one-rank design S: 2:{2..16}, 2 PEs. */
     static HssDesignConfig designS();

@@ -2,10 +2,6 @@
 
 #include <fstream>
 #include <iomanip>
-#include <utility>
-
-#include "core/pareto.hh"
-#include "io/artifact_file.hh"
 
 namespace highlight
 {
@@ -29,165 +25,6 @@ writeFrontierJson(const std::string &path,
     }
     out << "]\n";
     return static_cast<bool>(out);
-}
-
-bool
-readFrontierJson(const std::string &path,
-                 std::vector<FrontierEntry> *out)
-{
-    out->clear();
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::string line;
-    bool saw_open = false, saw_close = false;
-    while (std::getline(in, line)) {
-        if (line == "[") {
-            saw_open = true;
-            continue;
-        }
-        if (line == "]") {
-            saw_close = true;
-            continue;
-        }
-        if (line.empty())
-            continue;
-        // One entry per line, exactly as writeFrontierJson emits.
-        FrontierEntry e;
-        std::size_t pos = 0;
-        if (!saw_open || saw_close ||
-            !takeJsonString(line, "model", &pos, &e.model) ||
-            !takeJsonString(line, "design", &pos, &e.design) ||
-            !takeJsonNumber(line, "accuracy_loss", &pos,
-                            &e.accuracy_loss) ||
-            !takeJsonNumber(line, "norm_edp", &pos, &e.norm_edp)) {
-            out->clear();
-            return false;
-        }
-        out->push_back(std::move(e));
-    }
-    if (!saw_open || !saw_close) {
-        out->clear();
-        return false;
-    }
-    return true;
-}
-
-namespace
-{
-
-const char kFrontierKind[] = "frontier";
-
-bool
-writeFrontierBinary(const std::string &path,
-                    const std::vector<FrontierEntry> &frontier)
-{
-    std::vector<std::string> model(frontier.size());
-    std::vector<std::string> design(frontier.size());
-    std::vector<double> accuracy_loss(frontier.size());
-    std::vector<double> norm_edp(frontier.size());
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-        model[i] = frontier[i].model;
-        design[i] = frontier[i].design;
-        accuracy_loss[i] = frontier[i].accuracy_loss;
-        norm_edp[i] = frontier[i].norm_edp;
-    }
-    ArtifactWriter writer(kFrontierKind, kFrontierFileVersion);
-    writer.addStr("model", model);
-    writer.addStr("design", design);
-    writer.addF64("accuracy_loss", accuracy_loss);
-    writer.addF64("norm_edp", norm_edp);
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    if (!out)
-        return false;
-    return writer.writeTo(out);
-}
-
-bool
-readFrontierBinary(const std::string &path,
-                   std::vector<FrontierEntry> *out)
-{
-    ArtifactReader reader;
-    if (reader.open(path, kFrontierKind, kFrontierFileVersion) !=
-        ArtifactReader::Status::Ok)
-        return false;
-    const auto *model = reader.str("model");
-    const auto *design = reader.str("design");
-    const auto *accuracy_loss = reader.f64("accuracy_loss");
-    const auto *norm_edp = reader.f64("norm_edp");
-    if (!model || !design || !accuracy_loss || !norm_edp ||
-        design->size() != model->size() ||
-        accuracy_loss->size() != model->size() ||
-        norm_edp->size() != model->size())
-        return false;
-    std::vector<FrontierEntry> staged(model->size());
-    for (std::size_t i = 0; i < model->size(); ++i)
-        staged[i] = {(*model)[i], (*design)[i], (*accuracy_loss)[i],
-                     (*norm_edp)[i]};
-    *out = std::move(staged);
-    return true;
-}
-
-} // namespace
-
-bool
-writeFrontierFile(const std::string &path,
-                  const std::vector<FrontierEntry> &frontier,
-                  ArtifactFormat format)
-{
-    return format == ArtifactFormat::Text
-               ? writeFrontierJson(path, frontier)
-               : writeFrontierBinary(path, frontier);
-}
-
-bool
-readFrontierFile(const std::string &path,
-                 std::vector<FrontierEntry> *out)
-{
-    out->clear();
-    if (isArtifactFile(path)) {
-        if (readFrontierBinary(path, out))
-            return true;
-        out->clear();
-        return false;
-    }
-    return readFrontierJson(path, out);
-}
-
-std::vector<FrontierEntry>
-frontierOf(const std::vector<FrontierEntry> &points)
-{
-    // Group per model, preserving first-appearance model order and
-    // within-model input order — the exact iteration order of the
-    // single-process drivers (model-major sweep, candidate order
-    // within a model).
-    std::vector<std::string> model_order;
-    for (const auto &p : points) {
-        bool seen = false;
-        for (const auto &m : model_order)
-            seen |= m == p.model;
-        if (!seen)
-            model_order.push_back(p.model);
-    }
-
-    std::vector<FrontierEntry> frontier;
-    for (const auto &model : model_order) {
-        std::vector<ParetoPoint> model_points;
-        std::vector<const FrontierEntry *> model_entries;
-        for (const auto &p : points) {
-            if (p.model != model)
-                continue;
-            model_points.push_back(
-                {p.accuracy_loss, p.norm_edp, p.design});
-            model_entries.push_back(&p);
-        }
-        const auto mask = frontierMask(model_points);
-        for (std::size_t i = 0; i < model_entries.size(); ++i) {
-            if (mask[i])
-                frontier.push_back(*model_entries[i]);
-        }
-    }
-    return frontier;
 }
 
 } // namespace highlight

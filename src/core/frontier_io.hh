@@ -1,25 +1,10 @@
 /**
  * @file
- * Pareto-frontier point dumps: the fig15-style `--frontier-json`
- * format, readable and writable from both the figure drivers and the
- * sharded-sweep supervisor.
+ * Pareto-frontier dumps: the fig15 `--frontier-json` format.
  *
- * The text format is a JSON array of {model, design, accuracy_loss,
- * norm_edp} objects with doubles printed at max_digits10, so a
- * byte-compare of two dumps is a bit-identity check on the values.
- * That property is what the sharding story rests on: each shard of a
- * multi-process sweep dumps its candidates' *points*, the supervisor
- * merges them (model-major, shard order) and extracts the frontier
- * with frontierOf(), and the result must be byte-identical to the
- * single-process sweep's frontier dump — the ctest-asserted soundness
- * check for sharding, mirroring what compare_prune.cmake asserts for
- * pruning.
- *
- * Dumps can also travel as ArtifactFile containers (kind "frontier"),
- * which carry the doubles as raw bit patterns — trivially bit-exact —
- * and are what the shard supervisor exchanges with its shards.
- * readFrontierFile auto-detects the format, so either side can be
- * text when a human needs to look at it.
+ * A JSON array of {model, design, accuracy_loss, norm_edp} objects
+ * with doubles printed at max_digits10, so a byte-compare of two dumps
+ * is a bit-identity check on the values.
  */
 
 #ifndef HIGHLIGHT_CORE_FRONTIER_IO_HH
@@ -28,16 +13,12 @@
 #include <string>
 #include <vector>
 
-#include "io/codec.hh"
 #include "io/json.hh"
 
 namespace highlight
 {
 
-/** Bumped whenever the frontier entry schema changes. */
-constexpr int kFrontierFileVersion = 1;
-
-/** One evaluated point (or frontier member) of a fig15-style sweep. */
+/** One frontier member of a fig15-style sweep. */
 struct FrontierEntry
 {
     std::string model;
@@ -52,40 +33,6 @@ struct FrontierEntry
  */
 bool writeFrontierJson(const std::string &path,
                        const std::vector<FrontierEntry> &frontier);
-
-/**
- * Parse a writeFrontierJson dump. Strict: false on any malformed
- * entry (leaving *out cleared), so a supervisor merging shard dumps
- * fails loudly instead of silently dropping a shard's points. The
- * doubles round-trip bit-exactly (max_digits10 print + strtod).
- */
-bool readFrontierJson(const std::string &path,
-                      std::vector<FrontierEntry> *out);
-
-/** writeFrontierJson, or the ArtifactFile container, per `format`. */
-bool writeFrontierFile(const std::string &path,
-                       const std::vector<FrontierEntry> &frontier,
-                       ArtifactFormat format);
-
-/**
- * Read a frontier dump in whichever format it was written (container
- * magic sniff). Same strictness as readFrontierJson: false with *out
- * cleared on any corruption — no partial loads.
- */
-bool readFrontierFile(const std::string &path,
-                      std::vector<FrontierEntry> *out);
-
-/**
- * The Pareto frontier over a set of evaluated points, grouped per
- * model: within each model (first-appearance order preserved) an
- * entry survives iff no other same-model entry dominates it (lower is
- * better on both axes; same dominance as core/pareto.hh). Input order
- * is preserved, so feeding the model-major concatenation of shard
- * dumps yields the exact frontier (and byte-identical re-dump) of the
- * single-process sweep.
- */
-std::vector<FrontierEntry> frontierOf(
-    const std::vector<FrontierEntry> &points);
 
 } // namespace highlight
 

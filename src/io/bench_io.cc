@@ -2,24 +2,19 @@
 
 #include <fstream>
 #include <iomanip>
-#include <sstream>
-#include <utility>
 
-#include "io/artifact_file.hh"
 #include "io/json.hh"
 
 namespace highlight
 {
 
-namespace
-{
-
-const char kBenchKind[] = "bench";
-
 bool
-writeBenchText(std::ostream &out, const std::string &suite,
+writeBenchJson(const std::string &path, const std::string &suite,
                const std::vector<BenchEntry> &entries)
 {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    if (!out)
+        return false;
     out << std::setprecision(17);
     out << "{\n"
         << "  \"schema\": \"highlight-bench-v1\",\n"
@@ -35,117 +30,6 @@ writeBenchText(std::ostream &out, const std::string &suite,
     out << "  ]\n}\n";
     out.flush();
     return static_cast<bool>(out);
-}
-
-bool
-readBenchText(std::istream &in, std::string *suite,
-              std::vector<BenchEntry> *out)
-{
-    std::string line;
-    if (!std::getline(in, line) || line != "{")
-        return false;
-    if (!std::getline(in, line) ||
-        line != "  \"schema\": \"highlight-bench-v1\",")
-        return false; // stale version / not a bench summary
-    std::size_t pos = 0;
-    if (!std::getline(in, line) ||
-        !takeJsonString(line, "suite", &pos, suite))
-        return false;
-    if (!std::getline(in, line) || line != "  \"benchmarks\": [")
-        return false;
-    std::vector<BenchEntry> staged;
-    while (std::getline(in, line)) {
-        if (line == "  ]")
-            break;
-        BenchEntry e;
-        pos = 0;
-        if (!takeJsonString(line, "name", &pos, &e.name) ||
-            !takeJsonNumber(line, "ns_per_op", &pos, &e.ns_per_op) ||
-            !takeJsonNumber(line, "items_per_second", &pos,
-                            &e.items_per_second))
-            return false;
-        staged.push_back(std::move(e));
-    }
-    if (line != "  ]" || !std::getline(in, line) || line != "}")
-        return false;
-    *out = std::move(staged);
-    return true;
-}
-
-bool
-writeBenchBinary(std::ostream &out, const std::string &suite,
-                 const std::vector<BenchEntry> &entries)
-{
-    std::vector<std::string> name(entries.size());
-    std::vector<double> ns(entries.size()), ips(entries.size());
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        name[i] = entries[i].name;
-        ns[i] = entries[i].ns_per_op;
-        ips[i] = entries[i].items_per_second;
-    }
-    ArtifactWriter writer(kBenchKind, kBenchFileVersion);
-    writer.addStr("suite", {suite});
-    writer.addStr("name", name);
-    writer.addF64("ns_per_op", ns);
-    writer.addF64("items_per_second", ips);
-    return writer.writeTo(out);
-}
-
-bool
-readBenchBinary(const std::string &path, std::string *suite,
-                std::vector<BenchEntry> *out)
-{
-    ArtifactReader reader;
-    if (reader.open(path, kBenchKind, kBenchFileVersion) !=
-        ArtifactReader::Status::Ok)
-        return false;
-    const auto *suites = reader.str("suite");
-    const auto *name = reader.str("name");
-    const auto *ns = reader.f64("ns_per_op");
-    const auto *ips = reader.f64("items_per_second");
-    if (!suites || suites->size() != 1 || !name || !ns || !ips ||
-        ns->size() != name->size() || ips->size() != name->size())
-        return false;
-    std::vector<BenchEntry> staged(name->size());
-    for (std::size_t i = 0; i < name->size(); ++i)
-        staged[i] = {(*name)[i], (*ns)[i], (*ips)[i]};
-    *suite = (*suites)[0];
-    *out = std::move(staged);
-    return true;
-}
-
-} // namespace
-
-bool
-writeBenchFile(const std::string &path, const std::string &suite,
-               const std::vector<BenchEntry> &entries,
-               ArtifactFormat format)
-{
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    if (!out)
-        return false;
-    return format == ArtifactFormat::Text
-               ? writeBenchText(out, suite, entries)
-               : writeBenchBinary(out, suite, entries);
-}
-
-bool
-readBenchFile(const std::string &path, std::string *suite,
-              std::vector<BenchEntry> *out)
-{
-    suite->clear();
-    out->clear();
-    if (isArtifactFile(path)) {
-        if (readBenchBinary(path, suite, out))
-            return true;
-    } else {
-        std::ifstream in(path, std::ios::binary);
-        if (in && readBenchText(in, suite, out))
-            return true;
-    }
-    suite->clear();
-    out->clear();
-    return false;
 }
 
 } // namespace highlight

@@ -1,14 +1,11 @@
 /**
  * @file
- * Codec for the versioned bench summary (the BENCH_microsim.json
- * artifact CI uploads to record the perf trajectory PR over PR).
+ * Writer for the versioned bench summary (the BENCH_microsim.json
+ * ledger that CI uploads to record the perf trajectory PR over PR).
  *
- * The text form is byte-for-byte the `highlight-bench-v1` JSON that
- * bench_kernels has always emitted — CI's json.tool / grep validation
- * keeps working unchanged — and stays the default for the checked-in
- * ledger, which wants to be diffable. The binary form packs the same
- * rows into the ArtifactFile container (kind "bench") for large
- * sweep histories. Readers auto-detect the format.
+ * The format is byte-for-byte the `highlight-bench-v1` JSON that
+ * bench_kernels has always emitted, so CI's json.tool / grep
+ * validation keeps working and the checked-in ledger stays diffable.
  */
 
 #ifndef HIGHLIGHT_IO_BENCH_IO_HH
@@ -17,13 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "io/codec.hh"
-
 namespace highlight
 {
-
-/** Bumped whenever the bench row schema changes. */
-constexpr int kBenchFileVersion = 1;
 
 /** One benchmark result row. */
 struct BenchEntry
@@ -34,21 +26,11 @@ struct BenchEntry
 };
 
 /**
- * Write a bench summary for `suite` to `path` in `format` (atomically
- * truncating); false on I/O failure. Text is the legacy
- * highlight-bench-v1 JSON, byte-for-byte.
+ * Write the highlight-bench-v1 summary for `suite` to `path`
+ * (truncating); false on I/O failure.
  */
-bool writeBenchFile(const std::string &path, const std::string &suite,
-                    const std::vector<BenchEntry> &entries,
-                    ArtifactFormat format);
-
-/**
- * Read a bench summary in whichever format it was written (container
- * magic sniff). False — leaving *suite / *out empty — on a missing,
- * corrupt, or version-mismatched file; no partial loads.
- */
-bool readBenchFile(const std::string &path, std::string *suite,
-                   std::vector<BenchEntry> *out);
+bool writeBenchJson(const std::string &path, const std::string &suite,
+                    const std::vector<BenchEntry> &entries);
 
 } // namespace highlight
 

@@ -1,7 +1,5 @@
 #include "io/json.hh"
 
-#include <cstdlib>
-
 namespace highlight
 {
 
@@ -16,47 +14,6 @@ jsonQuote(const std::string &s)
     }
     out += '"';
     return out;
-}
-
-bool
-takeJsonString(const std::string &line, const std::string &name,
-               std::size_t *pos, std::string *out)
-{
-    const std::string tag = "\"" + name + "\": \"";
-    const auto at = line.find(tag, *pos);
-    if (at == std::string::npos)
-        return false;
-    out->clear();
-    std::size_t i = at + tag.size();
-    while (i < line.size() && line[i] != '"') {
-        if (line[i] == '\\') {
-            if (i + 1 >= line.size())
-                return false;
-            ++i;
-        }
-        *out += line[i++];
-    }
-    if (i >= line.size())
-        return false; // unterminated string
-    *pos = i + 1;
-    return true;
-}
-
-bool
-takeJsonNumber(const std::string &line, const std::string &name,
-               std::size_t *pos, double *out)
-{
-    const std::string tag = "\"" + name + "\": ";
-    const auto at = line.find(tag, *pos);
-    if (at == std::string::npos)
-        return false;
-    const char *start = line.c_str() + at + tag.size();
-    char *end = nullptr;
-    *out = std::strtod(start, &end);
-    if (end == start)
-        return false;
-    *pos = static_cast<std::size_t>(end - line.c_str());
-    return true;
 }
 
 } // namespace highlight

@@ -1,15 +1,12 @@
 /**
  * @file
- * Minimal JSON emit/scan helpers shared by every text codec: the
- * quoting used by all `--json` dumps, and the strict per-line field
- * scanners the text readers use to round-trip those dumps
- * bit-exactly (numbers print at max_digits10 and parse with strtod).
+ * The JSON string quoting shared by every `--json` dump and the bench
+ * summary writer.
  */
 
 #ifndef HIGHLIGHT_IO_JSON_HH
 #define HIGHLIGHT_IO_JSON_HH
 
-#include <cstddef>
 #include <string>
 
 namespace highlight
@@ -17,22 +14,6 @@ namespace highlight
 
 /** A quoted JSON string (escapes backslash and double-quote). */
 std::string jsonQuote(const std::string &s);
-
-/**
- * Extract the value after `"name": "` in `line` starting at *pos,
- * unescaping \" and \\. Advances *pos past the closing quote on
- * success.
- */
-bool takeJsonString(const std::string &line, const std::string &name,
-                    std::size_t *pos, std::string *out);
-
-/**
- * Extract the number after `"name": ` in `line` starting at *pos
- * (strtod, so max_digits10 dumps round-trip bit-exactly). Advances
- * *pos past the value on success.
- */
-bool takeJsonNumber(const std::string &line, const std::string &name,
-                    std::size_t *pos, double *out);
 
 } // namespace highlight
 

@@ -244,172 +244,39 @@ TEST(Pareto, HighlightOnResnetFrontier)
     }
 }
 
-TEST(ShardRange, PartitionIsDisjointCoveringAndNearEven)
+TEST(FrontierIo, JsonGoldenBytes)
 {
-    for (std::size_t total : {0u, 1u, 5u, 7u, 64u, 1000u}) {
-        for (int count : {1, 2, 3, 7, 13}) {
-            std::size_t expect_begin = 0;
-            std::size_t min_size = total, max_size = 0;
-            for (int i = 0; i < count; ++i) {
-                const auto [lo, hi] = DesignSpaceExplorer::shardRange(
-                    total, i, count);
-                // Contiguous: each shard starts where the previous
-                // ended, so the ranges are disjoint and covering.
-                EXPECT_EQ(lo, expect_begin)
-                    << total << " " << i << "/" << count;
-                EXPECT_LE(lo, hi);
-                expect_begin = hi;
-                min_size = std::min(min_size, hi - lo);
-                max_size = std::max(max_size, hi - lo);
-            }
-            EXPECT_EQ(expect_begin, total);
-            EXPECT_LE(max_size - min_size, 1u) << "uneven split";
-        }
-    }
-    // A pure function: every shard computes the identical partition.
-    const auto once = DesignSpaceExplorer::shardRange(123, 4, 7);
-    EXPECT_EQ(DesignSpaceExplorer::shardRange(123, 4, 7), once);
-    // Degenerate but legal: more shards than work -> empty ranges.
-    const auto empty = DesignSpaceExplorer::shardRange(2, 3, 5);
-    EXPECT_EQ(empty.first, empty.second);
-
-    EXPECT_THROW(DesignSpaceExplorer::shardRange(10, 0, 0), FatalError);
-    EXPECT_THROW(DesignSpaceExplorer::shardRange(10, -1, 4), FatalError);
-    EXPECT_THROW(DesignSpaceExplorer::shardRange(10, 4, 4), FatalError);
-}
-
-TEST(FrontierIo, JsonRoundTripAndFrontierExtraction)
-{
-    const std::string path =
-        ::testing::TempDir() + "frontier_io_roundtrip.json";
+    const std::string path = ::testing::TempDir() + "frontier_golden.json";
     std::remove(path.c_str());
 
-    // Points for two models, input order preserved; values exercise
-    // the max_digits10 round trip (non-representable decimals) and
-    // escaping in labels.
-    std::vector<FrontierEntry> points;
-    points.push_back({"ResNet50", "TC dense", 0.0, 1.0});
-    points.push_back({"ResNet50", "HL 2:4 \"half\"", 0.1,
-                      1.0 / 3.0});          // frontier
-    points.push_back({"ResNet50", "HL 2:8", 0.3, 0.2500000000000001});
-    points.push_back({"ResNet50", "dominated", 0.35, 0.9});
-    points.push_back({"DeiT", "TC dense", 0.0, 1.0});
-    points.push_back({"DeiT", "HL 2:4", 0.2, 0.5});
-
-    ASSERT_TRUE(writeFrontierJson(path, points));
-    std::vector<FrontierEntry> reread;
-    ASSERT_TRUE(readFrontierJson(path, &reread));
-    ASSERT_EQ(reread.size(), points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        EXPECT_EQ(reread[i].model, points[i].model) << i;
-        EXPECT_EQ(reread[i].design, points[i].design) << i;
-        // Bit-exact: the dump uses max_digits10 so strtod recovers
-        // the identical double (the property the sharded-sweep
-        // byte-identity ctest leans on).
-        EXPECT_EQ(reread[i].accuracy_loss, points[i].accuracy_loss)
-            << i;
-        EXPECT_EQ(reread[i].norm_edp, points[i].norm_edp) << i;
-    }
-
-    // Re-dumping the reread entries reproduces the file byte for byte.
-    const std::string copy = path + ".2";
-    ASSERT_TRUE(writeFrontierJson(copy, reread));
-    std::ifstream f1(path), f2(copy);
-    const std::string b1((std::istreambuf_iterator<char>(f1)),
-                         std::istreambuf_iterator<char>());
-    const std::string b2((std::istreambuf_iterator<char>(f2)),
-                         std::istreambuf_iterator<char>());
-    EXPECT_EQ(b1, b2);
-    std::remove(copy.c_str());
+    // Quotes and backslashes in labels are escaped; doubles print at
+    // max_digits10, so a byte-compare of two dumps is a bit-identity
+    // check on the values.
+    const std::vector<FrontierEntry> frontier = {
+        {"ResNet50", "HL 2:4 \"half\"", 0.1, 1.0 / 3.0},
+        {"De\\iT", "TC dense", 0.0, 0.2500000000000001},
+        {"DeiT", "DSTC", 2.5e-7, 1.0},
+    };
+    const auto dump = [&](const std::vector<FrontierEntry> &entries) {
+        EXPECT_TRUE(writeFrontierJson(path, entries));
+        std::ifstream in(path);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    EXPECT_EQ(dump(frontier),
+              "[\n"
+              "  {\"model\": \"ResNet50\", \"design\": "
+              "\"HL 2:4 \\\"half\\\"\", \"accuracy_loss\": "
+              "0.10000000000000001, \"norm_edp\": 0.33333333333333331},\n"
+              "  {\"model\": \"De\\\\iT\", \"design\": \"TC dense\", "
+              "\"accuracy_loss\": 0, \"norm_edp\": 0.25000000000000011},\n"
+              "  {\"model\": \"DeiT\", \"design\": \"DSTC\", "
+              "\"accuracy_loss\": 2.4999999999999999e-07, "
+              "\"norm_edp\": 1}\n"
+              "]\n");
+    EXPECT_EQ(dump({}), "[\n]\n");
+    EXPECT_FALSE(writeFrontierJson("/nonexistent/f.json", frontier));
     std::remove(path.c_str());
-
-    // Frontier extraction is per model, keeps input order, and drops
-    // only dominated points.
-    const auto frontier = frontierOf(points);
-    std::vector<std::string> got;
-    for (const auto &e : frontier)
-        got.push_back(e.model + "/" + e.design);
-    EXPECT_EQ(got, (std::vector<std::string>{
-                       "ResNet50/TC dense", "ResNet50/HL 2:4 \"half\"",
-                       "ResNet50/HL 2:8", "DeiT/TC dense",
-                       "DeiT/HL 2:4"}));
-
-    // Strict reader: garbage clears the output and reports failure.
-    std::vector<FrontierEntry> out = {points[0]};
-    EXPECT_FALSE(readFrontierJson("/nonexistent/f.json", &out));
-    EXPECT_TRUE(out.empty());
-    {
-        std::ofstream bad(path);
-        bad << "[\n  {\"model\": \"X\"}\n]\n";
-    }
-    EXPECT_FALSE(readFrontierJson(path, &out));
-    EXPECT_TRUE(out.empty());
-    std::remove(path.c_str());
-}
-
-TEST(FrontierIo, BinaryContainerRoundTripsAndAutoDetects)
-{
-    const std::string bin_path =
-        ::testing::TempDir() + "frontier_io_roundtrip.bin";
-    const std::string text_path =
-        ::testing::TempDir() + "frontier_io_roundtrip_text.json";
-    std::remove(bin_path.c_str());
-    std::remove(text_path.c_str());
-
-    std::vector<FrontierEntry> points;
-    points.push_back({"ResNet50", "HL 2:4 \"half\"", 0.1, 1.0 / 3.0});
-    points.push_back({"DeiT", "HL 2:8", 0.3, 0.2500000000000001});
-
-    // The binary container carries raw double bit patterns, and
-    // readFrontierFile dispatches on the magic — the same call reads
-    // both a shard's binary dump and a text dump identically.
-    ASSERT_TRUE(writeFrontierFile(bin_path, points,
-                                  ArtifactFormat::Binary));
-    ASSERT_TRUE(writeFrontierFile(text_path, points,
-                                  ArtifactFormat::Text));
-    for (const auto &p : {bin_path, text_path}) {
-        std::vector<FrontierEntry> reread;
-        ASSERT_TRUE(readFrontierFile(p, &reread)) << p;
-        ASSERT_EQ(reread.size(), points.size());
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            EXPECT_EQ(reread[i].model, points[i].model) << p;
-            EXPECT_EQ(reread[i].design, points[i].design) << p;
-            EXPECT_EQ(reread[i].accuracy_loss,
-                      points[i].accuracy_loss)
-                << p;
-            EXPECT_EQ(reread[i].norm_edp, points[i].norm_edp) << p;
-        }
-    }
-    // The text leg is byte-for-byte writeFrontierJson.
-    {
-        const std::string copy = text_path + ".2";
-        ASSERT_TRUE(writeFrontierJson(copy, points));
-        std::ifstream f1(text_path), f2(copy);
-        const std::string b1((std::istreambuf_iterator<char>(f1)),
-                             std::istreambuf_iterator<char>());
-        const std::string b2((std::istreambuf_iterator<char>(f2)),
-                             std::istreambuf_iterator<char>());
-        EXPECT_EQ(b1, b2);
-        std::remove(copy.c_str());
-    }
-
-    // A truncated container is rejected wholesale (supervisors fail
-    // loudly rather than merging a shard's partial points).
-    {
-        std::ifstream in(bin_path, std::ios::binary);
-        const std::string bytes((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
-        in.close();
-        std::ofstream out(bin_path,
-                          std::ios::trunc | std::ios::binary);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size() - 9));
-    }
-    std::vector<FrontierEntry> out = {points[0]};
-    EXPECT_FALSE(readFrontierFile(bin_path, &out));
-    EXPECT_TRUE(out.empty());
-    std::remove(bin_path.c_str());
-    std::remove(text_path.c_str());
 }
 
 } // namespace

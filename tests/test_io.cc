@@ -1,641 +1,29 @@
 /**
  * @file
- * The io/ subsystem: the binary artifact container's round trip and
- * its integrity guarantees (exhaustive truncation and byte-flip
- * rejection — never a crash, never a partial load, never silently
- * wrong data), the cache codec pair (text byte-for-byte against a
- * golden pre-refactor file, binary decoding to equal contents), and
- * the bench summary codec. The EvalCache-level persistence semantics
- * on top of these codecs live in test_cache.cc / test_lock.cc.
+ * The io/ layer: the bench summary writer emits the legacy
+ * highlight-bench-v1 JSON byte for byte.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "common/env.hh"
-#include "io/artifact_file.hh"
 #include "io/bench_io.hh"
-#include "io/cache_codec.hh"
-#include "io/codec.hh"
 
 namespace highlight
 {
 namespace
 {
 
-/** A scratch file path removed on scope exit. */
-struct TempFile
-{
-    explicit TempFile(const std::string &name)
-        : path(::testing::TempDir() + name)
-    {
-        std::remove(path.c_str());
-    }
-    ~TempFile() { std::remove(path.c_str()); }
-    std::string path;
-};
-
-void
-writeBytes(const std::string &path, const std::string &bytes)
-{
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-}
-
-/** A container exercising every column type and hostile string
- *  content (empty, embedded NUL, newline, quote, non-ASCII). */
-ArtifactWriter
-sampleWriter()
-{
-    ArtifactWriter w("sample", 7);
-    w.addU64("ids", {0, 1, 0xffffffffffffffffull, 42});
-    w.addF64("vals", {0.0, -1.5, 1e300, 0.1});
-    w.addStr("names", {"", std::string("nul\0byte", 8), "line\nbreak",
-                       "quote\"back\\slash", "caf\xc3\xa9"});
-    w.addU64("empty_u64", {});
-    w.addStr("empty_str", {});
-    return w;
-}
-
-void
-expectSampleContents(const ArtifactReader &r)
-{
-    const auto *ids = r.u64("ids");
-    ASSERT_NE(ids, nullptr);
-    EXPECT_EQ(*ids, (std::vector<std::uint64_t>{
-                        0, 1, 0xffffffffffffffffull, 42}));
-    const auto *vals = r.f64("vals");
-    ASSERT_NE(vals, nullptr);
-    EXPECT_EQ(*vals, (std::vector<double>{0.0, -1.5, 1e300, 0.1}));
-    const auto *names = r.str("names");
-    ASSERT_NE(names, nullptr);
-    EXPECT_EQ(*names, (std::vector<std::string>{
-                          "", std::string("nul\0byte", 8),
-                          "line\nbreak", "quote\"back\\slash",
-                          "caf\xc3\xa9"}));
-    const auto *empty_u64 = r.u64("empty_u64");
-    ASSERT_NE(empty_u64, nullptr);
-    EXPECT_TRUE(empty_u64->empty());
-    const auto *empty_str = r.str("empty_str");
-    ASSERT_NE(empty_str, nullptr);
-    EXPECT_TRUE(empty_str->empty());
-}
-
-TEST(ArtifactFile, RoundTripsEveryColumnType)
-{
-    const std::string bytes = sampleWriter().bytes();
-
-    ArtifactReader r;
-    ASSERT_EQ(r.parse(bytes, "sample", 7), ArtifactReader::Status::Ok);
-    expectSampleContents(r);
-
-    // Dataset names come back in append order.
-    EXPECT_EQ(r.names(), (std::vector<std::string>{
-                             "ids", "vals", "names", "empty_u64",
-                             "empty_str"}));
-
-    // Typed accessors are strict: wrong type or unknown name is
-    // nullptr, not a coercion.
-    EXPECT_EQ(r.f64("ids"), nullptr);
-    EXPECT_EQ(r.u64("vals"), nullptr);
-    EXPECT_EQ(r.str("ids"), nullptr);
-    EXPECT_EQ(r.u64("nope"), nullptr);
-}
-
-TEST(ArtifactFile, RoundTripsThroughDisk)
-{
-    TempFile file("artifact_roundtrip.bin");
-    {
-        std::ofstream out(file.path,
-                          std::ios::trunc | std::ios::binary);
-        ASSERT_TRUE(sampleWriter().writeTo(out));
-    }
-    EXPECT_TRUE(isArtifactFile(file.path));
-
-    ArtifactReader r;
-    ASSERT_EQ(r.open(file.path, "sample", 7),
-              ArtifactReader::Status::Ok);
-    expectSampleContents(r);
-}
-
-TEST(ArtifactFile, DistinguishesMissingMismatchAndCorrupt)
-{
-    TempFile missing("artifact_missing.bin");
-    ArtifactReader r;
-    EXPECT_EQ(r.open(missing.path, "sample", 7),
-              ArtifactReader::Status::Missing);
-
-    const std::string bytes = sampleWriter().bytes();
-    // Wrong kind / wrong app version: a fully valid container that
-    // simply is not the artifact the caller wants.
-    EXPECT_EQ(r.parse(bytes, "other", 7),
-              ArtifactReader::Status::Mismatch);
-    EXPECT_EQ(r.parse(bytes, "sample", 8),
-              ArtifactReader::Status::Mismatch);
-
-    // Not an artifact file at all.
-    EXPECT_EQ(r.parse("highlight-evalcache v1\n0\n", "sample", 7),
-              ArtifactReader::Status::Corrupt);
-    EXPECT_EQ(r.parse("", "sample", 7),
-              ArtifactReader::Status::Corrupt);
-
-    // A text file on disk is not sniffed as a container.
-    TempFile text("artifact_text.txt");
-    writeBytes(text.path, "just some text\n");
-    EXPECT_FALSE(isArtifactFile(text.path));
-}
-
-TEST(ArtifactFile, RejectsTruncationAtEveryByte)
-{
-    const std::string bytes = sampleWriter().bytes();
-    // Every proper prefix — which covers every chunk boundary — must
-    // be rejected outright: no crash, no partial column exposure.
-    for (std::size_t n = 0; n < bytes.size(); ++n) {
-        ArtifactReader r;
-        EXPECT_NE(r.parse(bytes.substr(0, n), "sample", 7),
-                  ArtifactReader::Status::Ok)
-            << "prefix of " << n << " bytes parsed";
-        EXPECT_EQ(r.u64("ids"), nullptr)
-            << "partial load at " << n << " bytes";
-    }
-}
-
-TEST(ArtifactFile, NeverReturnsWrongDataOnFlippedBytes)
-{
-    const std::string bytes = sampleWriter().bytes();
-    // Flip every byte in turn. Checksummed regions (all payloads, the
-    // directory, the footer) must be rejected; the handful of
-    // unchecksummed bytes (header schema fields read Mismatch,
-    // alignment padding decodes unchanged) may do anything EXCEPT
-    // parse Ok with different contents. FNV-1a's per-byte bijection
-    // makes the checksum rejections deterministic, not probabilistic.
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-        std::string flipped = bytes;
-        flipped[i] = static_cast<char>(flipped[i] ^ 0x41);
-        ArtifactReader r;
-        if (r.parse(flipped, "sample", 7) ==
-            ArtifactReader::Status::Ok)
-            expectSampleContents(r);
-    }
-}
-
-TEST(ArtifactFile, ChecksumChangesOnSingleBitFlips)
-{
-    const char data[] = "highlight artifact checksum probe";
-    const std::uint64_t base = fnv1a64(data, sizeof(data));
-    for (std::size_t byte = 0; byte < sizeof(data); ++byte) {
-        for (int bit = 0; bit < 8; ++bit) {
-            char copy[sizeof(data)];
-            std::memcpy(copy, data, sizeof(data));
-            copy[byte] = static_cast<char>(copy[byte] ^ (1 << bit));
-            EXPECT_NE(fnv1a64(copy, sizeof(copy)), base)
-                << "collision at byte " << byte << " bit " << bit;
-        }
-    }
-}
-
-// --------------------------------------------------------------- salvage
-
-std::uint64_t
-u64At(const std::string &buf, std::size_t pos)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(buf[pos + i]))
-             << (8 * i);
-    return v;
-}
-
-/** Where each dataset's frame + payload lives, recomputed from the
- *  documented layout (not from the salvage code under test): frame =
- *  magic(8) type(8) count(8) size(8) checksum(8) name_len(8) name
- *  (8-padded) frame-checksum(8), then the payload. */
-struct FrameSpan
-{
-    std::string name;
-    std::size_t payload_at = 0;
-    std::size_t payload_end = 0; ///< First byte past the payload.
-};
-
-std::vector<FrameSpan>
-frameSpans(const std::string &bytes)
-{
-    const char magic[8] = {'H', 'L', 'A', 'R', 'T', 'D', 'S', '\n'};
-    std::vector<FrameSpan> spans;
-    for (std::size_t pos = 0; pos + 56 <= bytes.size(); pos += 8) {
-        if (std::memcmp(bytes.data() + pos, magic, 8) != 0)
-            continue;
-        const std::uint64_t size = u64At(bytes, pos + 24);
-        const std::uint64_t name_len = u64At(bytes, pos + 40);
-        FrameSpan s;
-        s.name = bytes.substr(pos + 48,
-                              static_cast<std::size_t>(name_len));
-        const std::size_t padded_name =
-            static_cast<std::size_t>((name_len + 7) & ~7ull);
-        s.payload_at = pos + 48 + padded_name + 8;
-        s.payload_end = s.payload_at + static_cast<std::size_t>(size);
-        spans.push_back(s);
-        // Skip past the payload so magic-looking payload bytes cannot
-        // register as phantom frames in this ground-truth scan.
-        pos = ((s.payload_end + 7) & ~7ull) - 8;
-    }
-    return spans;
-}
-
-/** Every dataset salvage exposed must be bit-exact; a dataset it did
- *  not recover must be wholly absent (nullptr), never partial. */
-void
-expectSalvagedBitExact(const ArtifactReader &r)
-{
-    if (const auto *ids = r.u64("ids"))
-        EXPECT_EQ(*ids, (std::vector<std::uint64_t>{
-                            0, 1, 0xffffffffffffffffull, 42}));
-    if (const auto *vals = r.f64("vals"))
-        EXPECT_EQ(*vals, (std::vector<double>{0.0, -1.5, 1e300, 0.1}));
-    if (const auto *names = r.str("names"))
-        EXPECT_EQ(*names, (std::vector<std::string>{
-                              "", std::string("nul\0byte", 8),
-                              "line\nbreak", "quote\"back\\slash",
-                              "caf\xc3\xa9"}));
-    if (const auto *empty_u64 = r.u64("empty_u64"))
-        EXPECT_TRUE(empty_u64->empty());
-    if (const auto *empty_str = r.str("empty_str"))
-        EXPECT_TRUE(empty_str->empty());
-}
-
-TEST(ArtifactSalvage, IntactFileSalvagesEveryDataset)
-{
-    const std::string bytes = sampleWriter().bytes();
-    ArtifactReader r;
-    EXPECT_EQ(r.salvage(bytes, "sample", 7), 5u);
-    expectSampleContents(r); // full strict contents, not a subset
-}
-
-TEST(ArtifactSalvage, TruncationRecoversExactlyTheIntactDatasets)
-{
-    // The central salvage property, swept at *every* byte boundary: a
-    // prefix of the file yields exactly the datasets whose frame and
-    // payload fit inside it — no fewer (intact data is never
-    // forfeited), no more (a cut payload is never exposed), and what
-    // is recovered is bit-exact.
-    const std::string bytes = sampleWriter().bytes();
-    const auto spans = frameSpans(bytes);
-    const std::vector<std::string> order = {"ids", "vals", "names",
-                                            "empty_u64", "empty_str"};
-    ASSERT_EQ(spans.size(), order.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        ASSERT_EQ(spans[i].name, order[i]);
-
-    for (std::size_t n = 0; n <= bytes.size(); ++n) {
-        std::size_t intact = 0;
-        while (intact < spans.size() &&
-               spans[intact].payload_end <= n)
-            ++intact;
-        ArtifactReader r;
-        ASSERT_EQ(r.salvage(bytes.substr(0, n), "sample", 7), intact)
-            << "prefix of " << n << " bytes";
-        EXPECT_EQ(r.names(),
-                  std::vector<std::string>(order.begin(),
-                                           order.begin() +
-                                               static_cast<long>(
-                                                   intact)));
-        expectSalvagedBitExact(r);
-    }
-}
-
-TEST(ArtifactSalvage, FlippedBytesNeverYieldCorruptData)
-{
-    // Whatever a single flipped byte does — kill the header, a frame,
-    // a payload, or nothing (directory/footer bytes, which salvage
-    // ignores) — every dataset salvage still exposes must be
-    // bit-exact. Corruption may cost data; it may never alter it.
-    const std::string bytes = sampleWriter().bytes();
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-        std::string flipped = bytes;
-        flipped[i] = static_cast<char>(flipped[i] ^ 0x41);
-        ArtifactReader r;
-        EXPECT_LE(r.salvage(flipped, "sample", 7), 5u);
-        expectSalvagedBitExact(r);
-    }
-}
-
-TEST(ArtifactSalvage, DamageInTheMiddleDoesNotForfeitLaterDatasets)
-{
-    // The reason frames exist at all: a directory-driven reader loses
-    // the whole file to one bad byte; the frame scan steps over the
-    // damaged dataset and keeps everything behind it.
-    const std::string bytes = sampleWriter().bytes();
-    const auto spans = frameSpans(bytes);
-    ASSERT_EQ(spans.size(), 5u);
-    ASSERT_GT(spans[1].payload_end, spans[1].payload_at); // "vals"
-
-    std::string damaged = bytes;
-    damaged[spans[1].payload_at] =
-        static_cast<char>(damaged[spans[1].payload_at] ^ 0x41);
-    ArtifactReader r;
-    EXPECT_EQ(r.salvage(damaged, "sample", 7), 4u);
-    EXPECT_EQ(r.names(), (std::vector<std::string>{
-                             "ids", "names", "empty_u64", "empty_str"}));
-    EXPECT_EQ(r.f64("vals"), nullptr);
-    expectSalvagedBitExact(r);
-}
-
-TEST(ArtifactSalvage, ForeignSchemaSalvagesNothing)
-{
-    // With the directory gone the header is the only statement of
-    // what the file is; salvage must refuse to resurrect datasets
-    // from a container of the wrong kind or version — well-checksummed
-    // bytes with the wrong meaning are corruption with extra steps.
-    const std::string bytes = sampleWriter().bytes();
-    ArtifactReader r;
-    EXPECT_EQ(r.salvage(bytes, "other", 7), 0u);
-    EXPECT_EQ(r.salvage(bytes, "sample", 8), 0u);
-    EXPECT_EQ(r.salvage("", "sample", 7), 0u);
-    EXPECT_EQ(r.salvage("highlight-evalcache v1\n0\n", "sample", 7),
-              0u);
-
-    TempFile missing("salvage_missing.bin");
-    EXPECT_EQ(r.salvageFile(missing.path, "sample", 7), 0u);
-}
-
-// ----------------------------------------------------------------- cache
-
-/** The two golden entries, exactly as the pre-io EvalCache persisted
- *  them (captured from a build before the codec extraction). */
-std::vector<CacheFileEntry>
-goldenEntries()
-{
-    CacheFileEntry e1;
-    e1.key = "k|golden|1";
-    e1.result.design = "TC";
-    e1.result.workload = "golden one";
-    e1.result.supported = true;
-    e1.result.cycles = 1234.5;
-    e1.result.clock_mhz = 940.0;
-    e1.result.addEnergy("mac array", 2.5);
-    e1.result.addEnergy("sram", 0.125);
-
-    CacheFileEntry e2;
-    e2.key = "k|golden|2";
-    e2.result.design = "HighLight";
-    e2.result.workload = "golden two";
-    e2.result.supported = false;
-    e2.result.note = "synthetic unsupported, with spaces";
-    e2.result.cycles = 0.0;
-    e2.result.clock_mhz = 1000.0;
-    e2.result.area_um2.push_back({"pe grid", 42.0});
-    return {e1, e2};
-}
-
-const char kGoldenTextCache[] = "highlight-evalcache v1\n"
-                                "2\n"
-                                "key k|golden|1\n"
-                                "design TC\n"
-                                "workload golden one\n"
-                                "supported 1\n"
-                                "note \n"
-                                "cycles 0x1.34ap+10\n"
-                                "clock 0x1.d6p+9\n"
-                                "energy 2\n"
-                                "0x1.4p+1 mac array\n"
-                                "0x1p-3 sram\n"
-                                "area 0\n"
-                                "end\n"
-                                "key k|golden|2\n"
-                                "design HighLight\n"
-                                "workload golden two\n"
-                                "supported 0\n"
-                                "note synthetic unsupported, with spaces\n"
-                                "cycles 0x0p+0\n"
-                                "clock 0x1.f4p+9\n"
-                                "energy 0\n"
-                                "area 1\n"
-                                "0x1.5p+5 pe grid\n"
-                                "end\n";
-
-void
-expectEntriesEqual(const std::vector<CacheFileEntry> &a,
-                   const std::vector<CacheFileEntry> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].key, b[i].key);
-        EXPECT_EQ(a[i].result.design, b[i].result.design);
-        EXPECT_EQ(a[i].result.workload, b[i].result.workload);
-        EXPECT_EQ(a[i].result.supported, b[i].result.supported);
-        EXPECT_EQ(a[i].result.note, b[i].result.note);
-        EXPECT_EQ(a[i].result.cycles, b[i].result.cycles);
-        EXPECT_EQ(a[i].result.clock_mhz, b[i].result.clock_mhz);
-        ASSERT_EQ(a[i].result.energy_pj.size(),
-                  b[i].result.energy_pj.size());
-        for (std::size_t j = 0; j < a[i].result.energy_pj.size(); ++j) {
-            EXPECT_EQ(a[i].result.energy_pj[j].name,
-                      b[i].result.energy_pj[j].name);
-            EXPECT_EQ(a[i].result.energy_pj[j].value,
-                      b[i].result.energy_pj[j].value);
-        }
-        ASSERT_EQ(a[i].result.area_um2.size(),
-                  b[i].result.area_um2.size());
-        for (std::size_t j = 0; j < a[i].result.area_um2.size(); ++j) {
-            EXPECT_EQ(a[i].result.area_um2[j].name,
-                      b[i].result.area_um2[j].name);
-            EXPECT_EQ(a[i].result.area_um2[j].value,
-                      b[i].result.area_um2[j].value);
-        }
-    }
-}
-
-TEST(CacheCodec, TextFormatMatchesGoldenBytes)
-{
-    // The legacy writer, byte-for-byte: the codec extraction must not
-    // move a single character, or pre-refactor caches stop loading
-    // and post-refactor text caches stop loading in old builds.
-    std::ostringstream out;
-    ASSERT_TRUE(writeCacheEntries(out, goldenEntries(),
-                                  ArtifactFormat::Text));
-    EXPECT_EQ(out.str(), kGoldenTextCache);
-
-    TempFile file("golden.evalcache");
-    writeBytes(file.path, kGoldenTextCache);
-    std::vector<CacheFileEntry> decoded;
-    ASSERT_EQ(readCacheFile(file.path, &decoded), CacheReadStatus::Ok);
-    expectEntriesEqual(decoded, goldenEntries());
-}
-
-TEST(CacheCodec, BinaryDecodesToIdenticalContents)
-{
-    const auto golden = goldenEntries();
-    TempFile text_file("codec_eq.text.evalcache");
-    TempFile bin_file("codec_eq.bin.evalcache");
-    for (const auto format :
-         {ArtifactFormat::Text, ArtifactFormat::Binary}) {
-        const auto &path = format == ArtifactFormat::Text
-                               ? text_file.path
-                               : bin_file.path;
-        std::ofstream out(path, std::ios::trunc | std::ios::binary);
-        ASSERT_TRUE(writeCacheEntries(out, golden, format));
-    }
-    EXPECT_FALSE(isArtifactFile(text_file.path));
-    EXPECT_TRUE(isArtifactFile(bin_file.path));
-
-    // Decoded contents are equal across formats — entries, order,
-    // every field bit-exact (text via hexfloat, binary via raw bit
-    // patterns).
-    std::vector<CacheFileEntry> from_text, from_bin;
-    ASSERT_EQ(readCacheFile(text_file.path, &from_text),
-              CacheReadStatus::Ok);
-    ASSERT_EQ(readCacheFile(bin_file.path, &from_bin),
-              CacheReadStatus::Ok);
-    expectEntriesEqual(from_text, golden);
-    expectEntriesEqual(from_bin, golden);
-    expectEntriesEqual(from_text, from_bin);
-}
-
-TEST(CacheCodec, ReadDistinguishesMissingFromRejected)
-{
-    TempFile missing("codec_missing.evalcache");
-    std::vector<CacheFileEntry> out;
-    EXPECT_EQ(readCacheFile(missing.path, &out),
-              CacheReadStatus::Missing);
-
-    TempFile garbage("codec_garbage.evalcache");
-    writeBytes(garbage.path, "not a cache\n");
-    EXPECT_EQ(readCacheFile(garbage.path, &out),
-              CacheReadStatus::Rejected);
-    EXPECT_TRUE(out.empty());
-
-    // A truncated binary cache rejects wholesale too.
-    TempFile truncated("codec_truncated.evalcache");
-    {
-        std::ostringstream full;
-        ASSERT_TRUE(writeCacheEntries(full, goldenEntries(),
-                                      ArtifactFormat::Binary));
-        writeBytes(truncated.path,
-                   full.str().substr(0, full.str().size() / 2));
-    }
-    EXPECT_EQ(readCacheFile(truncated.path, &out),
-              CacheReadStatus::Rejected);
-    EXPECT_TRUE(out.empty());
-}
-
-/** `n` distinct entries spanning several 16-entry codec chunks. */
-std::vector<CacheFileEntry>
-syntheticEntries(int n)
-{
-    std::vector<CacheFileEntry> entries;
-    for (int i = 0; i < n; ++i) {
-        CacheFileEntry e;
-        e.key = "k|synthetic|" + std::to_string(i);
-        e.result.design = i % 2 ? "TC" : "HighLight";
-        e.result.workload = "wl " + std::to_string(i);
-        e.result.supported = (i % 5) != 3;
-        e.result.note = e.result.supported ? "" : "synthetic unsupported";
-        e.result.cycles = 100.0 + i * 0.5;
-        e.result.clock_mhz = 940.0;
-        e.result.addEnergy("mac", 0.25 * i);
-        if (i % 3 == 0)
-            e.result.area_um2.push_back({"pe grid", 1.0 + i});
-        entries.push_back(std::move(e));
-    }
-    return entries;
-}
-
-TEST(CacheCodec, SalvageRecoversWholeChunksFromTruncatedFiles)
-{
-    // 40 entries = chunks of 16 + 16 + 8. Salvage works in whole
-    // chunks: a truncated file yields a chunk-aligned *prefix* of the
-    // entries (a chunk missing any of its columns is dropped whole),
-    // every recovered entry bit-exact. Swept across truncation points
-    // at a prime stride so every alignment class is hit.
-    const auto entries = syntheticEntries(40);
-    std::ostringstream encoded;
-    ASSERT_TRUE(writeCacheEntries(encoded, entries,
-                                  ArtifactFormat::Binary));
-    const std::string bytes = encoded.str();
-    TempFile file("codec_salvage.evalcache");
-
-    std::size_t prev = 0;
-    for (std::size_t n = 0; n <= bytes.size();
-         n = n == bytes.size() ? n + 1 : std::min(n + 7, bytes.size())) {
-        writeBytes(file.path, bytes.substr(0, n));
-        std::vector<CacheFileEntry> recovered;
-        const std::size_t got = salvageCacheFile(file.path, &recovered);
-        ASSERT_EQ(got, recovered.size());
-        ASSERT_TRUE(got == 0 || got == 16 || got == 32 || got == 40)
-            << "non-chunk-aligned salvage of " << got << " entries at "
-            << n << " bytes";
-        ASSERT_GE(got, prev) << "salvage went backwards at " << n;
-        prev = got;
-        expectEntriesEqual(
-            recovered,
-            std::vector<CacheFileEntry>(entries.begin(),
-                                        entries.begin() +
-                                            static_cast<long>(got)));
-    }
-    EXPECT_EQ(prev, 40u); // the intact file salvages everything
-
-    // Deep truncation still warm-starts: 60% of the file must retain
-    // at least the first chunk (the value proposition of salvage over
-    // the strict reader's wholesale rejection).
-    writeBytes(file.path, bytes.substr(0, bytes.size() * 6 / 10));
-    std::vector<CacheFileEntry> partial;
-    EXPECT_GE(salvageCacheFile(file.path, &partial), 16u);
-
-    // Text caches have no frames: salvage refuses, never misparses.
-    TempFile text("codec_salvage.text.evalcache");
-    writeBytes(text.path, kGoldenTextCache);
-    std::vector<CacheFileEntry> none;
-    EXPECT_EQ(salvageCacheFile(text.path, &none), 0u);
-    EXPECT_TRUE(none.empty());
-}
-
-// ----------------------------------------------------------------- bench
-
-TEST(BenchIo, RoundTripsBothFormats)
-{
-    const std::vector<BenchEntry> rows = {
-        {"BM_Microsim/2", 1234.5, 6.25e8},
-        {"BM_CacheLoad/entries:10000/binary:1", 9.875e6, 1.0125e6},
-    };
-    for (const auto format :
-         {ArtifactFormat::Text, ArtifactFormat::Binary}) {
-        TempFile file(std::string("bench_roundtrip.") +
-                      artifactFormatName(format));
-        ASSERT_TRUE(
-            writeBenchFile(file.path, "bench_kernels", rows, format));
-        EXPECT_EQ(isArtifactFile(file.path),
-                  format == ArtifactFormat::Binary);
-
-        std::string suite;
-        std::vector<BenchEntry> decoded;
-        ASSERT_TRUE(readBenchFile(file.path, &suite, &decoded))
-            << artifactFormatName(format);
-        EXPECT_EQ(suite, "bench_kernels");
-        ASSERT_EQ(decoded.size(), rows.size());
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            EXPECT_EQ(decoded[i].name, rows[i].name);
-            EXPECT_EQ(decoded[i].ns_per_op, rows[i].ns_per_op);
-            EXPECT_EQ(decoded[i].items_per_second,
-                      rows[i].items_per_second);
-        }
-    }
-}
-
 TEST(BenchIo, TextFormatIsTheLegacySchema)
 {
-    TempFile file("bench_schema.json");
-    ASSERT_TRUE(writeBenchFile(file.path, "bench_kernels",
-                               {{"BM_PeStep", 4.0, 1e9}},
-                               ArtifactFormat::Text));
-    std::ifstream in(file.path);
+    const std::string path = ::testing::TempDir() + "bench_schema.json";
+    ASSERT_TRUE(writeBenchJson(path, "bench_kernels",
+                               {{"BM_PeStep", 4.0, 1e9}}));
+    std::ifstream in(path);
     std::stringstream buf;
     buf << in.rdbuf();
     EXPECT_EQ(buf.str(),
@@ -646,80 +34,7 @@ TEST(BenchIo, TextFormatIsTheLegacySchema)
               "    {\"name\": \"BM_PeStep\", \"ns_per_op\": 4, "
               "\"items_per_second\": 1000000000}\n"
               "  ]\n}\n");
-}
-
-TEST(BenchIo, RejectsCorruptFiles)
-{
-    TempFile missing("bench_missing.json");
-    std::string suite;
-    std::vector<BenchEntry> rows;
-    EXPECT_FALSE(readBenchFile(missing.path, &suite, &rows));
-
-    TempFile garbage("bench_garbage.json");
-    writeBytes(garbage.path, "{\"schema\": \"something-else\"}\n");
-    EXPECT_FALSE(readBenchFile(garbage.path, &suite, &rows));
-    EXPECT_TRUE(rows.empty());
-}
-
-// ---------------------------------------------------------------- format
-
-TEST(ArtifactFormatParse, IsStrict)
-{
-    ArtifactFormat f = ArtifactFormat::Binary;
-    EXPECT_TRUE(parseArtifactFormat("text", &f));
-    EXPECT_EQ(f, ArtifactFormat::Text);
-    EXPECT_TRUE(parseArtifactFormat("binary", &f));
-    EXPECT_EQ(f, ArtifactFormat::Binary);
-
-    // Strict: case, whitespace and junk are rejected, out untouched.
-    f = ArtifactFormat::Text;
-    EXPECT_FALSE(parseArtifactFormat("Text", &f));
-    EXPECT_FALSE(parseArtifactFormat("binary ", &f));
-    EXPECT_FALSE(parseArtifactFormat("", &f));
-    EXPECT_FALSE(parseArtifactFormat(nullptr, &f));
-    EXPECT_EQ(f, ArtifactFormat::Text);
-
-    EXPECT_STREQ(artifactFormatName(ArtifactFormat::Text), "text");
-    EXPECT_STREQ(artifactFormatName(ArtifactFormat::Binary), "binary");
-}
-
-TEST(ArtifactFormatParse, EnvWarnsAndFallsBackOnJunk)
-{
-    const char *prev = std::getenv("HIGHLIGHT_CACHE_FORMAT");
-    const std::string saved = prev ? prev : "";
-
-    ::unsetenv("HIGHLIGHT_CACHE_FORMAT");
-    EXPECT_EQ(cacheFormatFromEnv(), ArtifactFormat::Binary);
-
-    ::setenv("HIGHLIGHT_CACHE_FORMAT", "text", 1);
-    EXPECT_EQ(cacheFormatFromEnv(), ArtifactFormat::Text);
-    ::setenv("HIGHLIGHT_CACHE_FORMAT", "binary", 1);
-    EXPECT_EQ(cacheFormatFromEnv(), ArtifactFormat::Binary);
-
-    // Junk warns and falls back to the binary default — same contract
-    // as HIGHLIGHT_THREADS, asserted for each rejection shape.
-    for (const char *junk : {"Text", "json", "", " binary", "binary2"}) {
-        ::setenv("HIGHLIGHT_CACHE_FORMAT", junk, 1);
-        EXPECT_EQ(cacheFormatFromEnv(), ArtifactFormat::Binary)
-            << "junk value: '" << junk << "'";
-    }
-
-    if (prev)
-        ::setenv("HIGHLIGHT_CACHE_FORMAT", saved.c_str(), 1);
-    else
-        ::unsetenv("HIGHLIGHT_CACHE_FORMAT");
-}
-
-TEST(ArtifactFormatParse, ChoiceHelperIsStrict)
-{
-    const char *const choices[] = {"alpha", "beta"};
-    EXPECT_EQ(parseChoice("alpha", choices, 2), 0);
-    EXPECT_EQ(parseChoice("beta", choices, 2), 1);
-    EXPECT_EQ(parseChoice("gamma", choices, 2), -1);
-    EXPECT_EQ(parseChoice("", choices, 2), -1);
-    EXPECT_EQ(parseChoice(nullptr, choices, 2), -1);
-    EXPECT_EQ(parseChoice("alph", choices, 2), -1);
-    EXPECT_EQ(parseChoice("alphaa", choices, 2), -1);
+    std::remove(path.c_str());
 }
 
 } // namespace

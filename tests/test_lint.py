@@ -27,8 +27,6 @@ class LintHarness(unittest.TestCase):
         self.root = tempfile.mkdtemp(prefix="lint_test_")
         os.makedirs(os.path.join(self.root, "src", "core"))
         os.makedirs(os.path.join(self.root, "src", "common"))
-        self.write("README.md",
-                   "Sites compiled in: `good-site`, `other-site`.\n")
 
     def tearDown(self):
         shutil.rmtree(self.root)
@@ -160,35 +158,6 @@ class TestAllowEscapeHatch(LintHarness):
             "no-rand",
             "// lint-allow(no-wall-clock): wrong rule named\n"
             "int x = rand();\n")
-
-
-class TestFailpointRegistry(LintHarness):
-    def test_documented_unique_site_clean(self):
-        self.assert_clean(
-            "if (failpointFails(\"good-site\")) return false;\n")
-
-    def test_undocumented_site_fires(self):
-        self.assert_fires(
-            "failpoint-site",
-            "if (failpointFails(\"mystery-site\")) return false;\n")
-
-    def test_duplicate_site_fires(self):
-        self.write("src/core/a.cc",
-                   "bool a() { return failpointFails(\"good-site\"); }\n")
-        self.write("src/core/b.cc",
-                   "bool b() { return failpointFails(\"good-site\"); }\n")
-        status, output = self.run_lint()
-        self.assertEqual(status, 1, output)
-        self.assertIn("[failpoint-site]", output)
-        self.assertIn("globally unique", output)
-        os.remove(os.path.join(self.root, "src/core/a.cc"))
-        os.remove(os.path.join(self.root, "src/core/b.cc"))
-
-    def test_site_is_last_string_argument(self):
-        self.assert_clean(
-            "bool w(std::ostream &o, const std::string &b) {\n"
-            "  return failpointGuardedWrite(o, b, \"other-site\");\n"
-            "}\n")
 
 
 class TestRepoTree(unittest.TestCase):

@@ -156,10 +156,36 @@ TEST(EvalCache, HitReturnsPatchedNameAndCounts)
     EXPECT_EQ(cache.stats().misses, 1u);
 }
 
+TEST(EvalCache, StatsAreExactAndConsistent)
+{
+    const Evaluator ev;
+    const Accelerator &tc = ev.design("TC");
+    EvalCache cache;
+
+    GemmWorkload w;
+    w.name = "w";
+    w.k = w.n = 64;
+    w.a = OperandSparsity::dense();
+    w.b = OperandSparsity::unstructured(0.5);
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 5; ++i) {
+            w.m = 8 + i;
+            cache.evaluate(tc, w);
+        }
+    }
+    cache.noteHit();
+    const auto s = cache.stats();
+    EXPECT_EQ(s.misses, 5u);
+    EXPECT_EQ(s.hits, 11u); // 2 warm rounds x 5 + noteHit
+    EXPECT_EQ(s.lookups(), s.hits + s.misses);
+    EXPECT_EQ(s.insertions, 5u);
+    EXPECT_DOUBLE_EQ(s.hitRate(), 11.0 / 16.0);
+}
+
 TEST(EvalCache, KeyBytesArePinned)
 {
-    // The key is persisted in cache files, so its bytes are a format:
-    // densities print as printf's "%.17g".
+    // Densities print as printf's "%.17g", so distinct densities
+    // never share a key.
     GemmWorkload w;
     w.m = 64;
     w.k = 128;

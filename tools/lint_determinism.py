@@ -2,9 +2,8 @@
 """Repo-specific determinism lint.
 
 The codebase's headline property is byte-identical output and exact
-counters at any thread count, plus resumability across processes.
-A handful of C/C++ APIs silently break that property; this lint keeps
-them out of the tree:
+counters at any thread count. A handful of C/C++ APIs silently break
+that property; this lint keeps them out of the tree:
 
   no-rand           rand()/srand(): hidden global state, not seeded
                     through common/random's explicit Rng.
@@ -21,9 +20,6 @@ them out of the tree:
   no-raw-env        getenv()/atoi()/atol(): env knobs must go through
                     src/common/env.{hh,cc} (strict parsing, one
                     auditable getenv).
-  failpoint-site    every failpoint site literal must be globally
-                    unique (one call site per name) and documented in
-                    README.md.
 
 Escape hatch — on the offending line or the line just above:
 
@@ -67,8 +63,7 @@ PATTERN_RULES = {
     "no-raw-env": (
         re.compile(r"\b(?:getenv|atoi|atol)\s*\("),
         "raw getenv/atoi bypass the strict parsing in "
-        "src/common/env.hh (stringFromEnv / positiveIntFromEnv / "
-        "choiceFromEnv)",
+        "src/common/env.hh (stringFromEnv / positiveIntFromEnv)",
     ),
 }
 
@@ -84,15 +79,10 @@ UNORDERED_DECL_RE = re.compile(
 )
 RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;)]*?:\s*([^)]+)\)")
 
-FAILPOINT_CALL_RE = re.compile(
-    r"\bfailpoint(?:Fails|Hit|GuardedWrite)\s*\(([^;]*?)\)", re.S
-)
-STRING_LIT_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
-
-def strip_code(text, keep_strings=False):
-    """Blank out comments (and string/char literals unless
-    keep_strings) with spaces, preserving line structure."""
+def strip_code(text):
+    """Blank out comments and string/char literals with spaces,
+    preserving line structure."""
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -114,20 +104,17 @@ def strip_code(text, keep_strings=False):
                 i += 2
         elif ch in "\"'":
             quote = ch
-            out.append(ch if keep_strings else " ")
+            out.append(" ")
             i += 1
             while i < n and text[i] != quote:
                 if text[i] == "\\" and i + 1 < n:
-                    out.append(text[i:i + 2] if keep_strings else "  ")
+                    out.append("  ")
                     i += 2
                     continue
-                if keep_strings:
-                    out.append(text[i])
-                else:
-                    out.append("\n" if text[i] == "\n" else " ")
+                out.append("\n" if text[i] == "\n" else " ")
                 i += 1
             if i < n:
-                out.append(quote if keep_strings else " ")
+                out.append(" ")
                 i += 1
         else:
             out.append(ch)
@@ -165,7 +152,7 @@ def path_exempt(rel, rule):
     return any(frag in rel for frag in RULE_ALLOWED_PATHS.get(rule, ()))
 
 
-def lint_file(root, rel, readme_sites, seen_sites, violations):
+def lint_file(root, rel, violations):
     path = os.path.join(root, rel)
     with open(path, encoding="utf-8") as f:
         text = f.read()
@@ -217,40 +204,6 @@ def lint_file(root, rel, readme_sites, seen_sites, violations):
                        "view, or lint-allow if provably "
                        "order-independent" % base)
 
-    # failpoint-site registry: unique site literals, documented in
-    # README. The failpoint implementation itself is exempt (it names
-    # no sites, only parses them).
-    if "common/failpoint." in rel:
-        return
-    with_strings = strip_code(text, keep_strings=True)
-    for m in FAILPOINT_CALL_RE.finditer(with_strings):
-        lits = STRING_LIT_RE.findall(m.group(1))
-        if not lits:
-            continue
-        site = lits[-1]  # the site is the last string argument
-        lineno = with_strings.count("\n", 0, m.start()) + 1
-        if site in seen_sites:
-            prev = seen_sites[site]
-            report(lineno, "failpoint-site",
-                   "failpoint site '%s' already used at %s:%d; site "
-                   "strings must be globally unique" %
-                   (site, prev[0], prev[1]))
-        else:
-            seen_sites[site] = (rel, lineno)
-        if site not in readme_sites:
-            report(lineno, "failpoint-site",
-                   "failpoint site '%s' is not documented in "
-                   "README.md (add it to the fault-injection site "
-                   "list, formatted as `%s`)" % (site, site))
-
-
-def load_readme_sites(root):
-    readme = os.path.join(root, "README.md")
-    if not os.path.exists(readme):
-        return set()
-    with open(readme, encoding="utf-8") as f:
-        return set(re.findall(r"`([\w][\w-]*)`", f.read()))
-
 
 def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -263,7 +216,6 @@ def main(argv):
               file=sys.stderr)
         return 2
 
-    readme_sites = load_readme_sites(root)
     files = []
     for d in SCAN_DIRS:
         top = os.path.join(root, d)
@@ -277,9 +229,8 @@ def main(argv):
     files.sort()
 
     violations = []
-    seen_sites = {}
     for rel in files:
-        lint_file(root, rel, readme_sites, seen_sites, violations)
+        lint_file(root, rel, violations)
 
     for rel, lineno, rule, msg in violations:
         print("%s:%d: [%s] %s" % (rel, lineno, rule, msg))
