@@ -13,8 +13,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -188,6 +190,54 @@ BENCHMARK(BM_MicrosimFig16)
     ->ArgsProduct({{0, 1}, {1, 4}, {1, 8}})
     ->ArgNames({"compress_b", "threads", "group_rows"})
     ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * The row-group steady state alone: RowGroupWorker::runGroup over all
+ * 32 rows of a prebuilt context with BM_MicrosimFig16's operands, in
+ * groups of the second argument, on the calling thread. Compressing A,
+ * building and compressing the B stream, the pool and the stats fold
+ * stay outside the timed loop, so the ledger can attribute a change
+ * in BM_MicrosimFig16 to the steady state or to the phases around it.
+ */
+void
+BM_RowGroupSteadyState(benchmark::State &state)
+{
+    const bool compress_b = state.range(0) != 0;
+    const int group_rows = static_cast<int>(state.range(1));
+    const HssSpec &spec = benchSpec();
+    Rng rng_a(42), rng_b(7);
+    const std::int64_t m = 32, k = 1024, n = 128;
+    const auto a = hssSparsify(
+        randomDense(TensorShape({{"M", m}, {"K", k}}), rng_a), spec);
+    auto b = randomDense(TensorShape({{"K", k}, {"N", n}}), rng_b);
+    if (compress_b)
+        b = unstructuredSparsify(b, 0.65);
+
+    const HierarchicalCpMatrix a_cp(a, spec);
+    const std::vector<float> stream =
+        buildOrderedBStream(b, spec.totalSpan());
+    std::unique_ptr<OperandBStream> b_comp;
+    if (compress_b)
+        b_comp = std::make_unique<OperandBStream>(
+            stream.data(), static_cast<std::int64_t>(stream.size()),
+            spec.rank(0).h, spec.rank(1).h);
+    const SimContext ctx = makeSimContext(a_cp, b_comp.get(), stream, n);
+
+    RowGroupWorker worker(ctx, group_rows);
+    DenseTensor out(TensorShape({{"M", m}, {"N", n}}));
+    for (auto _ : state) {
+        std::fill(out.data().begin(), out.data().end(), 0.0f);
+        for (std::int64_t row = 0; row < m; row += group_rows)
+            worker.runGroup(row, group_rows, out);
+        benchmark::DoNotOptimize(out.data().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * m * ctx.groups * n);
+}
+BENCHMARK(BM_RowGroupSteadyState)
+    ->ArgsProduct({{0, 1}, {1, 8}})
+    ->ArgNames({"compress_b", "group_rows"})
     ->Unit(benchmark::kMillisecond);
 
 /** The VFMU ring buffer alone: variable shifts over aligned rows. */

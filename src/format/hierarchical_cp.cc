@@ -201,7 +201,7 @@ constexpr std::int64_t kCompressRowBlock = 8;
 
 HierarchicalCpMatrix::HierarchicalCpMatrix(const DenseTensor &matrix,
                                            const HssSpec &spec)
-    : shape_(matrix.shape())
+    : shape_(matrix.shape()), spec_(spec)
 {
     if (shape_.rank() != 2)
         fatal("HierarchicalCpMatrix: expected a rank-2 matrix");

@@ -128,6 +128,8 @@ class HierarchicalCpMatrix
     {
         return static_cast<std::int64_t>(rows_.size());
     }
+    std::int64_t cols() const { return shape_.dim(1).extent; }
+    const HssSpec &spec() const { return spec_; }
 
     /** Reconstruct the dense matrix. */
     DenseTensor decompress() const;
@@ -146,6 +148,7 @@ class HierarchicalCpMatrix
 
   private:
     TensorShape shape_;
+    HssSpec spec_;
     std::vector<HierarchicalCpRow> rows_;
 };
 

@@ -9,8 +9,11 @@
  * gates when the selected B value (or the lane's A dummy) is zero, and
  * contributes to the PE's partial sum.
  *
- * The pointer-based loadBlock/step overloads are the hot-loop entry
- * points: they never allocate (the G0 lane registers are sized once at
+ * MicroPe models one PE on its own: DssoSimulator's datapath and the
+ * unit tests step it directly. HighlightSimulator's row-group worker
+ * steps whole lane tables instead, through the same gatedProduct(), so
+ * the two produce the same bits. The pointer-based loadBlock/step
+ * overloads never allocate (the G0 lane registers are sized once at
  * construction), and step() gates lanes without a data-dependent
  * branch.
  */
@@ -43,6 +46,34 @@ struct PeStats
 };
 
 /**
+ * One MAC lane's contribution to a partial sum: a * b when `live`,
+ * else +0.0.
+ *
+ * A lane whose A or selected B value is zero (of either sign) is gated
+ * and adds +0.0 to the partial sum. That is the identity on the sum:
+ * it starts at +0.0 and cannot become -0.0 (a product of nonzero
+ * floats is a nonzero double, and a rounded sum is -0.0 only when both
+ * addends are), so the effectual lanes add up in lane order exactly as
+ * if the gated ones were skipped. The gate masks the product's bits
+ * instead of branching, because B sparsity makes such a branch
+ * unpredictable; a masked inf * 0 or NaN * 0 product still adds +0.0,
+ * where scaling the product by a 0/1 factor would add NaN. The mask
+ * also keeps the compiler from contracting the caller's multiply-add
+ * into an FMA, so every build rounds the same way.
+ */
+inline double
+gatedProduct(double a, double b, bool live)
+{
+    const double prod = a * b;
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &prod, sizeof bits);
+    bits &= -static_cast<std::uint64_t>(live);
+    double contribution = 0.0;
+    std::memcpy(&contribution, &bits, sizeof contribution);
+    return contribution;
+}
+
+/**
  * One PE with G0 MAC lanes.
  */
 class MicroPe
@@ -64,18 +95,8 @@ class MicroPe
     /**
      * Process one step against a dense-expanded B block of `b_len`
      * values (offsets past `b_len` select the dummy zero). Returns the
-     * PE's partial-sum contribution. Allocation free.
-     *
-     * A lane whose A or selected B value is zero (of either sign) is
-     * gated and adds +0.0 to the partial sum. That is the identity on
-     * the sum: it starts at +0.0 and cannot become -0.0 (a product of
-     * nonzero floats is a nonzero double, and a rounded sum is -0.0
-     * only when both addends are), so the effectual lanes add up in
-     * lane order exactly as if the gated ones were skipped. The gate
-     * masks the product's bits instead of branching, because B
-     * sparsity makes such a branch unpredictable; a masked inf * 0 or
-     * NaN * 0 product still adds +0.0, where scaling the product by a
-     * 0/1 factor would add NaN.
+     * PE's partial-sum contribution: the lanes' gatedProduct()s added
+     * in lane order to +0.0. Allocation free.
      */
     double
     step(const float *b_block, int b_len)
@@ -91,16 +112,9 @@ class MicroPe
                             : 0.0f;
             // Gating SAF: a gated MAC stays idle; the cycle is still
             // spent so PEs remain in sync (Sec 6.4).
-            const int live = static_cast<int>(a != 0.0f) &
-                             static_cast<int>(b != 0.0f);
-            const double prod =
-                static_cast<double>(a) * static_cast<double>(b);
-            std::uint64_t bits = 0;
-            std::memcpy(&bits, &prod, sizeof bits);
-            bits &= -static_cast<std::uint64_t>(live);
-            double contribution = 0.0;
-            std::memcpy(&contribution, &bits, sizeof contribution);
-            psum += contribution;
+            const bool live = (a != 0.0f) & (b != 0.0f);
+            psum += gatedProduct(static_cast<double>(a),
+                                 static_cast<double>(b), live);
             effectual += live;
         }
         stats_.mux_selects += g0_;
@@ -112,26 +126,7 @@ class MicroPe
     /** As above from a vector. */
     double step(const std::vector<float> &b_block);
 
-    /**
-     * Account one step against an all-zero B block without reading
-     * one: every lane selects through the mux and is gated, and the
-     * partial-sum contribution is +0.0. Moves the counters exactly as
-     * step() does on such a block.
-     */
-    void
-    gatedStep()
-    {
-        stats_.mux_selects += g0_;
-        stats_.gated_macs += g0_;
-    }
-
     const PeStats &stats() const { return stats_; }
-
-    /**
-     * Zero the activity counters (stationary operands are untouched),
-     * so callers can fold per-pass deltas like the GLB/VFMU resets do.
-     */
-    void resetStats() { stats_ = PeStats{}; }
 
     int g0() const { return g0_; }
 

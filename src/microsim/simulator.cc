@@ -68,8 +68,82 @@ buildOrderedBStream(const DenseTensor &b, std::int64_t set_span)
     return stream;
 }
 
+SimContext
+makeSimContext(const HierarchicalCpMatrix &a_cp,
+               const OperandBStream *b_comp,
+               const std::vector<float> &stream, std::int64_t n,
+               const MicrosimConfig &config)
+{
+    const HssSpec &spec = a_cp.spec();
+    SimContext ctx;
+    ctx.a_cp = &a_cp;
+    ctx.b_comp = b_comp;
+    ctx.stream = b_comp != nullptr ? b_comp->valuesData() : stream.data();
+    ctx.stream_len = b_comp != nullptr
+                         ? b_comp->dataWords()
+                         : static_cast<std::int64_t>(stream.size());
+    ctx.glb_row_words = config.glb_row_words;
+    ctx.two_rank = spec.numRanks() > 1;
+    ctx.g0 = spec.rank(0).g;
+    ctx.h0 = spec.rank(0).h;
+    ctx.g1 = ctx.two_rank ? spec.rank(1).g : 1;
+    ctx.h1 = ctx.two_rank ? spec.rank(1).h : 1;
+    const int set_span = ctx.h0 * ctx.h1;
+    ctx.vfmu_capacity =
+        config.vfmu_capacity_words != 0
+            ? config.vfmu_capacity_words
+            : std::max({2 * set_span, 2 * config.glb_row_words,
+                        set_span + config.glb_row_words});
+    ctx.groups = a_cp.cols() / set_span;
+    ctx.n = n;
+    return ctx;
+}
+
 namespace
 {
+
+/**
+ * Rows one column step advances side by side: the worker steps a
+ * group's rows in tiles of this many, and any leftover rows (fewer
+ * than a tile) one at a time. A tile's sums stay in registers, and
+ * its rows' independent addition chains overlap in the pipeline.
+ */
+constexpr int kTileRows = 4;
+
+/**
+ * One processing step of a tile of W rows whose lane tables are
+ * interleaved, [lane][row]: every lane gates through gatedProduct(),
+ * each row's PE partial sums and row sum accumulate in double exactly
+ * as G1 MicroPe steps would (lanes in order within a PE, PEs in order
+ * within the row, each sum from +0.0), and each row adds its sum to
+ * its output, `out[w * out_stride]`. Returns the effectual lanes.
+ */
+template <int W>
+inline std::int64_t
+stepTile(const double *a, const std::int32_t *b_idx, const float *set,
+         int g1, int g0, float *out, std::int64_t out_stride)
+{
+    double row_sum[W] = {};
+    std::int64_t effectual = 0;
+    for (int p = 0; p < g1; ++p) {
+        double pe_sum[W] = {};
+        for (int l = 0; l < g0; ++l) {
+            for (int w = 0; w < W; ++w) {
+                const double b = set[b_idx[w]];
+                const bool live = b != 0.0;
+                pe_sum[w] += gatedProduct(a[w], b, live);
+                effectual += live;
+            }
+            a += W;
+            b_idx += W;
+        }
+        for (int w = 0; w < W; ++w)
+            row_sum[w] += pe_sum[w];
+    }
+    for (int w = 0; w < W; ++w)
+        out[w * out_stride] += static_cast<float>(row_sum[w]);
+    return effectual;
+}
 
 /**
  * Cold path of the short-read check: building the message costs an
@@ -94,22 +168,109 @@ RowGroupWorker::RowGroupWorker(const SimContext &ctx,
     if (group_capacity_ < 1)
         fatal(msgOf("RowGroupWorker: group capacity ", group_capacity_,
                     " < 1"));
-    const std::size_t set_span =
-        static_cast<std::size_t>(ctx_.h0) * static_cast<std::size_t>(ctx_.h1);
+    // Every read of the steady state is unchecked, so the hand-built
+    // contexts of tests and benchmarks are checked here once against
+    // what they point at.
+    if (ctx_.a_cp == nullptr)
+        fatal("RowGroupWorker: context has no compressed operand A");
+    const HssSpec &spec = ctx_.a_cp->spec();
+    const bool spec_two_rank = spec.numRanks() == 2;
+    if (spec.numRanks() < 1 || spec.numRanks() > 2 ||
+        spec_two_rank != ctx_.two_rank ||
+        spec.rank(0).g != ctx_.g0 || spec.rank(0).h != ctx_.h0 ||
+        (spec_two_rank ? spec.rank(1).g : 1) != ctx_.g1 ||
+        (spec_two_rank ? spec.rank(1).h : 1) != ctx_.h1)
+        fatal(msgOf("RowGroupWorker: context geometry (g0=", ctx_.g0,
+                    " h0=", ctx_.h0, " g1=", ctx_.g1, " h1=", ctx_.h1,
+                    " two_rank=", ctx_.two_rank,
+                    ") disagrees with operand A's spec ", spec.str()));
+    const std::int64_t set_span =
+        static_cast<std::int64_t>(ctx_.h0) * ctx_.h1;
+    if (ctx_.groups < 0 || ctx_.n < 0 ||
+        ctx_.a_cp->cols() != ctx_.groups * set_span)
+        fatal(msgOf("RowGroupWorker: ", ctx_.groups, " groups of ",
+                    set_span, " do not span operand A's ",
+                    ctx_.a_cp->cols(), " columns (n=", ctx_.n, ")"));
+    const std::int64_t stream_words = ctx_.groups * ctx_.n * set_span;
+    const OperandBStream *const bc = ctx_.b_comp;
+    if (bc != nullptr &&
+        (bc->h0() != ctx_.h0 || bc->h1() != ctx_.h1 ||
+         bc->length() != stream_words))
+        fatal(msgOf("RowGroupWorker: compressed operand B (h0=",
+                    bc->h0(), " h1=", bc->h1(), " length=",
+                    bc->length(), ") was not built for h0=", ctx_.h0,
+                    " h1=", ctx_.h1, " length=", stream_words));
+    const std::int64_t max_len =
+        bc != nullptr ? bc->dataWords() : stream_words;
+    if (ctx_.stream_len > max_len)
+        fatal(msgOf("RowGroupWorker: stream_len ", ctx_.stream_len,
+                    " exceeds the ", max_len, " words of operand B"));
+
     const std::size_t cap = static_cast<std::size_t>(group_capacity_);
-    const std::size_t pe_slots =
-        cap * static_cast<std::size_t>(ctx_.g1);
-    pes_.reserve(pe_slots);
-    for (std::size_t p = 0; p < pe_slots; ++p)
-        pes_.emplace_back(ctx_.g0);
-    block_offsets_.assign(pe_slots, 0);
-    words_.assign(set_span, 0.0f);
-    blocks_.assign(set_span, 0.0f);
+    const std::size_t lanes = cap * static_cast<std::size_t>(ctx_.g1) *
+                              static_cast<std::size_t>(ctx_.g0);
+    lane_a_.assign(lanes, 0.0);
+    lane_b_.assign(lanes, 0);
+    words_.assign(static_cast<std::size_t>(set_span), 0.0f);
+    set_.assign(static_cast<std::size_t>(set_span) + 1, 0.0f);
     selected_blocks_.assign(static_cast<std::size_t>(ctx_.h1), 0);
     block_selected_.assign(static_cast<std::size_t>(ctx_.h1), 0);
-    row_vals_.assign(cap, nullptr);
-    row_offs0_.assign(cap, nullptr);
-    row_offs1_.assign(cap, nullptr);
+}
+
+void
+RowGroupWorker::loadKGroup(std::int64_t g, std::int64_t row0, int nrows)
+{
+    const int g0 = ctx_.g0, g1 = ctx_.g1, h0 = ctx_.h0;
+    const int lanes_per_row = g1 * g0;
+    const std::int32_t zero_slot = h0 * ctx_.h1;
+    // The blocks the lanes read stay fixed for the whole K-group, so
+    // the compressed path expands just these, collected once here
+    // rather than deduplicated again for every column.
+    std::fill(block_selected_.begin(), block_selected_.end(), 0);
+    num_selected_ = 0;
+    const int full = nrows / kTileRows * kTileRows;
+    for (int r = 0; r < nrows; ++r) {
+        // Row r's lane j sits at [j][r - first] of the tile that
+        // starts at row `first`: a full tile, or r alone past them.
+        const int width = r < full ? kTileRows : 1;
+        const int first = r < full ? r / kTileRows * kTileRows : r;
+        const std::size_t base =
+            static_cast<std::size_t>(first * lanes_per_row + r - first);
+        double *a_out = lane_a_.data() + base;
+        std::int32_t *b_out = lane_b_.data() + base;
+        const HierarchicalCpRow &cp = ctx_.a_cp->row(row0 + r);
+        const float *cp_vals = cp.values().data();
+        const std::uint8_t *cp_offs0 = cp.offsets(0).data();
+        const std::uint8_t *cp_offs1 =
+            ctx_.two_rank ? cp.offsets(1).data() : nullptr;
+        for (int p = 0; p < g1; ++p) {
+            // Rank-1 skipping SAF: this PE's selected block (real or
+            // dummy) stays stationary for the whole K-group.
+            const std::int64_t entry = g * g1 + p;
+            const std::size_t block = ctx_.two_rank ? cp_offs1[entry] : 0;
+            const float *vals = cp_vals + entry * g0;
+            const std::uint8_t *offs = cp_offs0 + entry * g0;
+            bool all_dummy = true;
+            for (int l = 0; l < g0; ++l) {
+                // Rank-0 mux: a dummy lane (A = 0) or an offset past
+                // the block selects the zero slot, so it always gates.
+                const float a = vals[l];
+                const bool reads_b = a != 0.0f && offs[l] < h0;
+                const int j = p * g0 + l;
+                a_out[j * width] = static_cast<double>(a);
+                b_out[j * width] =
+                    reads_b ? static_cast<std::int32_t>(block) * h0 + offs[l]
+                            : zero_slot;
+                all_dummy &= a == 0.0f;
+                if (reads_b && block_selected_[block] == 0) {
+                    block_selected_[block] = 1;
+                    selected_blocks_[num_selected_++] =
+                        static_cast<std::uint8_t>(block);
+                }
+            }
+            stats_.dummy_blocks += all_dummy;
+        }
+    }
 }
 
 void
@@ -118,21 +279,18 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
     if (nrows < 1 || nrows > group_capacity_)
         fatal(msgOf("RowGroupWorker: group of ", nrows,
                     " rows exceeds capacity ", group_capacity_));
-    const int g0 = ctx_.g0, g1 = ctx_.g1, h0 = ctx_.h0, h1 = ctx_.h1;
     const std::int64_t n = ctx_.n;
+    if (out.shape().rank() != 2 || out.shape().dim(1).extent != n ||
+        row0 < 0 || out.shape().dim(0).extent < row0 + nrows)
+        fatal(msgOf("RowGroupWorker: output ", out.shape().str(),
+                    " cannot hold rows [", row0, ", ", row0 + nrows,
+                    ") of ", n, " columns"));
+    const int g0 = ctx_.g0, g1 = ctx_.g1, h0 = ctx_.h0, h1 = ctx_.h1;
     const std::int64_t set_span =
         static_cast<std::int64_t>(h0) * h1;
     const OperandBStream *const bc = ctx_.b_comp;
     const bool compress_b = bc != nullptr;
-
-    // Resolve the group's compressed-A row pointers once.
-    for (int r = 0; r < nrows; ++r) {
-        const HierarchicalCpRow &cp = ctx_.a_cp->row(row0 + r);
-        const std::size_t rr = static_cast<std::size_t>(r);
-        row_vals_[rr] = cp.values().data();
-        row_offs0_[rr] = cp.offsets(0).data();
-        row_offs1_[rr] = ctx_.two_rank ? cp.offsets(1).data() : nullptr;
-    }
+    const int lanes_per_row = g1 * g0;
 
     // Fresh streaming state per group: the B stream runs through the
     // shared VFMU exactly once, broadcast to every row. Component
@@ -140,52 +298,15 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
     // restream-equivalently, once per row — below.
     glb_.reset();
     vfmu_.reset();
-    for (auto &pe : pes_)
-        pe.resetStats();
 
-    const std::size_t pe_slots =
-        static_cast<std::size_t>(nrows) * static_cast<std::size_t>(g1);
+    float *const set = set_.data();
+    const double *const lane_a = lane_a_.data();
+    const std::int32_t *const lane_b = lane_b_.data();
+    float *const out_data = out.data().data();
+    const int full = nrows / kTileRows * kTileRows;
+    std::int64_t effectual = 0;
     for (std::int64_t g = 0; g < ctx_.groups; ++g) {
-        // Rank-1 skipping SAF: load each row's G1 selected blocks
-        // (real or dummy) stationary into that row's PEs for this
-        // group.
-        for (int r = 0; r < nrows; ++r) {
-            const std::size_t rr = static_cast<std::size_t>(r);
-            const float *cp_vals = row_vals_[rr];
-            const std::uint8_t *cp_offs0 = row_offs0_[rr];
-            const std::uint8_t *cp_offs1 = row_offs1_[rr];
-            const std::size_t pe_base =
-                rr * static_cast<std::size_t>(g1);
-            for (int p = 0; p < g1; ++p) {
-                const std::int64_t entry = g * g1 + p;
-                block_offsets_[pe_base + static_cast<std::size_t>(p)] =
-                    ctx_.two_rank ? cp_offs1[entry] : 0;
-                const float *lane_vals = cp_vals + entry * g0;
-                const std::uint8_t *lane_offs = cp_offs0 + entry * g0;
-                bool all_dummy = true;
-                for (int l = 0; l < g0; ++l)
-                    all_dummy &= lane_vals[l] == 0.0f;
-                pes_[pe_base + static_cast<std::size_t>(p)].loadBlock(
-                    lane_vals, lane_offs);
-                stats_.a_words_loaded += g0;
-                stats_.dummy_blocks += all_dummy;
-            }
-        }
-
-        // The blocks the rows' rank-1 SAFs selected stay fixed for the
-        // whole K-group, so the distinct ones are collected once here
-        // rather than deduplicated again for every column.
-        std::size_t num_selected = 0;
-        if (compress_b) {
-            std::fill(block_selected_.begin(), block_selected_.end(), 0);
-            for (std::size_t s = 0; s < pe_slots; ++s) {
-                const std::uint8_t j = block_offsets_[s];
-                if (block_selected_[j] == 0) {
-                    block_selected_[j] = 1;
-                    selected_blocks_[num_selected++] = j;
-                }
-            }
-        }
+        loadKGroup(g, row0, nrows);
 
         for (std::int64_t col = 0; col < n; ++col) {
             // One shared VFMU shift for this (group, column) set,
@@ -193,19 +314,14 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
             const std::int64_t set_idx = g * n + col;
             if (compress_b) {
                 const std::int64_t count = bc->setCountAt(set_idx);
-                if (count == 0) {
-                    // An all-zero set: the VFMU does not shift
-                    // (readShift(0) touches no counter), every lane of
-                    // every PE selects a zero and gates, and each row's
-                    // partial sum is +0.0. Adding +0.0 leaves an output
-                    // unchanged (outputs start at +0.0 and never become
-                    // -0.0), so the step is charged without being run.
-                    for (std::size_t s = 0; s < pe_slots; ++s)
-                        pes_[s].gatedStep();
-                    stats_.cycles += nrows;
-                    stats_.psum_updates += nrows;
+                // An all-zero set: the VFMU does not shift (readShift(0)
+                // touches no counter), every lane gates, and each row's
+                // partial sum is +0.0. Adding +0.0 leaves an output
+                // unchanged (outputs start at +0.0 and never become
+                // -0.0), and every counter the step moves is charged in
+                // closed form below, so the set costs nothing here.
+                if (count == 0)
                     continue;
-                }
                 const int got = vfmu_.readShift(
                     static_cast<int>(count), words_.data());
                 if (got != count)
@@ -213,23 +329,22 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
                 // Expand each selected block straight from the
                 // level-2/3 metadata, once per step no matter how many
                 // rows selected it: the block is zeroed (H0 words) and
-                // scattered just before the PEs read it, so no
+                // scattered just before the lanes read it, so no
                 // all-zero invariant, and no per-step fill over the
                 // whole H1*H0 array, is needed. Unselected blocks are
-                // never touched: no PE reads them.
+                // never touched: no lane reads them.
                 const std::int64_t first_block = set_idx * h1;
                 const std::int64_t set_start =
                     first_block == 0 ? 0
                                      : bc->blockEndAt(first_block - 1);
-                for (std::size_t i = 0; i < num_selected; ++i) {
+                for (std::size_t i = 0; i < num_selected_; ++i) {
                     const int j = selected_blocks_[i];
                     const std::int64_t blk = first_block + j;
                     const std::int64_t begin =
                         blk == 0 ? 0 : bc->blockEndAt(blk - 1);
                     const std::int64_t end = bc->blockEndAt(blk);
                     float *block_j =
-                        blocks_.data() +
-                        static_cast<std::int64_t>(j) * h0;
+                        set + static_cast<std::int64_t>(j) * h0;
                     std::fill(block_j, block_j + h0, 0.0f);
                     for (std::int64_t w = begin; w < end; ++w) {
                         block_j[bc->offsetAt(w)] = words_
@@ -241,41 +356,41 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
                 // read straight into the aligned block array; for
                 // H1 < Hmax the tail slots would be dummy padding
                 // never selected by the rank-1 SAF.
-                const int got = vfmu_.readShift(
-                    static_cast<int>(set_span), blocks_.data());
+                const int got =
+                    vfmu_.readShift(static_cast<int>(set_span), set);
                 if (got != set_span)
                     truncatedStream(set_idx, set_span, got);
             }
 
-            // One processing step per row: each row's PEs in
-            // parallel, partial sums spatially accumulated, then one
-            // RF update per row — the exact serial per-row operation
+            // One processing step for every row of the group, a tile
+            // of rows at a time — the exact serial per-row operation
             // sequence, so outputs are byte-identical to ungrouped
             // execution.
-            for (int r = 0; r < nrows; ++r) {
-                const std::size_t pe_base =
-                    static_cast<std::size_t>(r) *
-                    static_cast<std::size_t>(g1);
-                double psum = 0.0;
-                for (int p = 0; p < g1; ++p) {
-                    const std::size_t slot =
-                        pe_base + static_cast<std::size_t>(p);
-                    const float *blk =
-                        blocks_.data() +
-                        static_cast<std::int64_t>(
-                            block_offsets_[slot]) *
-                            h0;
-                    psum += pes_[slot].step(blk, h0);
-                }
-                ++stats_.cycles;
-                ++stats_.psum_updates;
-                const std::int64_t out_idx = (row0 + r) * n + col;
-                out.setFlatUnchecked(out_idx,
-                                     out.atFlatUnchecked(out_idx) +
-                                         static_cast<float>(psum));
-            }
+            float *const out_col = out_data + row0 * n + col;
+            int r = 0;
+            for (; r < full; r += kTileRows)
+                effectual += stepTile<kTileRows>(lane_a + r * lanes_per_row,
+                                    lane_b + r * lanes_per_row, set, g1,
+                                    g0, out_col + r * n, n);
+            for (; r < nrows; ++r)
+                effectual += stepTile<1>(lane_a + r * lanes_per_row,
+                            lane_b + r * lanes_per_row, set, g1, g0,
+                            out_col + r * n, n);
         }
     }
+
+    // Closed-form charges: every row of the group takes one step per
+    // (K-group, column) and updates its RF once per step, loads G1 * G0
+    // stationary A words per K-group, and selects through all G1 * G0
+    // muxes on every step; every lane that was not effectual gated.
+    const std::int64_t steps = ctx_.groups * n * nrows;
+    const std::int64_t lane_steps = steps * lanes_per_row;
+    stats_.cycles += steps;
+    stats_.psum_updates += steps;
+    stats_.a_words_loaded += ctx_.groups * nrows * lanes_per_row;
+    stats_.pe.mux_selects += lane_steps;
+    stats_.pe.mac_ops += effectual;
+    stats_.pe.gated_macs += lane_steps - effectual;
 
     // Fold the group's component activity into the worker aggregate.
     // The GLB/VFMU pass was shared physically but is accounted
@@ -285,8 +400,6 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
     // byte-identical to ungrouped execution.
     stats_.glb_b.accumulateScaled(glb_.stats(), nrows);
     stats_.vfmu.accumulateScaled(vfmu_.stats(), nrows);
-    for (const auto &pe : pes_)
-        stats_.pe.accumulate(pe.stats());
 }
 
 HighlightSimulator::HighlightSimulator(MicrosimConfig config)
@@ -320,23 +433,12 @@ HighlightSimulator::run(const DenseTensor &a, const HssSpec &a_spec,
         fatal(msgOf("HighlightSimulator: the simulated datapath "
                     "implements at most two HSS ranks; got ",
                     a_spec.numRanks()));
-    const int g0 = a_spec.rank(0).g;
     const int h0 = a_spec.rank(0).h;
-    const bool two_rank = a_spec.numRanks() > 1;
-    const int g1 = two_rank ? a_spec.rank(1).g : 1;
-    const int h1 = two_rank ? a_spec.rank(1).h : 1;
+    const int h1 = a_spec.numRanks() > 1 ? a_spec.rank(1).h : 1;
     const std::int64_t set_span = static_cast<std::int64_t>(h0) * h1;
     if (k % set_span != 0)
         fatal(msgOf("HighlightSimulator: K=", k,
                     " not divisible by H0*H1=", set_span));
-    const std::int64_t groups = k / set_span;
-
-    int vfmu_cap = config_.vfmu_capacity_words;
-    if (vfmu_cap == 0) {
-        vfmu_cap = std::max(2 * h1 * h0, 2 * config_.glb_row_words);
-        vfmu_cap = std::max(
-            vfmu_cap, static_cast<int>(set_span) + config_.glb_row_words);
-    }
 
     // Compress operand A (validates conformance as a side effect).
     const HierarchicalCpMatrix a_cp(a, a_spec);
@@ -361,23 +463,8 @@ HighlightSimulator::run(const DenseTensor &a, const HssSpec &a_spec,
 
     // Everything the row workers share, read-only: compressed A, the
     // once-built stream + metadata, and the resolved geometry.
-    SimContext ctx;
-    ctx.a_cp = &a_cp;
-    ctx.b_comp = b_comp.get();
-    ctx.stream = config_.compress_b ? b_comp->valuesData()
-                                    : b_stream.data();
-    ctx.stream_len = config_.compress_b
-                         ? b_comp->dataWords()
-                         : static_cast<std::int64_t>(b_stream.size());
-    ctx.glb_row_words = config_.glb_row_words;
-    ctx.vfmu_capacity = vfmu_cap;
-    ctx.g0 = g0;
-    ctx.h0 = h0;
-    ctx.g1 = g1;
-    ctx.h1 = h1;
-    ctx.two_rank = two_rank;
-    ctx.groups = groups;
-    ctx.n = n;
+    const SimContext ctx =
+        makeSimContext(a_cp, b_comp.get(), b_stream, n, config_);
 
     SimResult result{DenseTensor(TensorShape({{"M", m}, {"N", n}})), {}};
 

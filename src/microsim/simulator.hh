@@ -48,7 +48,7 @@ struct MicrosimConfig
     /**
      * VFMU capacity in words; 0 = auto (2 * H1 * H0 of the operand-A
      * spec, the paper's "2 x Hmax blocks", rounded up to cover at
-     * least two GLB rows).
+     * least two GLB rows and H1 * H0 words plus one GLB row).
      */
     int vfmu_capacity_words = 0;
     /** Stream operand B compressed (Sec 6.4) or dense. */
@@ -132,14 +132,41 @@ struct SimContext
 };
 
 /**
+ * The context HighlightSimulator::run() gives its row workers, for
+ * anything else that drives RowGroupWorker directly: the geometry of
+ * `a_cp`'s spec, `config`'s GLB row width and VFMU capacity (0
+ * resolved as MicrosimConfig documents), and a GLB view over `b_comp`'s
+ * packed nonzeros when it is set, else over the dense ordered `stream`
+ * (buildOrderedBStream's output). `n` is the output column count. The
+ * context points into `a_cp`, `b_comp` and `stream`.
+ */
+SimContext makeSimContext(const HierarchicalCpMatrix &a_cp,
+                          const OperandBStream *b_comp,
+                          const std::vector<float> &stream, std::int64_t n,
+                          const MicrosimConfig &config = {});
+
+/**
  * The steady state of the datapath for a contiguous group of output
- * rows: one GLB view over the shared stream, one VFMU, a per-row
- * G1-PE array, and all loop scratch — constructed once (per
+ * rows: one GLB view over the shared stream, one VFMU, the group's
+ * lane tables, and all loop scratch — constructed once (per
  * thread-pool slot) and reset per group. A group performs ONE shared
  * VFMU pass over the operand-B stream and fans every decoded/expanded
- * block out to the group's per-row PE accumulation states, mirroring
- * the hardware's column broadcast — instead of each row restreaming B
- * through a private VFMU.
+ * set out to all rows of the group at once, mirroring the hardware's
+ * column broadcast — instead of each row restreaming B through a
+ * private VFMU.
+ *
+ * When a K-group's stationary A blocks load, the worker records for
+ * every (row, PE, lane) the lane's A value and the index its rank-1
+ * and rank-0 muxes select in the expanded B set (an always-zero slot
+ * for a dummy lane or an offset past H0). A column then steps every
+ * row of the group from those tables: each row's PE partial sums and
+ * row partial sum are accumulated in double in exactly the order of G1
+ * MicroPe steps (lanes in order within a PE, PEs in order within a
+ * row, each sum starting from +0.0), gated through gatedProduct().
+ * Only the effectual-MAC count is counted inside the loop; cycles,
+ * partial-sum updates, A loads, mux selections and gated MACs are
+ * charged once per group in closed form, so an all-zero compressed
+ * set, whose only effect is those charges, costs no per-row work.
  *
  * Fidelity counters stay restream-equivalent: the shared pass's
  * GLB/VFMU activity is a pure function of the stream and the shift
@@ -153,9 +180,17 @@ class RowGroupWorker
 {
   public:
     /**
-     * @param ctx            The shared read-only run context.
+     * @param ctx            The shared read-only run context. Fatal
+     *                       unless it is self-consistent: a_cp set and
+     *                       compressed with exactly (g0:h0) and, iff
+     *                       two_rank, (g1:h1) (else g1 = h1 = 1), over
+     *                       groups * h0 * h1 columns; b_comp, if set,
+     *                       built for the same (h0, h1) over groups * n
+     *                       sets; and stream_len no longer than the
+     *                       words those sets hold (a shorter view is
+     *                       left to runGroup's short-read panic).
      * @param group_capacity Max rows per runGroup() call (scratch and
-     *                       PE state are sized for this many rows).
+     *                       lane tables are sized for this many rows).
      */
     explicit RowGroupWorker(const SimContext &ctx,
                             int group_capacity = 1);
@@ -166,12 +201,14 @@ class RowGroupWorker
     /**
      * Simulate output rows [row0, row0 + nrows), accumulating into
      * out[r*N .. +N) for each row r, via one shared operand-B pass.
-     * `nrows` must be in [1, groupCapacity()]. Panics if the
-     * operand-B stream ends early (a short VFMU read would otherwise
-     * silently compute with stale scratch from the previous step).
-     * An all-zero compressed set leaves the outputs untouched instead
-     * of adding +0.0, which is the same bits for every entry except
-     * -0.0; a fresh output tensor holds +0.0 and never gains a -0.0.
+     * `nrows` must be in [1, groupCapacity()] and `out` must be a
+     * rank-2 tensor of ctx.n columns and at least row0 + nrows rows
+     * (fatal otherwise). Panics if the operand-B stream ends early (a
+     * short VFMU read would otherwise silently compute with stale
+     * scratch from the previous step). An all-zero compressed set
+     * leaves the outputs untouched instead of adding +0.0, which is
+     * the same bits for every entry except -0.0; a fresh output tensor
+     * holds +0.0 and never gains a -0.0.
      */
     void runGroup(std::int64_t row0, int nrows, DenseTensor &out);
 
@@ -189,6 +226,13 @@ class RowGroupWorker
 
   private:
     /**
+     * Load K-group `g`'s stationary A blocks for rows [row0, row0 +
+     * nrows): fill the lane tables, collect the selected rank-1 blocks
+     * and count the dummy blocks.
+     */
+    void loadKGroup(std::int64_t g, std::int64_t row0, int nrows);
+
+    /**
      * By value: SimContext is a flat bundle of pointers and geometry,
      * so copying it costs nothing and a worker can never outlive a
      * caller's context object — only the pointees must outlive the
@@ -198,32 +242,35 @@ class RowGroupWorker
     const int group_capacity_;
     MicroGlb glb_; ///< Own view (fetch cursor + stats) of the stream.
     Vfmu vfmu_;
-    /** group_capacity * G1 PEs, row-major (row slot r owns [r*G1, +G1)). */
-    std::vector<MicroPe> pes_;
-    /** Selected rank-1 offsets, group_capacity * G1, row-major. */
-    std::vector<std::uint8_t> block_offsets_;
-    std::vector<float> words_;  ///< One shift's packed words.
     /**
-     * H1 aligned blocks, flat h1*h0, shared by every row of the
-     * group (the expansion of a block depends only on the operand-B
-     * metadata, never on the row). On the compressed-B path only the
-     * blocks some row's rank-1 SAF selected are zeroed and scattered,
-     * each once per step; unselected slots hold stale words no PE
-     * ever reads.
+     * The lane tables of the current K-group: lane_a_ holds each
+     * (row, PE, lane)'s stationary A value and lane_b_ the index its
+     * rank-1 and rank-0 muxes select in set_ (set_span, the zero slot,
+     * for a lane that always gates), so a step reads set_[lane_b_[i]]
+     * with no branch. Rows are stored in tiles that a step advances
+     * together: tile rows [t, t + w) own [t * G1 * G0, +w * G1 * G0),
+     * lane-major and row-minor within the tile.
      */
-    std::vector<float> blocks_;
+    std::vector<double> lane_a_;
+    std::vector<std::int32_t> lane_b_;
+    std::vector<float> words_; ///< One shift's packed words.
     /**
-     * The distinct rank-1 offsets the group's rows selected for the
-     * current K-group, in first-selection order (a prefix of at most
-     * H1 entries is valid), and the per-H1-slot flags that collect
-     * them.
+     * The expanded set: H1 aligned blocks, flat h1*h0, shared by every
+     * row of the group (the expansion of a block depends only on the
+     * operand-B metadata, never on the row), plus one trailing word
+     * that stays +0.0 for gated lanes. On the compressed-B path only
+     * the blocks some lane reads are zeroed and scattered, each once
+     * per step; the other slots hold stale words no lane ever reads.
+     */
+    std::vector<float> set_;
+    /**
+     * The distinct rank-1 blocks the group's lanes read in the current
+     * K-group, in first-selection order (a prefix of num_selected_ <=
+     * H1 entries), and the per-H1-slot flags that collect them.
      */
     std::vector<std::uint8_t> selected_blocks_;
     std::vector<std::uint8_t> block_selected_;
-    /** Per-row-slot CP row pointers, refreshed at group start. */
-    std::vector<const float *> row_vals_;
-    std::vector<const std::uint8_t *> row_offs0_;
-    std::vector<const std::uint8_t *> row_offs1_;
+    std::size_t num_selected_ = 0;
     SimStats stats_;
 };
 

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -246,26 +248,23 @@ TEST(Pe, GatedLanesAddPositiveZeroEvenForInfAndNan)
     EXPECT_FALSE(std::signbit(zero));
 }
 
-TEST(Pe, GatedStepCountsLikeAStepOnAnAllZeroBlock)
+TEST(Pe, StepOnAnAllZeroBlockGatesEveryLane)
 {
     // Real lanes, a dummy lane and an offset past the block: every one
     // gates against an all-zero block.
     const std::vector<float> values = {1.5f, 0.0f, -2.0f, 4.0f};
     const std::vector<std::uint8_t> offsets = {0, 3, 1, 7};
     const std::vector<float> zeros(4, 0.0f);
-    MicroPe stepped(4), charged(4);
-    stepped.loadBlock(values, offsets);
-    charged.loadBlock(values, offsets);
+    MicroPe pe(4);
+    pe.loadBlock(values, offsets);
     for (int i = 0; i < 3; ++i) {
-        const double psum = stepped.step(zeros);
+        const double psum = pe.step(zeros);
         EXPECT_EQ(psum, 0.0);
         EXPECT_FALSE(std::signbit(psum));
-        charged.gatedStep();
     }
-    EXPECT_EQ(charged.stats().mac_ops, stepped.stats().mac_ops);
-    EXPECT_EQ(charged.stats().gated_macs, stepped.stats().gated_macs);
-    EXPECT_EQ(charged.stats().mux_selects, stepped.stats().mux_selects);
-    EXPECT_EQ(charged.stats().gated_macs, 12);
+    EXPECT_EQ(pe.stats().mac_ops, 0);
+    EXPECT_EQ(pe.stats().gated_macs, 12);
+    EXPECT_EQ(pe.stats().mux_selects, 12);
 }
 
 TEST(CompressionUnit, ReluThenCompressRoundTrip)
@@ -846,6 +845,327 @@ TEST(GroupWorker, GroupCapacityMustCoverTheRequestedGroup)
     // Within capacity it runs fine.
     worker.runGroup(0, 2, out);
     EXPECT_GT(worker.stats().cycles, 0);
+}
+
+/**
+ * A valid hand-built worker context over (a, spec, b), owning what it
+ * points at, so a test can break one field at a time.
+ */
+struct HandContext
+{
+    HandContext(const DenseTensor &a, const HssSpec &spec,
+                const DenseTensor &b, bool compress_b)
+        : a_cp(a, spec), stream(buildOrderedBStream(b, spec.totalSpan()))
+    {
+        if (compress_b)
+            b_comp = std::make_unique<OperandBStream>(
+                stream.data(), static_cast<std::int64_t>(stream.size()),
+                spec.rank(0).h, spec.numRanks() > 1 ? spec.rank(1).h : 1);
+        ctx = makeSimContext(a_cp, b_comp.get(), stream,
+                             b.shape().dim(1).extent);
+    }
+
+    // ctx points into this object.
+    HandContext(const HandContext &) = delete;
+    HandContext &operator=(const HandContext &) = delete;
+
+    HierarchicalCpMatrix a_cp;
+    std::vector<float> stream;
+    std::unique_ptr<OperandBStream> b_comp;
+    SimContext ctx;
+};
+
+TEST(RowWorker, RejectsContextsThatDisagreeWithTheirOperands)
+{
+    // The steady state reads A payloads, B metadata and outputs
+    // without bounds checks, so a hand-built context that disagrees
+    // with what it points at must be fatal up front, not read or
+    // write out of bounds.
+    const HssSpec spec({GhPattern(2, 4), GhPattern(2, 4)});
+    Rng rng(92);
+    const std::int64_t m = 4, k = spec.totalSpan() * 2, n = 4;
+    const auto a = hssSparsify(
+        randomDense(TensorShape({{"M", m}, {"K", k}}), rng), spec);
+    const auto b = randomUnstructured(TensorShape({{"K", k}, {"N", n}}),
+                                      0.5, rng);
+    const HandContext dense(a, spec, b, false), comp(a, spec, b, true);
+    EXPECT_NO_THROW(RowGroupWorker(dense.ctx));
+    EXPECT_NO_THROW(RowGroupWorker(comp.ctx));
+
+    SimContext c = dense.ctx;
+    c.a_cp = nullptr;
+    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "no operand A";
+    c = dense.ctx;
+    c.g0 = 1;
+    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "g0";
+    c = dense.ctx;
+    c.h0 = 8;
+    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "h0";
+    c = dense.ctx;
+    c.g1 = 1;
+    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "g1";
+    c = dense.ctx;
+    c.h1 = 2;
+    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "h1";
+    c = dense.ctx;
+    c.two_rank = false;
+    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "two_rank";
+    c = dense.ctx;
+    c.groups = 1;
+    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "groups vs A columns";
+
+    // Operand B compressed for another block geometry, or over another
+    // stream length.
+    const OperandBStream other_geometry(
+        comp.stream.data(), static_cast<std::int64_t>(comp.stream.size()),
+        8, 2);
+    c = comp.ctx;
+    c.b_comp = &other_geometry;
+    c.stream = other_geometry.valuesData();
+    c.stream_len = other_geometry.dataWords();
+    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "b_comp geometry";
+    const OperandBStream other_length(
+        comp.stream.data(),
+        static_cast<std::int64_t>(comp.stream.size()) / 2, 4, 4);
+    c = comp.ctx;
+    c.b_comp = &other_length;
+    c.stream = other_length.valuesData();
+    c.stream_len = other_length.dataWords();
+    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "b_comp length";
+
+    // A GLB view longer than the words operand B holds.
+    c = dense.ctx;
+    ++c.stream_len;
+    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "dense stream_len";
+    c = comp.ctx;
+    ++c.stream_len;
+    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "packed stream_len";
+
+    // An output that cannot hold the group's rows.
+    RowGroupWorker worker(dense.ctx, /*group_capacity=*/2);
+    DenseTensor wide(TensorShape({{"M", m}, {"N", n + 1}}));
+    EXPECT_THROW(worker.runGroup(0, 2, wide), FatalError) << "columns";
+    DenseTensor short_out(TensorShape({{"M", 3}, {"N", n}}));
+    EXPECT_THROW(worker.runGroup(2, 2, short_out), FatalError) << "rows";
+    DenseTensor flat(TensorShape({{"N", m * n}}));
+    EXPECT_THROW(worker.runGroup(0, 2, flat), FatalError) << "rank";
+    DenseTensor out(TensorShape({{"M", m}, {"N", n}}));
+    EXPECT_THROW(worker.runGroup(-1, 2, out), FatalError) << "row0";
+    worker.runGroup(2, 2, out);
+    EXPECT_EQ(worker.stats().cycles, 2 * k / spec.totalSpan() * n);
+}
+
+/** All 12 SimStats counters equal. */
+void
+expectSameStats(const SimStats &s, const SimStats &g, const std::string &at)
+{
+    EXPECT_EQ(s.cycles, g.cycles) << at;
+    EXPECT_EQ(s.a_words_loaded, g.a_words_loaded) << at;
+    EXPECT_EQ(s.psum_updates, g.psum_updates) << at;
+    EXPECT_EQ(s.dummy_blocks, g.dummy_blocks) << at;
+    EXPECT_EQ(s.glb_b.row_fetches, g.glb_b.row_fetches) << at;
+    EXPECT_EQ(s.glb_b.words_read, g.glb_b.words_read) << at;
+    EXPECT_EQ(s.vfmu.shifts, g.vfmu.shifts) << at;
+    EXPECT_EQ(s.vfmu.skipped_fetches, g.vfmu.skipped_fetches) << at;
+    EXPECT_EQ(s.vfmu.words_out, g.vfmu.words_out) << at;
+    EXPECT_EQ(s.pe.mac_ops, g.pe.mac_ops) << at;
+    EXPECT_EQ(s.pe.gated_macs, g.pe.gated_macs) << at;
+    EXPECT_EQ(s.pe.mux_selects, g.pe.mux_selects) << at;
+}
+
+/**
+ * The datapath's per-row operation sequence, stepped through the
+ * components themselves: every output row restreams operand B through
+ * its own GLB view and VFMU, expands every set in full, and steps G1
+ * MicroPes per (K-group, column) — no lane tables, no closed-form
+ * counters, no skipped sets. HighlightSimulator::run must reproduce
+ * its outputs bit for bit and all of its counters.
+ */
+SimResult
+perRowReference(const DenseTensor &a, const HssSpec &spec,
+                const DenseTensor &b, bool compress_b)
+{
+    const std::int64_t m = a.shape().dim(0).extent;
+    const std::int64_t n = b.shape().dim(1).extent;
+    const HandContext hc(a, spec, b, compress_b);
+    const SimContext &c = hc.ctx;
+    const std::int64_t set_span = static_cast<std::int64_t>(c.h0) * c.h1;
+    const OperandBStream *comp = hc.b_comp.get();
+
+    SimResult ref{DenseTensor(TensorShape({{"M", m}, {"N", n}})), {}};
+    SimStats &s = ref.stats;
+    for (std::int64_t row = 0; row < m; ++row) {
+        MicroGlb glb(c.stream, c.stream_len, c.glb_row_words);
+        Vfmu vfmu(glb, c.vfmu_capacity);
+        std::vector<MicroPe> pes(static_cast<std::size_t>(c.g1),
+                                 MicroPe(c.g0));
+        std::vector<std::int64_t> block(static_cast<std::size_t>(c.g1));
+        const HierarchicalCpRow &cp = hc.a_cp.row(row);
+        for (std::int64_t g = 0; g < c.groups; ++g) {
+            for (int p = 0; p < c.g1; ++p) {
+                const std::size_t pp = static_cast<std::size_t>(p);
+                const std::int64_t entry = g * c.g1 + p;
+                const float *vals = cp.values().data() + entry * c.g0;
+                block[pp] = c.two_rank ? cp.offsets(1)[entry] : 0;
+                pes[pp].loadBlock(vals,
+                                  cp.offsets(0).data() + entry * c.g0);
+                s.a_words_loaded += c.g0;
+                s.dummy_blocks += std::all_of(
+                    vals, vals + c.g0, [](float v) { return v == 0.0f; });
+            }
+            for (std::int64_t col = 0; col < n; ++col) {
+                const std::int64_t set_idx = g * n + col;
+                std::vector<float> set(static_cast<std::size_t>(set_span),
+                                       0.0f);
+                if (comp != nullptr) {
+                    const std::vector<float> words = vfmu.readShift(
+                        static_cast<int>(comp->setCounts()[set_idx]));
+                    const auto &ends = comp->blockEnds();
+                    const std::int64_t first = set_idx * c.h1;
+                    const std::int64_t start =
+                        first == 0 ? 0 : ends[first - 1];
+                    for (std::int64_t blk = first; blk < first + c.h1;
+                         ++blk) {
+                        for (std::int64_t w = blk == 0 ? 0 : ends[blk - 1];
+                             w < ends[blk]; ++w)
+                            set[(blk - first) * c.h0 +
+                                comp->offsets()[w]] = words[w - start];
+                    }
+                } else {
+                    set = vfmu.readShift(static_cast<int>(set_span));
+                }
+                double psum = 0.0;
+                for (int p = 0; p < c.g1; ++p) {
+                    const std::size_t pp = static_cast<std::size_t>(p);
+                    psum += pes[pp].step(set.data() + block[pp] * c.h0,
+                                         c.h0);
+                }
+                ++s.cycles;
+                ++s.psum_updates;
+                ref.output.set2(row, col,
+                                ref.output.at2(row, col) +
+                                    static_cast<float>(psum));
+            }
+        }
+        s.glb_b.accumulate(glb.stats());
+        s.vfmu.accumulate(vfmu.stats());
+        for (const MicroPe &pe : pes)
+            s.pe.accumulate(pe.stats());
+    }
+    return ref;
+}
+
+struct DiffCase
+{
+    const char *name;
+    std::vector<GhPattern> ranks; ///< Rank 0 first.
+};
+
+class SimDifferential : public ::testing::TestWithParam<DiffCase>
+{
+};
+
+TEST_P(SimDifferential, MatchesThePerRowComponentReference)
+{
+    const HssSpec spec(GetParam().ranks);
+    Rng rng(static_cast<std::uint64_t>(spec.totalSpan()) * 131 +
+            spec.numRanks());
+    // m = 10 leaves a partial trailing group at group_rows 3 and 8.
+    const std::int64_t m = 10, k = spec.totalSpan() * 4, n = 16;
+    const std::int64_t set_span = spec.totalSpan();
+
+    // A: HSS-conforming with extra zeros, so rank-0 blocks hold dummy
+    // lanes and whole rank-1 entries turn dummy; row 4 is all zero.
+    auto a = hssSparsify(
+        randomDense(TensorShape({{"M", m}, {"K", k}}), rng), spec);
+    for (std::int64_t r = 0; r < m; ++r)
+        for (std::int64_t c = 0; c < k; ++c)
+            if (r == 4 || rng.bernoulli(0.3))
+                a.set2(r, c, 0.0f);
+
+    // B: sparse, with one K-group of all-zero sets in every column,
+    // and about a third of the zeros negative.
+    auto b = randomUnstructured(TensorShape({{"K", k}, {"N", n}}), 0.6,
+                                rng);
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+        for (std::int64_t c = 0; c < n; ++c) {
+            const bool zero_set = kk >= set_span && kk < 2 * set_span;
+            const float v = zero_set ? 0.0f : b.at2(kk, c);
+            b.set2(kk, c, v == 0.0f && rng.bernoulli(0.3) ? -0.0f : v);
+        }
+    }
+
+    for (const bool compress_b : {false, true}) {
+        const SimResult ref = perRowReference(a, spec, b, compress_b);
+        EXPECT_GT(ref.stats.pe.mac_ops, 0);
+        EXPECT_GT(ref.stats.dummy_blocks, 0);
+        for (const int group_rows : {1, 3, 8}) {
+            MicrosimConfig cfg;
+            cfg.compress_b = compress_b;
+            cfg.group_rows = group_rows;
+            const SimResult r = HighlightSimulator(cfg).run(a, spec, b);
+            const std::string at =
+                spec.str() + (compress_b ? " comp_b" : " dense_b") +
+                " group_rows=" + std::to_string(group_rows);
+            ASSERT_EQ(r.output.data().size(), ref.output.data().size());
+            EXPECT_EQ(std::memcmp(r.output.data().data(),
+                                  ref.output.data().data(),
+                                  ref.output.data().size() * sizeof(float)),
+                      0)
+                << at;
+            expectSameStats(r.stats, ref.stats, at);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Specs, SimDifferential,
+    ::testing::Values(
+        DiffCase{"c0_1of2", {GhPattern(1, 2)}},
+        DiffCase{"c0_3of8", {GhPattern(3, 8)}},
+        DiffCase{"c1_2of3_c0_1of4", {GhPattern(1, 4), GhPattern(2, 3)}},
+        DiffCase{"c1_3of4_c0_2of2", {GhPattern(2, 2), GhPattern(3, 4)}},
+        DiffCase{"c1_4of5_c0_3of8", {GhPattern(3, 8), GhPattern(4, 5)}},
+        DiffCase{"c1_4of8_c0_2of4", {GhPattern(2, 4), GhPattern(4, 8)}}),
+    [](const ::testing::TestParamInfo<DiffCase> &info) {
+        return info.param.name;
+    });
+
+TEST(Simulator, AddsLanesThenPesInDatapathOrder)
+{
+    // Products of 2^56 and 1 round in double (2^56 + 1 == 2^56), so
+    // these cases pin the addition order the datapath fixes: each PE
+    // adds its lanes in order, then the row adds the PE sums in order.
+    // Five equal rows cover a full tile of rows and a leftover one.
+    const float big = 0x1p56f;
+    const auto run = [](const HssSpec &spec, const std::vector<float> &row,
+                        int group_rows) {
+        const std::int64_t m = 5, k = static_cast<std::int64_t>(row.size());
+        DenseTensor a(TensorShape({{"M", m}, {"K", k}}));
+        DenseTensor b(TensorShape({{"K", k}, {"N", 1}}));
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+            b.set2(kk, 0, 1.0f);
+            for (std::int64_t r = 0; r < m; ++r)
+                a.set2(r, kk, row[static_cast<std::size_t>(kk)]);
+        }
+        MicrosimConfig cfg;
+        cfg.group_rows = group_rows;
+        return HighlightSimulator(cfg).run(a, spec, b).output;
+    };
+    for (const int group_rows : {1, 8}) {
+        // One PE, lanes (2^56, 1, -2^56): (2^56 + 1) - 2^56 = 0.
+        const DenseTensor lanes =
+            run(HssSpec({GhPattern(3, 3)}), {big, 1.0f, -big}, group_rows);
+        // PE sums 1 and (2^56 - 2^56): 1 + 0 = 1, where adding the
+        // lanes straight into the row sum would give 0.
+        const DenseTensor pes =
+            run(HssSpec({GhPattern(2, 2), GhPattern(2, 2)}),
+                {1.0f, 0.0f, big, -big}, group_rows);
+        for (std::int64_t r = 0; r < 5; ++r) {
+            EXPECT_EQ(lanes.at2(r, 0), 0.0f) << "group_rows=" << group_rows;
+            EXPECT_EQ(pes.at2(r, 0), 1.0f) << "group_rows=" << group_rows;
+        }
+    }
 }
 
 /**
