@@ -9,24 +9,23 @@
  * the density-conditional compression policy in the HighLight model.
  */
 
-#include <iostream>
+#include <sstream>
 
 #include "arch/arch_spec.hh"
-#include "common/table.hh"
+#include "artifact_util.hh"
+#include "artifacts.hh"
 #include "energy/components.hh"
 #include "format/hierarchical_cp.hh"
 #include "model/engine.hh"
-#include "runtime_flags.hh"
 #include "sparsity/hss.hh"
 
-int
-main(int argc, char **argv)
+namespace highlight
 {
-    using namespace highlight;
 
-    rejectUnknownArgs(argc, argv);
-    configureRuntimeThreads(argc, argv);
-    const std::string json_path = parseOptionValue(argc, argv, "--json");
+ArtifactReport
+runAblationBcompress()
+{
+    std::ostringstream out;
 
     const ComponentLibrary lib;
     const ArchSpec arch = highlightArch();
@@ -69,17 +68,13 @@ main(int argc, char **argv)
                   rc.totalEnergyPj() < ru.totalEnergyPj() ? "yes"
                                                           : "no"});
     }
-    t.print(std::cout);
+    t.print(out);
 
-    std::cout << "\nTakeaway: the three-level metadata costs ~25% per "
-                 "stored word, so the\ncompression crossover sits near "
-                 "75-80% density; HighLight stores denser\nactivations "
-                 "uncompressed and relies on gating alone there.\n";
-
-    if (!json_path.empty() && !writeTableJson(json_path, t)) {
-        std::cerr << "ablation_bcompress: cannot write " << json_path
-                  << "\n";
-        return 1;
-    }
-    return 0;
+    out << "\nTakeaway: the three-level metadata costs ~25% per "
+           "stored word, so the\ncompression crossover sits near "
+           "75-80% density; HighLight stores denser\nactivations "
+           "uncompressed and relies on gating alone there.\n";
+    return {out.str(), tableJson(t)};
 }
+
+} // namespace highlight

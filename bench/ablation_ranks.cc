@@ -9,20 +9,19 @@
  * ranks.
  */
 
-#include <iostream>
+#include <sstream>
 
-#include "common/table.hh"
+#include "artifact_util.hh"
+#include "artifacts.hh"
 #include "core/explorer.hh"
-#include "runtime_flags.hh"
 
-int
-main(int argc, char **argv)
+namespace highlight
 {
-    using namespace highlight;
 
-    rejectUnknownArgs(argc, argv);
-    configureRuntimeThreads(argc, argv);
-    const std::string json_path = parseOptionValue(argc, argv, "--json");
+ArtifactReport
+runAblationRanks()
+{
+    std::ostringstream out;
 
     DesignSpaceExplorer explorer;
 
@@ -50,25 +49,20 @@ main(int argc, char **argv)
                       TextTable::fmt(r.mux_area_um2, 0),
                       TextTable::fmt(r.mux_energy_per_step_pj, 3)});
         }
-        t.print(std::cout);
-        std::cout << "\n";
+        t.print(out);
+        out << "\n";
         tables.push_back(std::move(t));
     }
 
-    std::cout << "Takeaway (Sec 5.3): multi-rank HSS reaches the same "
-                 "degree coverage with\nmuch lower sparsity tax; gains "
-                 "flatten beyond two ranks, which is why\nHighLight "
-                 "uses a two-rank HSS.\n";
+    out << "Takeaway (Sec 5.3): multi-rank HSS reaches the same "
+           "degree coverage with\nmuch lower sparsity tax; gains "
+           "flatten beyond two ranks, which is why\nHighLight "
+           "uses a two-rank HSS.\n";
 
-    if (!json_path.empty()) {
-        std::vector<const TextTable *> refs;
-        for (const TextTable &table : tables)
-            refs.push_back(&table);
-        if (!writeTablesJson(json_path, refs)) {
-            std::cerr << "ablation_ranks: cannot write " << json_path
-                      << "\n";
-            return 1;
-        }
-    }
-    return 0;
+    std::vector<const TextTable *> refs;
+    for (const TextTable &table : tables)
+        refs.push_back(&table);
+    return {out.str(), tablesJson(refs)};
 }
+
+} // namespace highlight

@@ -9,24 +9,23 @@
  * both ranks.
  */
 
-#include <iostream>
+#include <sstream>
 
 #include "arch/arch_spec.hh"
-#include "common/table.hh"
+#include "artifact_util.hh"
+#include "artifacts.hh"
 #include "energy/components.hh"
 #include "format/hierarchical_cp.hh"
 #include "model/engine.hh"
-#include "runtime_flags.hh"
 #include "sparsity/hss.hh"
 
-int
-main(int argc, char **argv)
+namespace highlight
 {
-    using namespace highlight;
 
-    rejectUnknownArgs(argc, argv);
-    configureRuntimeThreads(argc, argv);
-    const std::string json_path = parseOptionValue(argc, argv, "--json");
+ArtifactReport
+runAblationSafs()
+{
+    std::ostringstream out;
 
     const ComponentLibrary lib;
     const ArchSpec arch = highlightArch();
@@ -80,17 +79,13 @@ main(int argc, char **argv)
                       r.totalEnergyPj() / baseline.totalEnergyPj(), 2),
                   TextTable::fmt(r.edp() / baseline.edp(), 2)});
     }
-    t.print(std::cout);
+    t.print(out);
 
-    std::cout << "\nTakeaway (Sec 5.1): gating keeps the energy "
-                 "savings but forfeits the\nspeedup, multiplying EDP; "
-                 "skipping at every sparse rank is worth its\nmux "
-                 "tax for latency-sensitive deployments.\n";
-
-    if (!json_path.empty() && !writeTableJson(json_path, t)) {
-        std::cerr << "ablation_safs: cannot write " << json_path
-                  << "\n";
-        return 1;
-    }
-    return 0;
+    out << "\nTakeaway (Sec 5.1): gating keeps the energy "
+           "savings but forfeits the\nspeedup, multiplying EDP; "
+           "skipping at every sparse rank is worth its\nmux "
+           "tax for latency-sensitive deployments.\n";
+    return {out.str(), tableJson(t)};
 }
+
+} // namespace highlight

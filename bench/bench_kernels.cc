@@ -29,7 +29,6 @@
 #include "microsim/simulator.hh"
 #include "microsim/vfmu.hh"
 #include "runtime/thread_pool.hh"
-#include "runtime_flags.hh"
 #include "sparsity/sparsify.hh"
 #include "tensor/generator.hh"
 

@@ -9,20 +9,18 @@
  * unstructured); operand B is unstructured.
  */
 
-#include <iostream>
+#include <sstream>
 
-#include "common/table.hh"
-#include "core/evaluator.hh"
-#include "runtime_flags.hh"
+#include "artifact_util.hh"
+#include "artifacts.hh"
 
-int
-main(int argc, char **argv)
+namespace highlight
 {
-    using namespace highlight;
 
-    rejectUnknownArgs(argc, argv);
-    configureRuntimeThreads(argc, argv);
-    const std::string json_path = parseOptionValue(argc, argv, "--json");
+ArtifactReport
+runFig13()
+{
+    std::ostringstream out;
 
     Evaluator ev;
     const auto suite = syntheticSuite();
@@ -53,8 +51,8 @@ main(int argc, char **argv)
             }
             t.addRow(row);
         }
-        t.print(std::cout);
-        std::cout << "\n";
+        t.print(out);
+        out << "\n";
     };
 
     print_metric("processing latency",
@@ -63,15 +61,11 @@ main(int argc, char **argv)
                  [](const EvalResult &r) { return r.totalEnergyPj(); });
     print_metric("EDP", [](const EvalResult &r) { return r.edp(); });
 
-    std::cout << "Expected shape (paper Fig 13): STC capped at 2x and "
-                 "blind to B sparsity;\nDSTC pays its accumulation tax "
-                 "at low sparsity; S2TA unsupported on dense A;\n"
-                 "HighLight best (or tied-best) EDP in every cell.\n";
-
-    if (!json_path.empty() &&
-        !writeResultsJson(json_path, matrix.flat())) {
-        std::cerr << "fig13: cannot write " << json_path << "\n";
-        return 1;
-    }
-    return 0;
+    out << "Expected shape (paper Fig 13): STC capped at 2x and "
+           "blind to B sparsity;\nDSTC pays its accumulation tax "
+           "at low sparsity; S2TA unsupported on dense A;\n"
+           "HighLight best (or tied-best) EDP in every cell.\n";
+    return {out.str(), resultsJson(matrix.flat())};
 }
+
+} // namespace highlight

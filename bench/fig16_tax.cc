@@ -6,21 +6,18 @@
  * single-digit share of the design.
  */
 
-#include <iostream>
+#include <sstream>
 
-#include "common/table.hh"
-#include "core/evaluator.hh"
-#include "runtime_flags.hh"
+#include "artifact_util.hh"
+#include "artifacts.hh"
 
-int
-main(int argc, char **argv)
+namespace highlight
 {
-    using namespace highlight;
 
-    rejectUnknownArgs(argc, argv);
-    configureRuntimeThreads(argc, argv);
-    const std::string json_path =
-        parseOptionValue(argc, argv, "--json");
+ArtifactReport
+runFig16()
+{
+    std::ostringstream out;
 
     Evaluator ev;
 
@@ -66,10 +63,10 @@ main(int argc, char **argv)
         row.push_back(TextTable::fmt(r.totalEnergyPj() / 1e9, 3));
         e.addRow(row);
     }
-    e.print(std::cout);
-    std::cout << "\nExpected shape: DSTC's rf (accumulation) column "
-                 "dominates its breakdown;\nSTC leaves energy on the "
-                 "table (2x cap); HighLight's saf column is small.\n\n";
+    e.print(out);
+    out << "\nExpected shape: DSTC's rf (accumulation) column "
+           "dominates its breakdown;\nSTC leaves energy on the "
+           "table (2x cap); HighLight's saf column is small.\n\n";
 
     // --- Fig 16(b): HighLight area breakdown ---
     const Accelerator &hl = ev.design("HighLight");
@@ -81,7 +78,7 @@ main(int argc, char **argv)
                   TextTable::fmt(
                       100.0 * entry.value / breakdownTotal(area), 1)});
     }
-    a.print(std::cout);
+    a.print(out);
 
     // The paper reports the SAF share over the accelerator datapath
     // (compute + registers + SAFs); SRAM macros are shared with the
@@ -94,14 +91,12 @@ main(int argc, char **argv)
         if (entry.name == "saf")
             saf = entry.value;
     }
-    std::cout << "\nSAF share of full design: "
-              << TextTable::fmt(100.0 * breakdownShare(area, "saf"), 1)
-              << "%   of datapath (excl. SRAM macros): "
-              << TextTable::fmt(100.0 * saf / datapath, 1)
-              << "%   (paper: 5.7%)\n";
-    if (!json_path.empty() && !writeResultsJson(json_path, results)) {
-        std::cerr << "fig16: cannot write " << json_path << "\n";
-        return 1;
-    }
-    return 0;
+    out << "\nSAF share of full design: "
+        << TextTable::fmt(100.0 * breakdownShare(area, "saf"), 1)
+        << "%   of datapath (excl. SRAM macros): "
+        << TextTable::fmt(100.0 * saf / datapath, 1)
+        << "%   (paper: 5.7%)\n";
+    return {out.str(), resultsJson(results)};
 }
+
+} // namespace highlight

@@ -14,31 +14,23 @@
  * degree in table order, before the per-degree microsim cross-checks.
  */
 
-#include <iostream>
+#include <sstream>
 
+#include "artifact_util.hh"
+#include "artifacts.hh"
 #include "common/random.hh"
-#include "common/table.hh"
-#include "core/evaluator.hh"
 #include "microsim/dsso_sim.hh"
 #include "microsim/simulator.hh"
-#include "runtime_flags.hh"
 #include "sparsity/sparsify.hh"
 #include "tensor/generator.hh"
 
-int
-main(int argc, char **argv)
+namespace highlight
 {
-    using namespace highlight;
 
-    rejectUnknownArgs(argc, argv, {"--group-rows"});
-    configureRuntimeThreads(argc, argv);
-    const std::string json_path = parseOptionValue(argc, argv, "--json");
-    // Rows per shared operand-B pass for the microsim cross-checks
-    // below (0 = auto). Outputs are byte-identical at any value, which
-    // the smoke ctest asserts by diffing this driver's stdout across
-    // group sizes and thread counts.
-    MicrosimConfig microsim_cfg;
-    microsim_cfg.group_rows = parseGroupRowsFlag(argc, argv);
+ArtifactReport
+runFig17()
+{
+    std::ostringstream out;
 
     const Evaluator ev;
     const Accelerator &hl = ev.design("HighLight");
@@ -107,7 +99,7 @@ main(int argc, char **argv)
             HssSpec({GhPattern(4, 4), b_rank1}));
         const auto sim_dsso = DssoSimulator(2).run(sa, a_rank0, sb,
                                                    b_rank1);
-        const auto sim_hl = HighlightSimulator(microsim_cfg).run(
+        const auto sim_hl = HighlightSimulator().run(
             sa, HssSpec({a_rank0, GhPattern(2, 2)}), sb);
         const double sim_ratio =
             static_cast<double>(sim_hl.stats.cycles) /
@@ -122,16 +114,13 @@ main(int argc, char **argv)
                   TextTable::fmt(sim_ratio, 2),
                   TextTable::fmt(err, 6)});
     }
-    t.print(std::cout);
+    t.print(out);
 
-    std::cout << "\nExpected shape (paper Fig 17): DSSO reaches 2x "
-                 "HighLight's speed at the\ncommonly supported degrees "
-                 "(B 2:4) and scales further with sparser B, at\nthe "
-                 "cost of fewer supported operand-B degrees.\n";
-
-    if (!json_path.empty() && !writeResultsJson(json_path, analytic)) {
-        std::cerr << "fig17: cannot write " << json_path << "\n";
-        return 1;
-    }
-    return 0;
+    out << "\nExpected shape (paper Fig 17): DSSO reaches 2x "
+           "HighLight's speed at the\ncommonly supported degrees "
+           "(B 2:4) and scales further with sparser B, at\nthe "
+           "cost of fewer supported operand-B degrees.\n";
+    return {out.str(), resultsJson(analytic)};
 }
+
+} // namespace highlight

@@ -10,22 +10,23 @@
  * Transformer-Big prunes to ~50-60%, ResNet50 to 75-80%.
  */
 
-#include <iostream>
+#include <sstream>
 
-#include "common/table.hh"
-#include "core/evaluator.hh"
+#include "artifact_util.hh"
+#include "artifacts.hh"
 #include "dnn/resnet50.hh"
 #include "dnn/transformer.hh"
-#include "runtime_flags.hh"
+
+namespace highlight
+{
 
 namespace
 {
 
-using namespace highlight;
-
 void
-runModel(const Evaluator &ev, const DnnModel &model, DnnName nm,
-         double structured_sparsity, double unstructured_sparsity,
+runModel(std::ostream &out, const Evaluator &ev, const DnnModel &model,
+         DnnName nm, double structured_sparsity,
+         double unstructured_sparsity,
          std::vector<DnnEvalResult> &all_results)
 {
     const DnnScenario scenarios[] = {
@@ -59,38 +60,32 @@ runModel(const Evaluator &ev, const DnnModel &model, DnnName nm,
                       r.total_energy_pj / tc_result.total_energy_pj, 3),
                   TextTable::fmt(r.edp() / tc_result.edp(), 3)});
     }
-    t.print(std::cout);
-    std::cout << "\n";
+    t.print(out);
+    out << "\n";
 }
 
 } // namespace
 
-int
-main(int argc, char **argv)
+ArtifactReport
+runFig2()
 {
-    rejectUnknownArgs(argc, argv);
-    configureRuntimeThreads(argc, argv);
-    const std::string json_path =
-        parseOptionValue(argc, argv, "--json");
+    std::ostringstream out;
 
     Evaluator ev;
     std::vector<DnnEvalResult> all_results;
     // Transformer-Big: moderate prunability, near-dense activations.
     // HSS's degree flexibility lets HighLight prune to 62.5% within
     // the same 0.5-point accuracy budget that pins STC at 2:4.
-    runModel(ev, transformerBigModel(), DnnName::TransformerBig, 0.625,
-             0.6, all_results);
+    runModel(out, ev, transformerBigModel(), DnnName::TransformerBig,
+             0.625, 0.6, all_results);
     // ResNet50: deep prunability, ~60% sparse ReLU activations.
-    runModel(ev, resnet50Model(), DnnName::ResNet50, 0.75, 0.8,
+    runModel(out, ev, resnet50Model(), DnnName::ResNet50, 0.75, 0.8,
              all_results);
 
-    std::cout << "Expected shape (paper Fig 2): STC < DSTC on "
-                 "Transformer-Big; DSTC < STC on ResNet50;\nHighLight "
-                 "lowest EDP on both.\n";
-    if (!json_path.empty() &&
-        !writeDnnResultsJson(json_path, all_results)) {
-        std::cerr << "fig2: cannot write " << json_path << "\n";
-        return 1;
-    }
-    return 0;
+    out << "Expected shape (paper Fig 2): STC < DSTC on "
+           "Transformer-Big; DSTC < STC on ResNet50;\nHighLight "
+           "lowest EDP on both.\n";
+    return {out.str(), dnnResultsJson(all_results)};
 }
+
+} // namespace highlight

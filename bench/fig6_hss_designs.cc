@@ -6,29 +6,28 @@
  * therefore less than half the muxing overhead.
  */
 
-#include <fstream>
-#include <iostream>
+#include <iomanip>
+#include <sstream>
 
+#include "artifacts.hh"
 #include "common/table.hh"
 #include "core/explorer.hh"
-#include "runtime_flags.hh"
+#include "io/json.hh"
+
+namespace highlight
+{
 
 namespace
 {
 
 /**
  * Full-precision JSON dump of the design reports (same byte-compare
- * property as the sweep drivers' writeResultsJson).
+ * property as the sweep artifacts' resultsJson).
  */
-bool
-writeDesignReportsJson(
-    const std::string &path,
-    const std::vector<const highlight::HssDesignReport *> &reports)
+std::string
+designReportsJson(const std::vector<const HssDesignReport *> &reports)
 {
-    using highlight::jsonQuote;
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        return false;
+    std::ostringstream out;
     out << std::setprecision(17);
     out << "[\n";
     for (std::size_t i = 0; i < reports.size(); ++i) {
@@ -47,20 +46,15 @@ writeDesignReportsJson(
         out << "]}" << (i + 1 < reports.size() ? "," : "") << "\n";
     }
     out << "]\n";
-    return static_cast<bool>(out);
+    return out.str();
 }
 
 } // namespace
 
-int
-main(int argc, char **argv)
+ArtifactReport
+runFig6()
 {
-    using namespace highlight;
-
-    rejectUnknownArgs(argc, argv);
-    configureRuntimeThreads(argc, argv);
-    const std::string json_path =
-        parseOptionValue(argc, argv, "--json");
+    std::ostringstream out;
 
     // Both designs analyzed as one batch on the parallel runtime
     // (bit-identical to serial analyze() calls).
@@ -90,7 +84,7 @@ main(int argc, char **argv)
                      100.0 * (1.0 - r->degrees.back().density), 1) +
                  "%"});
     }
-    attrs.print(std::cout);
+    attrs.print(out);
 
     TextTable lat("Fig 6(a): normalized processing latency per degree");
     lat.setHeader({"sparsity %", "S latency", "SS latency",
@@ -102,8 +96,8 @@ main(int argc, char **argv)
                     TextTable::fmt(ss.degrees[i].density, 4),
                     ss.degrees[i].spec.str()});
     }
-    std::cout << "\n";
-    lat.print(std::cout);
+    out << "\n";
+    lat.print(out);
 
     // --- Fig 6(b): normalized muxing overhead ---
     TextTable mux("Fig 6(b): muxing overhead (normalized to SS)");
@@ -118,19 +112,16 @@ main(int argc, char **argv)
                                            ss.total_mux2),
                                    2)});
     }
-    std::cout << "\n";
-    mux.print(std::cout);
-    std::cout << "\nPaper claim: SS introduces > 2x less muxing "
-                 "overhead while representing\nthe same number of "
-                 "sparsity degrees as S. Measured factor: "
-              << TextTable::fmt(static_cast<double>(s.total_mux2) /
-                                    static_cast<double>(ss.total_mux2),
-                                2)
-              << "x\n";
-    if (!json_path.empty() &&
-        !writeDesignReportsJson(json_path, {&s, &ss})) {
-        std::cerr << "fig6: cannot write " << json_path << "\n";
-        return 1;
-    }
-    return 0;
+    out << "\n";
+    mux.print(out);
+    out << "\nPaper claim: SS introduces > 2x less muxing "
+           "overhead while representing\nthe same number of "
+           "sparsity degrees as S. Measured factor: "
+        << TextTable::fmt(static_cast<double>(s.total_mux2) /
+                              static_cast<double>(ss.total_mux2),
+                          2)
+        << "x\n";
+    return {out.str(), designReportsJson({&s, &ss})};
 }
+
+} // namespace highlight

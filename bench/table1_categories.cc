@@ -10,17 +10,18 @@
  * sparsity degrees each design can translate into savings.
  */
 
-#include <iostream>
+#include <sstream>
 
 #include "accel/harness.hh"
-#include "common/table.hh"
-#include "runtime_flags.hh"
+#include "artifact_util.hh"
+#include "artifacts.hh"
 #include "sparsity/hss.hh"
+
+namespace highlight
+{
 
 namespace
 {
-
-using namespace highlight;
 
 /** SAF fraction of total design area. */
 double
@@ -59,14 +60,10 @@ gradeTax(double saf_share, double dense_overhead)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+ArtifactReport
+runTable1()
 {
-    using namespace highlight;
-
-    rejectUnknownArgs(argc, argv);
-    configureRuntimeThreads(argc, argv);
-    const std::string json_path = parseOptionValue(argc, argv, "--json");
+    std::ostringstream out;
 
     const auto designs = standardDesigns();
     const Accelerator &tc = *designs[0];
@@ -93,19 +90,15 @@ main(int argc, char **argv)
                   overhead < 0.0 ? "n/a" : TextTable::fmt(overhead, 2),
                   gradeTax(share, overhead), degrees[i], diversity[i]});
     }
-    t.print(std::cout);
+    t.print(out);
 
-    std::cout << "\nHighLight supported operand-A degrees:\n";
+    out << "\nHighLight supported operand-A degrees:\n";
     for (const auto &deg : enumerateDegrees(highlightWeightSupport())) {
-        std::cout << "  " << deg.spec.str() << "  density "
-                  << TextTable::fmt(deg.density, 4) << "  (sparsity "
-                  << TextTable::fmt(100.0 * (1.0 - deg.density), 1)
-                  << "%)\n";
+        out << "  " << deg.spec.str() << "  density "
+            << TextTable::fmt(deg.density, 4) << "  (sparsity "
+            << TextTable::fmt(100.0 * (1.0 - deg.density), 1) << "%)\n";
     }
-
-    if (!json_path.empty() && !writeTableJson(json_path, t)) {
-        std::cerr << "table1: cannot write " << json_path << "\n";
-        return 1;
-    }
-    return 0;
+    return {out.str(), tableJson(t)};
 }
+
+} // namespace highlight

@@ -5,37 +5,32 @@
  * patterns, including the two-rank HSS of Fig 5.
  */
 
-#include <iostream>
+#include <sstream>
 
-#include "common/table.hh"
-#include "runtime_flags.hh"
+#include "artifact_util.hh"
+#include "artifacts.hh"
 #include "sparsity/spec.hh"
 
-int
-main(int argc, char **argv)
+namespace highlight
 {
-    using namespace highlight;
 
-    rejectUnknownArgs(argc, argv);
-    configureRuntimeThreads(argc, argv);
-    const std::string json_path = parseOptionValue(argc, argv, "--json");
+ArtifactReport
+runTable2()
+{
+    std::ostringstream out;
 
     TextTable t("Table 2: fibertree-based sparsity specifications");
     t.setHeader({"citation", "conventional classification",
                  "fibertree-based specification"});
     for (const auto &row : table2Specs())
         t.addRow({row.citation, row.conventional, row.spec.str()});
-    t.print(std::cout);
+    t.print(out);
 
-    std::cout << "\nFig 5 example overall sparsity: 1 - 3/4 * 2/4 = "
-              << TextTable::fmt(
-                     1.0 - exampleTwoRankHssSpec().structuredDensity(),
-                     3)
-              << "\n";
-
-    if (!json_path.empty() && !writeTableJson(json_path, t)) {
-        std::cerr << "table2: cannot write " << json_path << "\n";
-        return 1;
-    }
-    return 0;
+    out << "\nFig 5 example overall sparsity: 1 - 3/4 * 2/4 = "
+        << TextTable::fmt(
+               1.0 - exampleTwoRankHssSpec().structuredDensity(), 3)
+        << "\n";
+    return {out.str(), tableJson(t)};
 }
+
+} // namespace highlight

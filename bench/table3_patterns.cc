@@ -5,21 +5,19 @@
  * combinations each model accepts.
  */
 
-#include <iostream>
+#include <sstream>
 
 #include "accel/harness.hh"
-#include "common/table.hh"
-#include "core/evaluator.hh"
-#include "runtime_flags.hh"
+#include "artifact_util.hh"
+#include "artifacts.hh"
 
-int
-main(int argc, char **argv)
+namespace highlight
 {
-    using namespace highlight;
 
-    rejectUnknownArgs(argc, argv);
-    configureRuntimeThreads(argc, argv);
-    const std::string json_path = parseOptionValue(argc, argv, "--json");
+ArtifactReport
+runTable3()
+{
+    std::ostringstream out;
 
     Evaluator ev;
 
@@ -28,7 +26,7 @@ main(int argc, char **argv)
     for (const Accelerator *d : ev.designs())
         t.addRow({d->name(), d->supportedPatternsA(),
                   d->supportedPatternsB()});
-    t.print(std::cout);
+    t.print(out);
 
     // Verification matrix: supports() on canonical operands.
     struct Case
@@ -66,12 +64,9 @@ main(int argc, char **argv)
             row.push_back(d->supports(w) ? "Y" : "-");
         v.addRow(row);
     }
-    std::cout << "\n";
-    v.print(std::cout);
-
-    if (!json_path.empty() && !writeTablesJson(json_path, {&t, &v})) {
-        std::cerr << "table3: cannot write " << json_path << "\n";
-        return 1;
-    }
-    return 0;
+    out << "\n";
+    v.print(out);
+    return {out.str(), tablesJson({&t, &v})};
 }
+
+} // namespace highlight

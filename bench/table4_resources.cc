@@ -4,20 +4,18 @@
  * the derived area totals from the component library.
  */
 
-#include <iostream>
+#include <sstream>
 
-#include "common/table.hh"
-#include "core/evaluator.hh"
-#include "runtime_flags.hh"
+#include "artifact_util.hh"
+#include "artifacts.hh"
 
-int
-main(int argc, char **argv)
+namespace highlight
 {
-    using namespace highlight;
 
-    rejectUnknownArgs(argc, argv);
-    configureRuntimeThreads(argc, argv);
-    const std::string json_path = parseOptionValue(argc, argv, "--json");
+ArtifactReport
+runTable4()
+{
+    std::ostringstream out;
 
     Evaluator ev;
 
@@ -29,15 +27,12 @@ main(int argc, char **argv)
                   d->arch().computeString(),
                   TextTable::fmt(d->totalAreaUm2() / 1e6, 2)});
     }
-    t.print(std::cout);
+    t.print(out);
 
-    std::cout << "\nNote: GLB cells with \"a + bKB\" split data and "
-                 "metadata partitions,\nmirroring the paper's Table 4 "
-                 "exactly.\n";
-
-    if (!json_path.empty() && !writeTableJson(json_path, t)) {
-        std::cerr << "table4: cannot write " << json_path << "\n";
-        return 1;
-    }
-    return 0;
+    out << "\nNote: GLB cells with \"a + bKB\" split data and "
+           "metadata partitions,\nmirroring the paper's Table 4 "
+           "exactly.\n";
+    return {out.str(), tableJson(t)};
 }
+
+} // namespace highlight

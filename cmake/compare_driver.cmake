@@ -1,53 +1,56 @@
-# Smoke-compare a figure driver: run it in parallel mode, with
-# --serial, and pinned to --threads 2, then byte-compare the three
-# --json dumps. The dumps print doubles at max_digits10, so identical
-# files <=> bit-identical results — this is the ctest-level
-# thread-count determinism check for every sweep driver.
+# Smoke-compare a figure driver: run it at the default thread count,
+# with --serial, and pinned to --threads 2, then byte-compare the three
+# --json dumps and the three stdouts, and the default stdout against
+# the committed golden copy. The dumps print doubles at max_digits10,
+# so identical files <=> bit-identical results — this is the
+# ctest-level thread-count determinism check for every driver. The
+# golden stdout pins what the driver prints across commits.
 #
 # Usage:
-#   cmake -DDRIVER=<exe> -DOUTDIR=<dir> -DNAME=<tag> -P compare_driver.cmake
+#   cmake -DDRIVER=<exe> -DOUTDIR=<dir> -DNAME=<tag> -DGOLDEN=<txt>
+#         -P compare_driver.cmake
 
-foreach(var DRIVER OUTDIR NAME)
+foreach(var DRIVER OUTDIR NAME GOLDEN)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "compare_driver.cmake: -D${var}=... is required")
   endif()
 endforeach()
 
-set(par_json "${OUTDIR}/${NAME}_parallel.json")
-set(ser_json "${OUTDIR}/${NAME}_serial.json")
-set(two_json "${OUTDIR}/${NAME}_threads2.json")
-
-execute_process(COMMAND "${DRIVER}" --json "${par_json}"
-                RESULT_VARIABLE par_rc OUTPUT_QUIET)
-if(NOT par_rc EQUAL 0)
-  message(FATAL_ERROR "${NAME}: parallel run failed (rc=${par_rc})")
-endif()
-
-execute_process(COMMAND "${DRIVER}" --serial --json "${ser_json}"
-                RESULT_VARIABLE ser_rc OUTPUT_QUIET)
-if(NOT ser_rc EQUAL 0)
-  message(FATAL_ERROR "${NAME}: --serial run failed (rc=${ser_rc})")
-endif()
-
-execute_process(COMMAND "${DRIVER}" --threads 2 --json "${two_json}"
-                RESULT_VARIABLE two_rc OUTPUT_QUIET)
-if(NOT two_rc EQUAL 0)
-  message(FATAL_ERROR "${NAME}: --threads 2 run failed (rc=${two_rc})")
-endif()
-
-foreach(f "${par_json}" "${ser_json}" "${two_json}")
-  if(NOT EXISTS "${f}")
-    message(FATAL_ERROR "${NAME}: missing JSON dump ${f}")
+# run(<tag> <driver args...>): writes ${NAME}_<tag>.json and .txt.
+function(run tag)
+  set(json "${OUTDIR}/${NAME}_${tag}.json")
+  set(txt "${OUTDIR}/${NAME}_${tag}.txt")
+  file(REMOVE "${json}" "${txt}")
+  execute_process(COMMAND "${DRIVER}" ${ARGN} --json "${json}"
+                  RESULT_VARIABLE rc OUTPUT_FILE "${txt}")
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${NAME}: '${ARGN}' run failed (rc=${rc})")
   endif()
-endforeach()
+  if(NOT EXISTS "${json}")
+    message(FATAL_ERROR "${NAME}: missing JSON dump ${json}")
+  endif()
+endfunction()
 
-foreach(variant "${ser_json}" "${two_json}")
+# same(<expected> <actual> <what breaks if they differ>)
+function(same expected actual why)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                          "${par_json}" "${variant}"
+                          "${expected}" "${actual}"
                   RESULT_VARIABLE differ)
   if(NOT differ EQUAL 0)
-    message(FATAL_ERROR
-            "${NAME}: ${variant} differs from the parallel dump — the "
-            "bit-identical any-thread-count guarantee is broken")
+    message(FATAL_ERROR "${NAME}: ${actual} differs from ${expected} — ${why}")
   endif()
+endfunction()
+
+run(parallel)
+run(serial --serial)
+run(threads2 --threads 2)
+
+foreach(variant serial threads2)
+  foreach(ext json txt)
+    same("${OUTDIR}/${NAME}_parallel.${ext}" "${OUTDIR}/${NAME}_${variant}.${ext}"
+         "the bit-identical any-thread-count guarantee is broken")
+  endforeach()
 endforeach()
+
+same("${GOLDEN}" "${OUTDIR}/${NAME}_parallel.txt"
+     "the driver's stdout changed (regenerate the golden file only for a named cause)")

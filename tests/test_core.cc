@@ -6,14 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <iterator>
-
 #include "common/logging.hh"
 #include "core/evaluator.hh"
 #include "core/explorer.hh"
-#include "core/frontier_io.hh"
 #include "core/pareto.hh"
 #include "dnn/deit.hh"
 #include "dnn/resnet50.hh"
@@ -242,41 +237,6 @@ TEST(Pareto, HighlightOnResnetFrontier)
             }
         }
     }
-}
-
-TEST(FrontierIo, JsonGoldenBytes)
-{
-    const std::string path = ::testing::TempDir() + "frontier_golden.json";
-    std::remove(path.c_str());
-
-    // Quotes and backslashes in labels are escaped; doubles print at
-    // max_digits10, so a byte-compare of two dumps is a bit-identity
-    // check on the values.
-    const std::vector<FrontierEntry> frontier = {
-        {"ResNet50", "HL 2:4 \"half\"", 0.1, 1.0 / 3.0},
-        {"De\\iT", "TC dense", 0.0, 0.2500000000000001},
-        {"DeiT", "DSTC", 2.5e-7, 1.0},
-    };
-    const auto dump = [&](const std::vector<FrontierEntry> &entries) {
-        EXPECT_TRUE(writeFrontierJson(path, entries));
-        std::ifstream in(path);
-        return std::string((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    };
-    EXPECT_EQ(dump(frontier),
-              "[\n"
-              "  {\"model\": \"ResNet50\", \"design\": "
-              "\"HL 2:4 \\\"half\\\"\", \"accuracy_loss\": "
-              "0.10000000000000001, \"norm_edp\": 0.33333333333333331},\n"
-              "  {\"model\": \"De\\\\iT\", \"design\": \"TC dense\", "
-              "\"accuracy_loss\": 0, \"norm_edp\": 0.25000000000000011},\n"
-              "  {\"model\": \"DeiT\", \"design\": \"DSTC\", "
-              "\"accuracy_loss\": 2.4999999999999999e-07, "
-              "\"norm_edp\": 1}\n"
-              "]\n");
-    EXPECT_EQ(dump({}), "[\n]\n");
-    EXPECT_FALSE(writeFrontierJson("/nonexistent/f.json", frontier));
-    std::remove(path.c_str());
 }
 
 } // namespace

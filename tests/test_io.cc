@@ -1,7 +1,7 @@
 /**
  * @file
- * The io/ layer: the bench summary writer emits the legacy
- * highlight-bench-v1 JSON byte for byte.
+ * The io/ layer: JSON string quoting, and the bench summary writer
+ * emits the legacy highlight-bench-v1 JSON byte for byte.
  */
 
 #include <gtest/gtest.h>
@@ -12,11 +12,19 @@
 #include <string>
 
 #include "io/bench_io.hh"
+#include "io/json.hh"
 
 namespace highlight
 {
 namespace
 {
+
+TEST(Json, QuoteEscapesQuotesAndBackslashes)
+{
+    EXPECT_EQ(jsonQuote("HL 2:4 \"half\""), "\"HL 2:4 \\\"half\\\"\"");
+    EXPECT_EQ(jsonQuote("De\\iT"), "\"De\\\\iT\"");
+    EXPECT_EQ(jsonQuote(""), "\"\"");
+}
 
 TEST(BenchIo, TextFormatIsTheLegacySchema)
 {
