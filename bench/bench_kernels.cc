@@ -192,36 +192,83 @@ BENCHMARK(BM_MicrosimFig16)
     ->Unit(benchmark::kMillisecond);
 
 /**
+ * BM_MicrosimFig16's operands (65% sparse B when compressed) prepared
+ * as run() prepares them up to the operand-B pass: compressed A, the
+ * ordered B stream, its compressed form, and the worker context.
+ */
+struct Fig16Context
+{
+    explicit Fig16Context(bool compress_b)
+    {
+        const HssSpec &spec = benchSpec();
+        Rng rng_a(42), rng_b(7);
+        const auto a = hssSparsify(
+            randomDense(TensorShape({{"M", m}, {"K", k}}), rng_a), spec);
+        auto b = randomDense(TensorShape({{"K", k}, {"N", n}}), rng_b);
+        if (compress_b)
+            b = unstructuredSparsify(b, 0.65);
+        a_cp = std::make_unique<HierarchicalCpMatrix>(a, spec);
+        stream = buildOrderedBStream(b, spec.totalSpan());
+        if (compress_b)
+            b_comp = std::make_unique<OperandBStream>(
+                stream.data(), static_cast<std::int64_t>(stream.size()),
+                spec.rank(0).h, spec.rank(1).h);
+        ctx = makeSimContext(*a_cp, b_comp.get(), stream, n);
+    }
+
+    // ctx points into this object.
+    Fig16Context(const Fig16Context &) = delete;
+    Fig16Context &operator=(const Fig16Context &) = delete;
+
+    static constexpr std::int64_t m = 32, k = 1024, n = 128;
+    std::unique_ptr<HierarchicalCpMatrix> a_cp;
+    std::vector<float> stream;
+    std::unique_ptr<OperandBStream> b_comp;
+    SimContext ctx;
+};
+
+/**
+ * The operand-B pass alone: the one GLB + VFMU traversal that decodes
+ * (and, compressed, expands) every set of a fig16-sized B for a whole
+ * run, including the table's allocation, as run() performs it once
+ * between compressing B and the row groups.
+ */
+void
+BM_OperandBPass(benchmark::State &state)
+{
+    const Fig16Context f(state.range(0) != 0);
+    for (auto _ : state) {
+        const OperandBPass pass(f.ctx);
+        benchmark::DoNotOptimize(pass.set(0));
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * f.ctx.groups * f.n);
+}
+BENCHMARK(BM_OperandBPass)
+    ->ArgsProduct({{0, 1}})
+    ->ArgNames({"compress_b"})
+    ->Unit(benchmark::kMillisecond);
+
+/**
  * The row-group steady state alone: RowGroupWorker::runGroup over all
  * 32 rows of a prebuilt context with BM_MicrosimFig16's operands, in
  * groups of the second argument, on the calling thread. Compressing A,
- * building and compressing the B stream, the pool and the stats fold
- * stay outside the timed loop, so the ledger can attribute a change
- * in BM_MicrosimFig16 to the steady state or to the phases around it.
+ * building and compressing the B stream, the operand-B pass
+ * (BM_OperandBPass), the pool and the stats fold stay outside the
+ * timed loop, so this times the lanes only, and the ledger can
+ * attribute a change in BM_MicrosimFig16 to the steady state or to the
+ * phases around it.
  */
 void
 BM_RowGroupSteadyState(benchmark::State &state)
 {
     const bool compress_b = state.range(0) != 0;
     const int group_rows = static_cast<int>(state.range(1));
-    const HssSpec &spec = benchSpec();
-    Rng rng_a(42), rng_b(7);
-    const std::int64_t m = 32, k = 1024, n = 128;
-    const auto a = hssSparsify(
-        randomDense(TensorShape({{"M", m}, {"K", k}}), rng_a), spec);
-    auto b = randomDense(TensorShape({{"K", k}, {"N", n}}), rng_b);
-    if (compress_b)
-        b = unstructuredSparsify(b, 0.65);
-
-    const HierarchicalCpMatrix a_cp(a, spec);
-    const std::vector<float> stream =
-        buildOrderedBStream(b, spec.totalSpan());
-    std::unique_ptr<OperandBStream> b_comp;
-    if (compress_b)
-        b_comp = std::make_unique<OperandBStream>(
-            stream.data(), static_cast<std::int64_t>(stream.size()),
-            spec.rank(0).h, spec.rank(1).h);
-    const SimContext ctx = makeSimContext(a_cp, b_comp.get(), stream, n);
+    const Fig16Context f(compress_b);
+    const std::int64_t m = f.m, n = f.n;
+    const OperandBPass pass(f.ctx);
+    SimContext ctx = f.ctx;
+    ctx.b_pass = &pass;
 
     RowGroupWorker worker(ctx, group_rows);
     DenseTensor out(TensorShape({{"M", m}, {"N", n}}));

@@ -8,9 +8,9 @@
  * downstream turns these aligned fetches into variable-length reads.
  *
  * The GLB does not own the stream: it holds a non-owning view of the
- * once-built operand stream, so restreaming the same data (one pass per
- * output row) costs a `reset()` instead of a fresh copy. Rows past the
- * end of the stream read as zero padding, exactly like the physically
+ * once-built operand stream, so a pass over it copies nothing, and
+ * streaming the same data again costs a `reset()`. Rows past the end
+ * of the stream read as zero padding, exactly like the physically
  * padded buffer it models.
  */
 

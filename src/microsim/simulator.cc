@@ -89,11 +89,8 @@ makeSimContext(const HierarchicalCpMatrix &a_cp,
     ctx.g1 = ctx.two_rank ? spec.rank(1).g : 1;
     ctx.h1 = ctx.two_rank ? spec.rank(1).h : 1;
     const int set_span = ctx.h0 * ctx.h1;
-    ctx.vfmu_capacity =
-        config.vfmu_capacity_words != 0
-            ? config.vfmu_capacity_words
-            : std::max({2 * set_span, 2 * config.glb_row_words,
-                        set_span + config.glb_row_words});
+    ctx.vfmu_capacity = std::max({2 * set_span, 2 * config.glb_row_words,
+                                  set_span + config.glb_row_words});
     ctx.groups = a_cp.cols() / set_span;
     ctx.n = n;
     return ctx;
@@ -157,13 +154,89 @@ truncatedStream(std::int64_t set_idx, std::int64_t need,
                 set_idx, " needs ", need, " words, got ", got));
 }
 
+/**
+ * The operand-B side of a hand-built context, which OperandBPass reads
+ * without bounds checks: fatal unless b_comp, if set, was built for
+ * (h0, h1) over groups * n sets, and the GLB view is no longer than
+ * the words operand B holds.
+ */
+void
+checkOperandB(const SimContext &ctx, const char *who)
+{
+    if (ctx.h0 < 1 || ctx.h1 < 1 || ctx.groups < 0 || ctx.n < 0)
+        fatal(msgOf(who, ": context geometry h0=", ctx.h0, " h1=", ctx.h1,
+                    " groups=", ctx.groups, " n=", ctx.n));
+    const std::int64_t set_span = static_cast<std::int64_t>(ctx.h0) * ctx.h1;
+    const std::int64_t stream_words = ctx.groups * ctx.n * set_span;
+    const OperandBStream *const bc = ctx.b_comp;
+    if (bc != nullptr &&
+        (bc->h0() != ctx.h0 || bc->h1() != ctx.h1 ||
+         bc->length() != stream_words))
+        fatal(msgOf(who, ": compressed operand B (h0=", bc->h0(), " h1=",
+                    bc->h1(), " length=", bc->length(),
+                    ") was not built for h0=", ctx.h0, " h1=", ctx.h1,
+                    " length=", stream_words));
+    const std::int64_t max_len =
+        bc != nullptr ? bc->dataWords() : stream_words;
+    if (ctx.stream_len > max_len)
+        fatal(msgOf(who, ": stream_len ", ctx.stream_len, " exceeds the ",
+                    max_len, " words of operand B"));
+}
+
 } // namespace
+
+OperandBPass::OperandBPass(const SimContext &ctx)
+    : stride_(static_cast<std::int64_t>(ctx.h0) * ctx.h1 + 1),
+      num_sets_(ctx.groups * ctx.n)
+{
+    checkOperandB(ctx, "OperandBPass");
+    const int set_span = static_cast<int>(stride_ - 1);
+    const int h0 = ctx.h0, h1 = ctx.h1;
+    const OperandBStream *const bc = ctx.b_comp;
+    // Zero-filled, so every slot no word lands in (a stored zero of
+    // compressed B, and each set's trailing gated slot) reads +0.0.
+    table_.assign(static_cast<std::size_t>(num_sets_ * stride_), 0.0f);
+    MicroGlb glb(ctx.stream, ctx.stream_len, ctx.glb_row_words);
+    Vfmu vfmu(glb, ctx.vfmu_capacity);
+    std::vector<float> words(
+        bc != nullptr ? static_cast<std::size_t>(set_span) : 0);
+    for (std::int64_t s = 0; s < num_sets_; ++s) {
+        float *const set = table_.data() + s * stride_;
+        if (bc == nullptr) {
+            // Dense B: a fixed shift of H1 blocks (H1*H0 words) lands
+            // straight in the set's aligned blocks.
+            const int got = vfmu.readShift(set_span, set);
+            if (got != set_span)
+                truncatedStream(s, set_span, got);
+            continue;
+        }
+        // Compressed B: the level-1 count is the shift (0 for an
+        // all-zero set, which moves no data and touches no counter),
+        // and the level-2 block ends and level-3 offsets scatter each
+        // word into its block.
+        const std::int64_t count = bc->setCountAt(s);
+        const int got = vfmu.readShift(static_cast<int>(count), words.data());
+        if (got != count)
+            truncatedStream(s, count, got);
+        const std::int64_t first_block = s * h1;
+        const std::int64_t set_start =
+            first_block == 0 ? 0 : bc->blockEndAt(first_block - 1);
+        std::int64_t w = set_start;
+        for (int j = 0; j < h1; ++j) {
+            float *const block = set + static_cast<std::int64_t>(j) * h0;
+            const std::int64_t end = bc->blockEndAt(first_block + j);
+            for (; w < end; ++w)
+                block[bc->offsetAt(w)] =
+                    words[static_cast<std::size_t>(w - set_start)];
+        }
+    }
+    glb_stats_ = glb.stats();
+    vfmu_stats_ = vfmu.stats();
+}
 
 RowGroupWorker::RowGroupWorker(const SimContext &ctx,
                                int group_capacity)
-    : ctx_(ctx), group_capacity_(group_capacity),
-      glb_(ctx.stream, ctx.stream_len, ctx.glb_row_words),
-      vfmu_(glb_, ctx.vfmu_capacity)
+    : ctx_(ctx), group_capacity_(group_capacity), pass_(ctx.b_pass)
 {
     if (group_capacity_ < 1)
         fatal(msgOf("RowGroupWorker: group capacity ", group_capacity_,
@@ -191,30 +264,19 @@ RowGroupWorker::RowGroupWorker(const SimContext &ctx,
         fatal(msgOf("RowGroupWorker: ", ctx_.groups, " groups of ",
                     set_span, " do not span operand A's ",
                     ctx_.a_cp->cols(), " columns (n=", ctx_.n, ")"));
-    const std::int64_t stream_words = ctx_.groups * ctx_.n * set_span;
-    const OperandBStream *const bc = ctx_.b_comp;
-    if (bc != nullptr &&
-        (bc->h0() != ctx_.h0 || bc->h1() != ctx_.h1 ||
-         bc->length() != stream_words))
-        fatal(msgOf("RowGroupWorker: compressed operand B (h0=",
-                    bc->h0(), " h1=", bc->h1(), " length=",
-                    bc->length(), ") was not built for h0=", ctx_.h0,
-                    " h1=", ctx_.h1, " length=", stream_words));
-    const std::int64_t max_len =
-        bc != nullptr ? bc->dataWords() : stream_words;
-    if (ctx_.stream_len > max_len)
-        fatal(msgOf("RowGroupWorker: stream_len ", ctx_.stream_len,
-                    " exceeds the ", max_len, " words of operand B"));
+    checkOperandB(ctx_, "RowGroupWorker");
+    if (pass_ != nullptr && (pass_->stride() != set_span + 1 ||
+                             pass_->numSets() != ctx_.groups * ctx_.n))
+        fatal(msgOf("RowGroupWorker: operand-B pass of ",
+                    pass_->numSets(), " sets at stride ", pass_->stride(),
+                    " does not hold ", ctx_.groups * ctx_.n,
+                    " sets of ", set_span, " words"));
 
     const std::size_t cap = static_cast<std::size_t>(group_capacity_);
     const std::size_t lanes = cap * static_cast<std::size_t>(ctx_.g1) *
                               static_cast<std::size_t>(ctx_.g0);
     lane_a_.assign(lanes, 0.0);
     lane_b_.assign(lanes, 0);
-    words_.assign(static_cast<std::size_t>(set_span), 0.0f);
-    set_.assign(static_cast<std::size_t>(set_span) + 1, 0.0f);
-    selected_blocks_.assign(static_cast<std::size_t>(ctx_.h1), 0);
-    block_selected_.assign(static_cast<std::size_t>(ctx_.h1), 0);
 }
 
 void
@@ -223,11 +285,6 @@ RowGroupWorker::loadKGroup(std::int64_t g, std::int64_t row0, int nrows)
     const int g0 = ctx_.g0, g1 = ctx_.g1, h0 = ctx_.h0;
     const int lanes_per_row = g1 * g0;
     const std::int32_t zero_slot = h0 * ctx_.h1;
-    // The blocks the lanes read stay fixed for the whole K-group, so
-    // the compressed path expands just these, collected once here
-    // rather than deduplicated again for every column.
-    std::fill(block_selected_.begin(), block_selected_.end(), 0);
-    num_selected_ = 0;
     const int full = nrows / kTileRows * kTileRows;
     for (int r = 0; r < nrows; ++r) {
         // Row r's lane j sits at [j][r - first] of the tile that
@@ -262,11 +319,6 @@ RowGroupWorker::loadKGroup(std::int64_t g, std::int64_t row0, int nrows)
                     reads_b ? static_cast<std::int32_t>(block) * h0 + offs[l]
                             : zero_slot;
                 all_dummy &= a == 0.0f;
-                if (reads_b && block_selected_[block] == 0) {
-                    block_selected_[block] = 1;
-                    selected_blocks_[num_selected_++] =
-                        static_cast<std::uint8_t>(block);
-                }
             }
             stats_.dummy_blocks += all_dummy;
         }
@@ -285,21 +337,16 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
         fatal(msgOf("RowGroupWorker: output ", out.shape().str(),
                     " cannot hold rows [", row0, ", ", row0 + nrows,
                     ") of ", n, " columns"));
-    const int g0 = ctx_.g0, g1 = ctx_.g1, h0 = ctx_.h0, h1 = ctx_.h1;
-    const std::int64_t set_span =
-        static_cast<std::int64_t>(h0) * h1;
+    if (pass_ == nullptr) {
+        // A hand-built context carries no shared pass: decode operand B
+        // once here, as run() does before its row groups, and keep it.
+        own_pass_ = std::make_unique<OperandBPass>(ctx_);
+        pass_ = own_pass_.get();
+    }
+    const int g0 = ctx_.g0, g1 = ctx_.g1;
     const OperandBStream *const bc = ctx_.b_comp;
-    const bool compress_b = bc != nullptr;
     const int lanes_per_row = g1 * g0;
 
-    // Fresh streaming state per group: the B stream runs through the
-    // shared VFMU exactly once, broadcast to every row. Component
-    // counters restart at zero so the pass activity can be folded —
-    // restream-equivalently, once per row — below.
-    glb_.reset();
-    vfmu_.reset();
-
-    float *const set = set_.data();
     const double *const lane_a = lane_a_.data();
     const std::int32_t *const lane_b = lane_b_.data();
     float *const out_data = out.data().data();
@@ -309,58 +356,15 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
         loadKGroup(g, row0, nrows);
 
         for (std::int64_t col = 0; col < n; ++col) {
-            // One shared VFMU shift for this (group, column) set,
-            // broadcast to all rows of the group.
             const std::int64_t set_idx = g * n + col;
-            if (compress_b) {
-                const std::int64_t count = bc->setCountAt(set_idx);
-                // An all-zero set: the VFMU does not shift (readShift(0)
-                // touches no counter), every lane gates, and each row's
-                // partial sum is +0.0. Adding +0.0 leaves an output
-                // unchanged (outputs start at +0.0 and never become
-                // -0.0), and every counter the step moves is charged in
-                // closed form below, so the set costs nothing here.
-                if (count == 0)
-                    continue;
-                const int got = vfmu_.readShift(
-                    static_cast<int>(count), words_.data());
-                if (got != count)
-                    truncatedStream(set_idx, count, got);
-                // Expand each selected block straight from the
-                // level-2/3 metadata, once per step no matter how many
-                // rows selected it: the block is zeroed (H0 words) and
-                // scattered just before the lanes read it, so no
-                // all-zero invariant, and no per-step fill over the
-                // whole H1*H0 array, is needed. Unselected blocks are
-                // never touched: no lane reads them.
-                const std::int64_t first_block = set_idx * h1;
-                const std::int64_t set_start =
-                    first_block == 0 ? 0
-                                     : bc->blockEndAt(first_block - 1);
-                for (std::size_t i = 0; i < num_selected_; ++i) {
-                    const int j = selected_blocks_[i];
-                    const std::int64_t blk = first_block + j;
-                    const std::int64_t begin =
-                        blk == 0 ? 0 : bc->blockEndAt(blk - 1);
-                    const std::int64_t end = bc->blockEndAt(blk);
-                    float *block_j =
-                        set + static_cast<std::int64_t>(j) * h0;
-                    std::fill(block_j, block_j + h0, 0.0f);
-                    for (std::int64_t w = begin; w < end; ++w) {
-                        block_j[bc->offsetAt(w)] = words_
-                            [static_cast<std::size_t>(w - set_start)];
-                    }
-                }
-            } else {
-                // Dense B: fixed shift of H1 blocks (H1*H0 words)
-                // read straight into the aligned block array; for
-                // H1 < Hmax the tail slots would be dummy padding
-                // never selected by the rank-1 SAF.
-                const int got =
-                    vfmu_.readShift(static_cast<int>(set_span), set);
-                if (got != set_span)
-                    truncatedStream(set_idx, set_span, got);
-            }
+            // An all-zero compressed set: every lane gates and each
+            // row's partial sum is +0.0. Adding +0.0 leaves an output
+            // unchanged (outputs start at +0.0 and never become -0.0),
+            // and every counter the step moves is charged in closed
+            // form below, so the set costs nothing here.
+            if (bc != nullptr && bc->setCountAt(set_idx) == 0)
+                continue;
+            const float *const set = pass_->set(set_idx);
 
             // One processing step for every row of the group, a tile
             // of rows at a time — the exact serial per-row operation
@@ -392,14 +396,13 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
     stats_.pe.mac_ops += effectual;
     stats_.pe.gated_macs += lane_steps - effectual;
 
-    // Fold the group's component activity into the worker aggregate.
-    // The GLB/VFMU pass was shared physically but is accounted
-    // restream-equivalently: its counters are a pure function of the
-    // stream and shift sequence (row-independent), so each row of the
-    // group is charged one full pass — keeping every total
-    // byte-identical to ungrouped execution.
-    stats_.glb_b.accumulateScaled(glb_.stats(), nrows);
-    stats_.vfmu.accumulateScaled(vfmu_.stats(), nrows);
+    // Fold the operand-B pass into the worker aggregate. The pass ran
+    // once, but is accounted restream-equivalently: its counters are a
+    // pure function of the stream and shift sequence (row-independent),
+    // so each row of the group is charged one full pass — keeping
+    // every total byte-identical to ungrouped execution.
+    stats_.glb_b.accumulateScaled(pass_->glbStats(), nrows);
+    stats_.vfmu.accumulateScaled(pass_->vfmuStats(), nrows);
 }
 
 HighlightSimulator::HighlightSimulator(MicrosimConfig config)
@@ -462,17 +465,19 @@ HighlightSimulator::run(const DenseTensor &a, const HssSpec &a_spec,
     }
 
     // Everything the row workers share, read-only: compressed A, the
-    // once-built stream + metadata, and the resolved geometry.
-    const SimContext ctx =
-        makeSimContext(a_cp, b_comp.get(), b_stream, n, config_);
+    // once-built stream + metadata, the resolved geometry, and operand
+    // B decoded once — the single VFMU stream the PE array broadcasts
+    // to every output row.
+    SimContext ctx = makeSimContext(a_cp, b_comp.get(), b_stream, n, config_);
+    const OperandBPass b_pass(ctx);
+    ctx.b_pass = &b_pass;
 
     SimResult result{DenseTensor(TensorShape({{"M", m}, {"N", n}})), {}};
 
     // Group-parallel steady state: rows are partitioned into fixed
-    // contiguous groups of `group` rows; each group performs one
-    // shared operand-B pass broadcast to its rows (the hardware's
-    // column broadcast), and disjoint groups are shared-nothing, so
-    // they fan out across the runtime pool. One RowGroupWorker per
+    // contiguous groups of `group` rows; each group steps its rows
+    // against the shared pass, and disjoint groups are shared-nothing,
+    // so they fan out across the runtime pool. One RowGroupWorker per
     // pool slot, leased per group; one group per claim because one
     // group is milliseconds of work. Each group writes only its own
     // rows' output slots with the serial code's exact per-row

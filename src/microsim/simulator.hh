@@ -26,6 +26,7 @@
 #define HIGHLIGHT_MICROSIM_SIMULATOR_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "microsim/glb.hh"
@@ -45,22 +46,14 @@ struct MicrosimConfig
 {
     /** GLB fetch granularity in words (Fig 11 uses 16). */
     int glb_row_words = 16;
-    /**
-     * VFMU capacity in words; 0 = auto (2 * H1 * H0 of the operand-A
-     * spec, the paper's "2 x Hmax blocks", rounded up to cover at
-     * least two GLB rows and H1 * H0 words plus one GLB row).
-     */
-    int vfmu_capacity_words = 0;
     /** Stream operand B compressed (Sec 6.4) or dense. */
     bool compress_b = false;
     /**
-     * Output rows executed per shared operand-B pass (the software
-     * analogue of the PE array's column broadcast: one VFMU stream
-     * feeds a whole group of rows instead of each row restreaming B
-     * privately). 0 = auto (kDefaultGroupRows, clamped to M). Any
-     * value produces byte-identical outputs and counters — fidelity
-     * counters are accounted restream-equivalently per row — so this
-     * is purely a host-performance knob.
+     * Output rows one RowGroupWorker steps together, the unit of work
+     * run() hands to the pool. 0 = auto (kDefaultGroupRows, clamped
+     * to M). Any value produces byte-identical outputs and counters —
+     * fidelity counters are accounted restream-equivalently per row —
+     * so this is purely a host-performance knob.
      */
     int group_rows = 0;
 
@@ -109,12 +102,15 @@ struct SimResult
 std::vector<float> buildOrderedBStream(const DenseTensor &b,
                                        std::int64_t set_span);
 
+class OperandBPass;
+
 /**
  * Read-only per-run context shared by every row worker: the compressed
  * operand A, the once-built operand-B stream (packed nonzeros plus
- * three-level metadata when compressed), and the resolved datapath
- * geometry. Built once by HighlightSimulator::run(); all referenced
- * objects must outlive the workers.
+ * three-level metadata when compressed), the resolved datapath
+ * geometry and, when run() built it, the decoded operand-B pass. Built
+ * once by HighlightSimulator::run(); all referenced objects must
+ * outlive the workers.
  */
 struct SimContext
 {
@@ -129,16 +125,24 @@ struct SimContext
     bool two_rank = false;
     std::int64_t groups = 0; ///< K / (H0*H1).
     std::int64_t n = 0;      ///< Output columns.
+    /**
+     * Operand B decoded once for the whole run, shared by every
+     * worker. Null in a hand-built context: each worker then runs the
+     * same pass itself on its first runGroup() and keeps it.
+     */
+    const OperandBPass *b_pass = nullptr;
 };
 
 /**
- * The context HighlightSimulator::run() gives its row workers, for
- * anything else that drives RowGroupWorker directly: the geometry of
- * `a_cp`'s spec, `config`'s GLB row width and VFMU capacity (0
- * resolved as MicrosimConfig documents), and a GLB view over `b_comp`'s
- * packed nonzeros when it is set, else over the dense ordered `stream`
- * (buildOrderedBStream's output). `n` is the output column count. The
- * context points into `a_cp`, `b_comp` and `stream`.
+ * The context HighlightSimulator::run() gives its row workers, before
+ * it adds the operand-B pass, for anything else that drives
+ * RowGroupWorker or OperandBPass directly: the geometry of `a_cp`'s
+ * spec, `config`'s GLB row width, the automatic VFMU capacity (2 * H1 *
+ * H0, the paper's "2 x Hmax blocks", raised to at least two GLB rows
+ * and to H1 * H0 words plus one GLB row), and a GLB view over
+ * `b_comp`'s packed nonzeros when it is set, else over the dense
+ * ordered `stream` (buildOrderedBStream's output). `n` is the output
+ * column count. The context points into `a_cp`, `b_comp` and `stream`.
  */
 SimContext makeSimContext(const HierarchicalCpMatrix &a_cp,
                           const OperandBStream *b_comp,
@@ -146,21 +150,68 @@ SimContext makeSimContext(const HierarchicalCpMatrix &a_cp,
                           const MicrosimConfig &config = {});
 
 /**
+ * Operand B decoded once for a whole run: the paper's single VFMU
+ * streaming B out of the GLB for the PE array to broadcast to every
+ * output row (Sec 6.3.2, Figs 11-12). One MicroGlb + Vfmu traversal of
+ * the context's stream in (K-group, column) order expands every set
+ * into a read-only table; nothing in it depends on the output row, so
+ * every row group steps its lanes against the same table.
+ *
+ * Set s occupies [s * stride(), +stride()): its H1 aligned blocks of
+ * H0 words, then one word that is always +0.0, the slot a gated lane
+ * reads. On the compressed-B path every block is scattered from the
+ * level-2/3 metadata and holds +0.0 where B has no stored nonzero. The
+ * GLB and VFMU counters are those of the one traversal; a worker
+ * charges them once per row it steps (restream-equivalent accounting).
+ */
+class OperandBPass
+{
+  public:
+    /**
+     * Traverse `ctx`'s stream. Fatal unless the context's operand-B
+     * side is self-consistent (as RowGroupWorker requires); panics if
+     * the stream ends early, since a short VFMU read would otherwise
+     * leave a set holding words of no set.
+     */
+    explicit OperandBPass(const SimContext &ctx);
+
+    /** Set `s`'s H1 * H0 expanded words and its trailing zero slot. */
+    const float *
+    set(std::int64_t s) const
+    {
+        return table_.data() + s * stride_;
+    }
+
+    /** Words per set in the table: H1 * H0 plus the zero slot. */
+    std::int64_t stride() const { return stride_; }
+    /** Sets in the table: K-groups x output columns. */
+    std::int64_t numSets() const { return num_sets_; }
+
+    const GlbStats &glbStats() const { return glb_stats_; }
+    const VfmuStats &vfmuStats() const { return vfmu_stats_; }
+
+  private:
+    std::int64_t stride_;
+    std::int64_t num_sets_;
+    std::vector<float> table_;
+    GlbStats glb_stats_;
+    VfmuStats vfmu_stats_;
+};
+
+/**
  * The steady state of the datapath for a contiguous group of output
- * rows: one GLB view over the shared stream, one VFMU, the group's
- * lane tables, and all loop scratch — constructed once (per
- * thread-pool slot) and reset per group. A group performs ONE shared
- * VFMU pass over the operand-B stream and fans every decoded/expanded
- * set out to all rows of the group at once, mirroring the hardware's
- * column broadcast — instead of each row restreaming B through a
- * private VFMU.
+ * rows: the group's lane tables and the operand-B pass they step
+ * against. The worker owns no GLB and no VFMU: B was decoded once by
+ * OperandBPass, and every row of the group reads the same expanded
+ * sets, mirroring the hardware's column broadcast. Constructed once
+ * (per thread-pool slot) and reused across groups.
  *
  * When a K-group's stationary A blocks load, the worker records for
  * every (row, PE, lane) the lane's A value and the index its rank-1
- * and rank-0 muxes select in the expanded B set (an always-zero slot
- * for a dummy lane or an offset past H0). A column then steps every
- * row of the group from those tables: each row's PE partial sums and
- * row partial sum are accumulated in double in exactly the order of G1
+ * and rank-0 muxes select in the expanded set (the set's zero slot for
+ * a dummy lane or an offset past H0). A column then steps every row of
+ * the group from those tables: each row's PE partial sums and row
+ * partial sum are accumulated in double in exactly the order of G1
  * MicroPe steps (lanes in order within a PE, PEs in order within a
  * row, each sum starting from +0.0), gated through gatedProduct().
  * Only the effectual-MAC count is counted inside the loop; cycles,
@@ -168,13 +219,17 @@ SimContext makeSimContext(const HierarchicalCpMatrix &a_cp,
  * charged once per group in closed form, so an all-zero compressed
  * set, whose only effect is those charges, costs no per-row work.
  *
- * Fidelity counters stay restream-equivalent: the shared pass's
- * GLB/VFMU activity is a pure function of the stream and the shift
- * sequence (it does not depend on the A row), so it is accounted once
- * per row of the group — byte-identical totals to ungrouped serial
- * execution at any group size and any thread count. Groups are
- * shared-nothing, so any number of workers can run disjoint groups
- * concurrently. runGroup() never allocates.
+ * Fidelity counters stay restream-equivalent: the pass's GLB/VFMU
+ * activity is a pure function of the stream and the shift sequence
+ * (it does not depend on the A row), so it is accounted once per row
+ * of the group — byte-identical totals to ungrouped serial execution
+ * at any group size and any thread count. Groups are shared-nothing,
+ * so any number of workers can run disjoint groups concurrently.
+ *
+ * The pass comes from ctx.b_pass. A context without one (hand-built
+ * by tests and benchmarks) makes the worker run OperandBPass itself on
+ * its first runGroup() and keep it. Once the worker has its pass,
+ * runGroup() never allocates.
  */
 class RowGroupWorker
 {
@@ -186,11 +241,13 @@ class RowGroupWorker
      *                       two_rank, (g1:h1) (else g1 = h1 = 1), over
      *                       groups * h0 * h1 columns; b_comp, if set,
      *                       built for the same (h0, h1) over groups * n
-     *                       sets; and stream_len no longer than the
-     *                       words those sets hold (a shorter view is
-     *                       left to runGroup's short-read panic).
-     * @param group_capacity Max rows per runGroup() call (scratch and
-     *                       lane tables are sized for this many rows).
+     *                       sets; stream_len no longer than the words
+     *                       those sets hold (a shorter view is left to
+     *                       OperandBPass's short-read panic); and
+     *                       b_pass, if set, holding groups * n sets of
+     *                       h0 * h1 words.
+     * @param group_capacity Max rows per runGroup() call (the lane
+     *                       tables are sized for this many rows).
      */
     explicit RowGroupWorker(const SimContext &ctx,
                             int group_capacity = 1);
@@ -200,15 +257,14 @@ class RowGroupWorker
 
     /**
      * Simulate output rows [row0, row0 + nrows), accumulating into
-     * out[r*N .. +N) for each row r, via one shared operand-B pass.
+     * out[r*N .. +N) for each row r, against the operand-B pass.
      * `nrows` must be in [1, groupCapacity()] and `out` must be a
      * rank-2 tensor of ctx.n columns and at least row0 + nrows rows
-     * (fatal otherwise). Panics if the operand-B stream ends early (a
-     * short VFMU read would otherwise silently compute with stale
-     * scratch from the previous step). An all-zero compressed set
-     * leaves the outputs untouched instead of adding +0.0, which is
-     * the same bits for every entry except -0.0; a fresh output tensor
-     * holds +0.0 and never gains a -0.0.
+     * (fatal otherwise). Without a shared pass the first call runs
+     * OperandBPass, which panics on a truncated stream. An all-zero
+     * compressed set leaves the outputs untouched instead of adding
+     * +0.0, which is the same bits for every entry except -0.0; a
+     * fresh output tensor holds +0.0 and never gains a -0.0.
      */
     void runGroup(std::int64_t row0, int nrows, DenseTensor &out);
 
@@ -227,8 +283,7 @@ class RowGroupWorker
   private:
     /**
      * Load K-group `g`'s stationary A blocks for rows [row0, row0 +
-     * nrows): fill the lane tables, collect the selected rank-1 blocks
-     * and count the dummy blocks.
+     * nrows): fill the lane tables and count the dummy blocks.
      */
     void loadKGroup(std::int64_t g, std::int64_t row0, int nrows);
 
@@ -240,37 +295,20 @@ class RowGroupWorker
      */
     const SimContext ctx_;
     const int group_capacity_;
-    MicroGlb glb_; ///< Own view (fetch cursor + stats) of the stream.
-    Vfmu vfmu_;
+    /** ctx_.b_pass, or own_pass_ once the first runGroup() built it. */
+    const OperandBPass *pass_;
+    std::unique_ptr<OperandBPass> own_pass_;
     /**
      * The lane tables of the current K-group: lane_a_ holds each
      * (row, PE, lane)'s stationary A value and lane_b_ the index its
-     * rank-1 and rank-0 muxes select in set_ (set_span, the zero slot,
-     * for a lane that always gates), so a step reads set_[lane_b_[i]]
-     * with no branch. Rows are stored in tiles that a step advances
-     * together: tile rows [t, t + w) own [t * G1 * G0, +w * G1 * G0),
-     * lane-major and row-minor within the tile.
+     * rank-1 and rank-0 muxes select in an expanded set (H1 * H0, the
+     * zero slot, for a lane that always gates), so a step reads
+     * set[lane_b_[i]] with no branch. Rows are stored in tiles that a
+     * step advances together: tile rows [t, t + w) own [t * G1 * G0,
+     * +w * G1 * G0), lane-major and row-minor within the tile.
      */
     std::vector<double> lane_a_;
     std::vector<std::int32_t> lane_b_;
-    std::vector<float> words_; ///< One shift's packed words.
-    /**
-     * The expanded set: H1 aligned blocks, flat h1*h0, shared by every
-     * row of the group (the expansion of a block depends only on the
-     * operand-B metadata, never on the row), plus one trailing word
-     * that stays +0.0 for gated lanes. On the compressed-B path only
-     * the blocks some lane reads are zeroed and scattered, each once
-     * per step; the other slots hold stale words no lane ever reads.
-     */
-    std::vector<float> set_;
-    /**
-     * The distinct rank-1 blocks the group's lanes read in the current
-     * K-group, in first-selection order (a prefix of num_selected_ <=
-     * H1 entries), and the per-H1-slot flags that collect them.
-     */
-    std::vector<std::uint8_t> selected_blocks_;
-    std::vector<std::uint8_t> block_selected_;
-    std::size_t num_selected_ = 0;
     SimStats stats_;
 };
 
@@ -289,15 +327,17 @@ class HighlightSimulator
     explicit HighlightSimulator(MicrosimConfig config = {});
 
     /**
-     * Run C = A * B, parallelized across row groups on
-     * ThreadPool::global(): rows are partitioned into fixed
-     * contiguous groups of config().group_rows (auto-resolved), each
-     * group shares one operand-B pass, and groups fan out across the
-     * pool. Groups are shared-nothing, every worker's counters are
-     * folded in a fixed order on the calling thread, and each output
-     * element is produced by exactly the serial operation sequence —
-     * results and every SimStats counter are byte-identical at any
-     * thread count and any group size.
+     * Run C = A * B in five phases: compress A; build the ordered
+     * operand-B stream; compress it when config().compress_b; decode
+     * it in one OperandBPass, on the calling thread; then step the row
+     * groups on ThreadPool::global() and fold their counters. Rows are
+     * partitioned into fixed contiguous groups of config().group_rows
+     * (auto-resolved), every group steps against the one pass, and
+     * groups fan out across the pool. Groups are shared-nothing, every
+     * worker's counters are folded in a fixed order on the calling
+     * thread, and each output element is produced by exactly the
+     * serial operation sequence — results and every SimStats counter
+     * are byte-identical at any thread count and any group size.
      *
      * @param a      Weight matrix (M x K), must conform to `a_spec`.
      * @param a_spec The HSS pattern of A (1 or 2 ranks); the PE count

@@ -200,9 +200,11 @@ TEST(AllocFree, VfmuReadShiftIntoCallerBufferNeverAllocates)
 TEST(AllocFree, RowWorkerSteadyStateAllocatesNothingAfterWarmUp)
 {
     HIGHLIGHT_REQUIRE_COUNTING();
-    // One row worker (one pool slot's state), driven directly: after
-    // construction — the per-slot warm-up — simulating any number of
-    // rows, dense or compressed, must not allocate a single time.
+    // One row worker (one pool slot's state), driven directly as run()
+    // drives it: the operand-B pass is a per-run phase built
+    // beforehand, like compression. After construction — the per-slot
+    // warm-up — simulating any number of rows, dense or compressed,
+    // must not allocate a single time.
     const HssSpec spec({GhPattern(2, 4), GhPattern(2, 4)});
     Rng rng(37);
     const std::int64_t m = 4, k = spec.totalSpan() * 6, n = 12;
@@ -241,6 +243,8 @@ TEST(AllocFree, RowWorkerSteadyStateAllocatesNothingAfterWarmUp)
             mode.stream = stream.data();
             mode.stream_len = static_cast<std::int64_t>(stream.size());
         }
+        const OperandBPass b_pass(mode);
+        mode.b_pass = &b_pass;
         RowWorker worker(mode); // construction is the warm-up
         const long long before = g_allocs.load();
         for (int pass = 0; pass < 3; ++pass) {
@@ -257,11 +261,11 @@ TEST(AllocFree, RowWorkerSteadyStateAllocatesNothingAfterWarmUp)
 TEST(AllocFree, GroupWorkerSteadyStateAllocatesNothingAfterWarmUp)
 {
     HIGHLIGHT_REQUIRE_COUNTING();
-    // The row-group worker sized for several rows: after construction,
-    // any mix of full groups, partial trailing groups, and single rows
-    // — dense or compressed — must not allocate a single time. The
-    // shared-pass scratch (union block expansion, per-row CP pointer
-    // tables) is all sized at construction.
+    // The row-group worker sized for several rows, given the run's
+    // operand-B pass as run() gives it: after construction, any mix of
+    // full groups, partial trailing groups, and single rows — dense or
+    // compressed — must not allocate a single time. The lane tables
+    // are sized at construction.
     const HssSpec spec({GhPattern(2, 4), GhPattern(2, 4)});
     Rng rng(41);
     const std::int64_t m = 10, k = spec.totalSpan() * 6, n = 12;
@@ -299,6 +303,8 @@ TEST(AllocFree, GroupWorkerSteadyStateAllocatesNothingAfterWarmUp)
             mode.stream = stream.data();
             mode.stream_len = static_cast<std::int64_t>(stream.size());
         }
+        const OperandBPass b_pass(mode);
+        mode.b_pass = &b_pass;
         RowGroupWorker worker(mode, /*group_capacity=*/4);
         const long long before = g_allocs.load();
         for (int pass = 0; pass < 3; ++pass) {
@@ -311,6 +317,46 @@ TEST(AllocFree, GroupWorkerSteadyStateAllocatesNothingAfterWarmUp)
         EXPECT_EQ(after - before, 0)
             << (compressed ? "compressed" : "dense") << " groups";
         EXPECT_GT(worker.stats().cycles, 0);
+    }
+}
+
+TEST(AllocFree, WorkerWithoutASharedPassAllocatesOnlyOnItsFirstGroup)
+{
+    HIGHLIGHT_REQUIRE_COUNTING();
+    // A hand-built context carries no operand-B pass, so the worker
+    // runs its own on the first runGroup() — that call allocates the
+    // pass — and keeps it: every later group allocates nothing.
+    const HssSpec spec({GhPattern(2, 4), GhPattern(2, 4)});
+    Rng rng(43);
+    const std::int64_t m = 10, k = spec.totalSpan() * 6, n = 12;
+    const auto a = hssSparsify(
+        randomDense(TensorShape({{"M", m}, {"K", k}}), rng), spec);
+    const auto b = randomUnstructured(
+        TensorShape({{"K", k}, {"N", n}}), 0.5, rng);
+    const HierarchicalCpMatrix a_cp(a, spec);
+    const auto stream = buildOrderedBStream(b, spec.totalSpan());
+    const OperandBStream b_comp(
+        stream.data(), static_cast<std::int64_t>(stream.size()), 4, 4);
+
+    DenseTensor out(TensorShape({{"M", m}, {"N", n}}));
+    for (const bool compressed : {false, true}) {
+        const SimContext ctx = makeSimContext(
+            a_cp, compressed ? &b_comp : nullptr, stream, n);
+        ASSERT_EQ(ctx.b_pass, nullptr);
+        RowGroupWorker worker(ctx, /*group_capacity=*/4);
+        const long long before_first = g_allocs.load();
+        worker.runGroup(0, 4, out);
+        const long long after_first = g_allocs.load();
+        EXPECT_GT(after_first - before_first, 0)
+            << (compressed ? "compressed" : "dense")
+            << ": the first group runs the pass";
+        for (int pass = 0; pass < 3; ++pass) {
+            worker.runGroup(4, 4, out);
+            worker.runGroup(8, 2, out);
+            worker.runRow(0, out);
+        }
+        EXPECT_EQ(g_allocs.load() - after_first, 0)
+            << (compressed ? "compressed" : "dense") << " later groups";
     }
 }
 

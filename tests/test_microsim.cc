@@ -655,6 +655,119 @@ TEST(RowWorker, PanicsOnTruncatedCompressedStream)
 }
 
 /**
+ * A valid hand-built worker context over (a, spec, b), owning what it
+ * points at, so a test can break one field at a time.
+ */
+struct HandContext
+{
+    HandContext(const DenseTensor &a, const HssSpec &spec,
+                const DenseTensor &b, bool compress_b)
+        : a_cp(a, spec), stream(buildOrderedBStream(b, spec.totalSpan()))
+    {
+        if (compress_b)
+            b_comp = std::make_unique<OperandBStream>(
+                stream.data(), static_cast<std::int64_t>(stream.size()),
+                spec.rank(0).h, spec.numRanks() > 1 ? spec.rank(1).h : 1);
+        ctx = makeSimContext(a_cp, b_comp.get(), stream,
+                             b.shape().dim(1).extent);
+    }
+
+    // ctx points into this object.
+    HandContext(const HandContext &) = delete;
+    HandContext &operator=(const HandContext &) = delete;
+
+    HierarchicalCpMatrix a_cp;
+    std::vector<float> stream;
+    std::unique_ptr<OperandBStream> b_comp;
+    SimContext ctx;
+};
+
+/** All 12 SimStats counters equal. */
+void
+expectSameStats(const SimStats &s, const SimStats &g, const std::string &at)
+{
+    EXPECT_EQ(s.cycles, g.cycles) << at;
+    EXPECT_EQ(s.a_words_loaded, g.a_words_loaded) << at;
+    EXPECT_EQ(s.psum_updates, g.psum_updates) << at;
+    EXPECT_EQ(s.dummy_blocks, g.dummy_blocks) << at;
+    EXPECT_EQ(s.glb_b.row_fetches, g.glb_b.row_fetches) << at;
+    EXPECT_EQ(s.glb_b.words_read, g.glb_b.words_read) << at;
+    EXPECT_EQ(s.vfmu.shifts, g.vfmu.shifts) << at;
+    EXPECT_EQ(s.vfmu.skipped_fetches, g.vfmu.skipped_fetches) << at;
+    EXPECT_EQ(s.vfmu.words_out, g.vfmu.words_out) << at;
+    EXPECT_EQ(s.pe.mac_ops, g.pe.mac_ops) << at;
+    EXPECT_EQ(s.pe.gated_macs, g.pe.gated_macs) << at;
+    EXPECT_EQ(s.pe.mux_selects, g.pe.mux_selects) << at;
+}
+
+TEST(OperandBPass, PanicsOnTruncatedView)
+{
+    // The pass is where a short VFMU read surfaces, for run() and for
+    // a worker that runs its own pass alike. A GLB view cut by half,
+    // or by less than one GLB row (whose zero padding must not pass
+    // for stream words), must panic on both B paths rather than leave
+    // a set holding words of no set.
+    const HssSpec spec({GhPattern(2, 4), GhPattern(2, 4)});
+    Rng rng(35);
+    const std::int64_t m = 2, k = spec.totalSpan() * 2, n = 4;
+    const auto a = hssSparsify(
+        randomDense(TensorShape({{"M", m}, {"K", k}}), rng), spec);
+    const auto b = randomUnstructured(TensorShape({{"K", k}, {"N", n}}),
+                                      0.4, rng);
+    for (const bool compress_b : {false, true}) {
+        const HandContext hc(a, spec, b, compress_b);
+        ASSERT_GT(hc.ctx.stream_len, 2);
+        EXPECT_NO_THROW(OperandBPass{hc.ctx});
+        for (const std::int64_t cut_len :
+             {hc.ctx.stream_len / 2, hc.ctx.stream_len - 1}) {
+            SimContext cut = hc.ctx;
+            cut.stream_len = cut_len;
+            EXPECT_THROW(OperandBPass{cut}, PanicError)
+                << (compress_b ? "comp_b" : "dense_b")
+                << " stream_len=" << cut_len;
+        }
+    }
+}
+
+TEST(OperandBPass, TableHoldsEveryExpandedSetAndAZeroSlot)
+{
+    // Every set of the ordered stream, expanded to H1 * H0 words on
+    // both B paths (a compressed zero reads +0.0, the dense path keeps
+    // a -0.0), followed by a +0.0 slot for gated lanes.
+    const HssSpec spec({GhPattern(1, 4), GhPattern(2, 3)});
+    Rng rng(36);
+    const std::int64_t m = 2, k = spec.totalSpan() * 3, n = 5;
+    const auto a = hssSparsify(
+        randomDense(TensorShape({{"M", m}, {"K", k}}), rng), spec);
+    auto b = randomUnstructured(TensorShape({{"K", k}, {"N", n}}), 0.6,
+                                rng);
+    b.set2(0, 0, -0.0f);
+    const std::int64_t span = spec.totalSpan();
+    for (const bool compress_b : {false, true}) {
+        const HandContext hc(a, spec, b, compress_b);
+        const OperandBPass pass(hc.ctx);
+        ASSERT_EQ(pass.stride(), span + 1);
+        ASSERT_EQ(pass.numSets(), k / span * n);
+        for (std::int64_t s = 0; s < pass.numSets(); ++s) {
+            const float *set = pass.set(s);
+            for (std::int64_t i = 0; i < span; ++i) {
+                const float word =
+                    hc.stream[static_cast<std::size_t>(s * span + i)];
+                const float want = compress_b && word == 0.0f ? 0.0f : word;
+                EXPECT_EQ(std::memcmp(&set[i], &want, sizeof want), 0)
+                    << "set " << s << " word " << i << ": " << set[i]
+                    << " vs " << want;
+            }
+            const float zero = 0.0f;
+            EXPECT_EQ(std::memcmp(&set[span], &zero, sizeof zero), 0)
+                << "set " << s << " zero slot";
+        }
+        EXPECT_EQ(pass.vfmuStats().words_out,
+                  compress_b ? hc.b_comp->dataWords() : k * n);
+    }
+}
+
+/**
  * Thread-count determinism: run() outputs and every SimStats counter
  * must be byte-identical for any pool size, for compress_b on/off x
  * 1/2-rank specs. The pool is rebuilt around each run; the fixture
@@ -729,14 +842,42 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /**
- * Group-size determinism: the row-group worker's shared operand-B pass
- * with restream-equivalent accounting must leave outputs AND every
- * SimStats counter byte-identical to ungrouped serial execution, at
- * every group size x pool size x compress_b. The ungrouped serial run
- * (group_rows=1, one thread) is the reference: it restreams B per row
- * exactly like the pre-row-group implementation.
+ * run() recomposed from a hand-built context, which carries no shared
+ * operand-B pass: two workers take alternate groups of `group_rows`
+ * rows, so each runs its own pass on its first group and reuses it on
+ * the rest, and their counters are folded in order.
  */
-class GroupDeterminism : public ::testing::TestWithParam<bool>
+SimResult
+runWithWorkerPasses(const DenseTensor &a, const HssSpec &spec,
+                    const DenseTensor &b, bool compress_b, int group_rows)
+{
+    const std::int64_t m = a.shape().dim(0).extent;
+    const HandContext hc(a, spec, b, compress_b);
+    EXPECT_EQ(hc.ctx.b_pass, nullptr);
+    SimResult r{DenseTensor(TensorShape({{"M", m}, {"N", hc.ctx.n}})), {}};
+    RowGroupWorker even(hc.ctx, group_rows), odd(hc.ctx, group_rows);
+    for (std::int64_t row0 = 0; row0 < m; row0 += group_rows) {
+        const int nrows = static_cast<int>(
+            std::min<std::int64_t>(group_rows, m - row0));
+        (row0 / group_rows % 2 == 0 ? even : odd)
+            .runGroup(row0, nrows, r.output);
+    }
+    r.stats.accumulate(even.stats());
+    r.stats.accumulate(odd.stats());
+    return r;
+}
+
+/**
+ * Group-size determinism: stepping row groups against one shared
+ * operand-B pass with restream-equivalent accounting must leave
+ * outputs AND every SimStats counter byte-identical to ungrouped
+ * serial execution, at every group size x pool size, for compress_b
+ * on/off x 1/2-rank specs. The ungrouped serial run (group_rows=1, one
+ * thread) is the reference. One more input takes the other source of
+ * the pass: workers over a hand-built context, each running its own.
+ */
+class GroupDeterminism
+    : public ::testing::TestWithParam<std::tuple<bool, bool>>
 {
   protected:
     void TearDown() override { ThreadPool::setGlobalThreads(0); }
@@ -744,8 +885,11 @@ class GroupDeterminism : public ::testing::TestWithParam<bool>
 
 TEST_P(GroupDeterminism, MatchesUngroupedSerialAtEveryGroupAndPoolSize)
 {
-    const bool compress_b = GetParam();
-    const HssSpec spec({GhPattern(2, 4), GhPattern(2, 4)});
+    const bool two_rank = std::get<0>(GetParam());
+    const bool compress_b = std::get<1>(GetParam());
+    const HssSpec spec =
+        two_rank ? HssSpec({GhPattern(2, 4), GhPattern(2, 4)})
+                 : HssSpec({GhPattern(2, 4)});
     Rng rng_a(81), rng_b(82);
     // m = 10 exercises a partial trailing group at sizes 4 and 8.
     const std::int64_t m = 10;
@@ -765,6 +909,16 @@ TEST_P(GroupDeterminism, MatchesUngroupedSerialAtEveryGroupAndPoolSize)
     ThreadPool::setGlobalThreads(1);
     const auto base = HighlightSimulator(base_cfg).run(a, spec, b);
     EXPECT_GT(base.stats.cycles, 0);
+    const auto expectSameRun = [&](const SimResult &r,
+                                   const std::string &at) {
+        ASSERT_EQ(r.output.data().size(), base.output.data().size());
+        EXPECT_EQ(std::memcmp(r.output.data().data(),
+                              base.output.data().data(),
+                              base.output.data().size() * sizeof(float)),
+                  0)
+            << at;
+        expectSameStats(r.stats, base.stats, at);
+    };
 
     for (const int group_rows : {1, 2, 4, 8}) {
         for (const int threads :
@@ -773,42 +927,25 @@ TEST_P(GroupDeterminism, MatchesUngroupedSerialAtEveryGroupAndPoolSize)
             MicrosimConfig cfg;
             cfg.compress_b = compress_b;
             cfg.group_rows = group_rows;
-            const auto r = HighlightSimulator(cfg).run(a, spec, b);
-            const std::string at = "group_rows=" +
-                                   std::to_string(group_rows) +
-                                   " threads=" +
-                                   std::to_string(threads);
-            ASSERT_EQ(r.output.data().size(),
-                      base.output.data().size());
-            EXPECT_EQ(
-                std::memcmp(r.output.data().data(),
-                            base.output.data().data(),
-                            base.output.data().size() * sizeof(float)),
-                0)
-                << at;
-            const SimStats &s = r.stats, &g = base.stats;
-            EXPECT_EQ(s.cycles, g.cycles) << at;
-            EXPECT_EQ(s.a_words_loaded, g.a_words_loaded) << at;
-            EXPECT_EQ(s.psum_updates, g.psum_updates) << at;
-            EXPECT_EQ(s.dummy_blocks, g.dummy_blocks) << at;
-            EXPECT_EQ(s.glb_b.row_fetches, g.glb_b.row_fetches) << at;
-            EXPECT_EQ(s.glb_b.words_read, g.glb_b.words_read) << at;
-            EXPECT_EQ(s.vfmu.shifts, g.vfmu.shifts) << at;
-            EXPECT_EQ(s.vfmu.skipped_fetches, g.vfmu.skipped_fetches)
-                << at;
-            EXPECT_EQ(s.vfmu.words_out, g.vfmu.words_out) << at;
-            EXPECT_EQ(s.pe.mac_ops, g.pe.mac_ops) << at;
-            EXPECT_EQ(s.pe.gated_macs, g.pe.gated_macs) << at;
-            EXPECT_EQ(s.pe.mux_selects, g.pe.mux_selects) << at;
+            expectSameRun(HighlightSimulator(cfg).run(a, spec, b),
+                          "group_rows=" + std::to_string(group_rows) +
+                              " threads=" + std::to_string(threads));
         }
+        expectSameRun(runWithWorkerPasses(a, spec, b, compress_b,
+                                          group_rows),
+                      "worker-owned pass, group_rows=" +
+                          std::to_string(group_rows));
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(DenseAndCompressedB, GroupDeterminism,
-                         ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool> &info) {
-                             return info.param ? "comp_b" : "dense_b";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    RanksAndModes, GroupDeterminism,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>> &info) {
+        return std::string(std::get<0>(info.param) ? "two_rank"
+                                                   : "one_rank") +
+               (std::get<1>(info.param) ? "_comp_b" : "_dense_b");
+    });
 
 TEST(GroupWorker, GroupCapacityMustCoverTheRequestedGroup)
 {
@@ -846,34 +983,6 @@ TEST(GroupWorker, GroupCapacityMustCoverTheRequestedGroup)
     worker.runGroup(0, 2, out);
     EXPECT_GT(worker.stats().cycles, 0);
 }
-
-/**
- * A valid hand-built worker context over (a, spec, b), owning what it
- * points at, so a test can break one field at a time.
- */
-struct HandContext
-{
-    HandContext(const DenseTensor &a, const HssSpec &spec,
-                const DenseTensor &b, bool compress_b)
-        : a_cp(a, spec), stream(buildOrderedBStream(b, spec.totalSpan()))
-    {
-        if (compress_b)
-            b_comp = std::make_unique<OperandBStream>(
-                stream.data(), static_cast<std::int64_t>(stream.size()),
-                spec.rank(0).h, spec.numRanks() > 1 ? spec.rank(1).h : 1);
-        ctx = makeSimContext(a_cp, b_comp.get(), stream,
-                             b.shape().dim(1).extent);
-    }
-
-    // ctx points into this object.
-    HandContext(const HandContext &) = delete;
-    HandContext &operator=(const HandContext &) = delete;
-
-    HierarchicalCpMatrix a_cp;
-    std::vector<float> stream;
-    std::unique_ptr<OperandBStream> b_comp;
-    SimContext ctx;
-};
 
 TEST(RowWorker, RejectsContextsThatDisagreeWithTheirOperands)
 {
@@ -941,6 +1050,28 @@ TEST(RowWorker, RejectsContextsThatDisagreeWithTheirOperands)
     ++c.stream_len;
     EXPECT_THROW(RowGroupWorker{c}, FatalError) << "packed stream_len";
 
+    // An operand-B pass decoded for other operands.
+    const OperandBPass own_pass(dense.ctx);
+    c = dense.ctx;
+    c.b_pass = &own_pass;
+    EXPECT_NO_THROW(RowGroupWorker{c});
+    const auto b_wide = randomUnstructured(
+        TensorShape({{"K", k}, {"N", n + 1}}), 0.5, rng);
+    const HandContext wide_b(a, spec, b_wide, false);
+    const OperandBPass wide_pass(wide_b.ctx);
+    c.b_pass = &wide_pass;
+    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "b_pass sets";
+    // As many sets (4 K-groups x 2 columns), each of 8 words.
+    const HssSpec narrow_spec({GhPattern(2, 8)});
+    const auto b_narrow = randomUnstructured(
+        TensorShape({{"K", k}, {"N", n / 2}}), 0.5, rng);
+    const HandContext narrow(hssSparsify(a, narrow_spec), narrow_spec,
+                             b_narrow, false);
+    const OperandBPass narrow_pass(narrow.ctx);
+    ASSERT_EQ(narrow_pass.numSets(), own_pass.numSets());
+    c.b_pass = &narrow_pass;
+    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "b_pass stride";
+
     // An output that cannot hold the group's rows.
     RowGroupWorker worker(dense.ctx, /*group_capacity=*/2);
     DenseTensor wide(TensorShape({{"M", m}, {"N", n + 1}}));
@@ -953,24 +1084,6 @@ TEST(RowWorker, RejectsContextsThatDisagreeWithTheirOperands)
     EXPECT_THROW(worker.runGroup(-1, 2, out), FatalError) << "row0";
     worker.runGroup(2, 2, out);
     EXPECT_EQ(worker.stats().cycles, 2 * k / spec.totalSpan() * n);
-}
-
-/** All 12 SimStats counters equal. */
-void
-expectSameStats(const SimStats &s, const SimStats &g, const std::string &at)
-{
-    EXPECT_EQ(s.cycles, g.cycles) << at;
-    EXPECT_EQ(s.a_words_loaded, g.a_words_loaded) << at;
-    EXPECT_EQ(s.psum_updates, g.psum_updates) << at;
-    EXPECT_EQ(s.dummy_blocks, g.dummy_blocks) << at;
-    EXPECT_EQ(s.glb_b.row_fetches, g.glb_b.row_fetches) << at;
-    EXPECT_EQ(s.glb_b.words_read, g.glb_b.words_read) << at;
-    EXPECT_EQ(s.vfmu.shifts, g.vfmu.shifts) << at;
-    EXPECT_EQ(s.vfmu.skipped_fetches, g.vfmu.skipped_fetches) << at;
-    EXPECT_EQ(s.vfmu.words_out, g.vfmu.words_out) << at;
-    EXPECT_EQ(s.pe.mac_ops, g.pe.mac_ops) << at;
-    EXPECT_EQ(s.pe.gated_macs, g.pe.gated_macs) << at;
-    EXPECT_EQ(s.pe.mux_selects, g.pe.mux_selects) << at;
 }
 
 /**
