@@ -2,7 +2,8 @@
  * @file
  * google-benchmark timings of the library's computational kernels:
  * HSS sparsification, hierarchical CP compression/decompression, the
- * analytical evaluation, and the cycle-level micro-simulator.
+ * analytical evaluation (with DSTC's balance model and the eval
+ * cache's key on their own rows), and the cycle-level micro-simulator.
  *
  * Besides the normal google-benchmark CLI, the binary accepts
  * `--json <path>`: after the run it writes a versioned JSON summary
@@ -23,11 +24,17 @@
 #include "accel/harness.hh"
 #include "common/random.hh"
 #include "core/evaluator.hh"
+#include "dnn/deit.hh"
+#include "dnn/resnet50.hh"
+#include "dnn/transformer.hh"
 #include "format/hierarchical_cp.hh"
 #include "format/operand_b.hh"
 #include "io/bench_io.hh"
 #include "microsim/simulator.hh"
 #include "microsim/vfmu.hh"
+#include "model/density.hh"
+#include "runtime/batch_runner.hh"
+#include "runtime/eval_cache.hh"
 #include "runtime/thread_pool.hh"
 #include "sparsity/sparsify.hh"
 #include "tensor/generator.hh"
@@ -107,9 +114,12 @@ BENCHMARK(BM_HierarchicalCpDecompress)->Arg(16)->Arg(64);
  * One analytical layer job for one design: evaluateBest, which
  * evaluates both operand orders, on a 1024^3 GEMM with unstructured A
  * and B. Designs that cannot run unstructured A report unsupported
- * quickly; DSTC runs its balance model for both operands in both
- * orders. main() registers one row per design of the Evaluator lineup,
- * named BM_EvaluateBest/<design>.
+ * quickly. DSTC asks its balance model for both operands in both
+ * orders, but the workload never changes, so after the first
+ * iteration every one of those calls hits the per-thread memo: the
+ * DSTC row times the warm path only (BM_UnstructuredUtilization times
+ * the model's hit and miss paths). main() registers one row per design
+ * of the Evaluator lineup, named BM_EvaluateBest/<design>.
  */
 void
 BM_EvaluateBest(benchmark::State &state, const Accelerator *design)
@@ -124,6 +134,56 @@ BM_EvaluateBest(benchmark::State &state, const Accelerator *design)
         benchmark::DoNotOptimize(r.cycles);
     }
 }
+
+/**
+ * DSTC's balance model at its lane width and block (32 lanes, 64
+ * elements). distinct:0 repeats one density, so every call after the
+ * first is a memo hit; distinct:1 cycles through 1,000 densities, far
+ * more than the 64-slot per-thread memo holds, so nearly every call
+ * runs the model: one binomialPmfs pass over the lgamma table.
+ */
+void
+BM_UnstructuredUtilization(benchmark::State &state)
+{
+    constexpr int kDensities = 1000;
+    const bool distinct = state.range(0) != 0;
+    int i = 0;
+    for (auto _ : state) {
+        const double d = distinct ? (i + 1) / (kDensities + 1.0) : 0.35;
+        i = i + 1 == kDensities ? 0 : i + 1;
+        benchmark::DoNotOptimize(unstructuredUtilization(d, 32, 64));
+    }
+}
+BENCHMARK(BM_UnstructuredUtilization)->ArgName("distinct")->Arg(0)->Arg(1);
+
+/**
+ * EvalCache::keyOf over fig15's sweep: 3 DNNs x 16 co-design
+ * candidates, 4,544 layer jobs (466 distinct keys), as evaluateBatch
+ * keys them. One iteration keys every job once.
+ */
+void
+BM_EvalCacheKey(benchmark::State &state)
+{
+    const Evaluator ev;
+    std::vector<EvalJob> jobs;
+    for (const DnnModel &model :
+         {resnet50Model(), transformerBigModel(), deitSmallModel()}) {
+        for (const DnnScenario &c : fig15Candidates()) {
+            const Accelerator *accel = &ev.design(c.design);
+            for (auto &w : ev.buildDnnWorkloads(model, c))
+                jobs.push_back({accel, std::move(w)});
+        }
+    }
+    for (auto _ : state) {
+        for (const EvalJob &job : jobs) {
+            auto key = EvalCache::keyOf(job.design->name(), job.workload);
+            benchmark::DoNotOptimize(key.data());
+        }
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(jobs.size()));
+}
+BENCHMARK(BM_EvalCacheKey);
 
 void
 BM_Microsim(benchmark::State &state)

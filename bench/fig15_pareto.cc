@@ -26,25 +26,6 @@ namespace highlight
 namespace
 {
 
-std::vector<DnnScenario>
-candidatesFor()
-{
-    std::vector<DnnScenario> candidates;
-    candidates.push_back({"TC", PruningApproach::Dense, 0.0});
-    // Channel pruning runs on the dense accelerator with shrunken
-    // layers — the classic co-design baseline.
-    for (double s : {0.3, 0.5})
-        candidates.push_back({"TC", PruningApproach::Channel, s});
-    candidates.push_back({"STC", PruningApproach::OneRankGh, 0.5});
-    for (double s : {0.5, 0.625, 0.75})
-        candidates.push_back({"S2TA", PruningApproach::OneRankGh, s});
-    for (double s : {0.5, 0.6, 0.7, 0.8, 0.9})
-        candidates.push_back({"DSTC", PruningApproach::Unstructured, s});
-    for (double s : {0.5, 0.6, 2.0 / 3.0, 0.75})
-        candidates.push_back({"HighLight", PruningApproach::Hss, s});
-    return candidates;
-}
-
 std::string
 labelOf(const DnnScenario &c)
 {
@@ -126,7 +107,7 @@ runFig15()
     std::ostringstream out;
 
     const Evaluator ev;
-    const auto candidates = candidatesFor();
+    const auto candidates = fig15Candidates();
     const auto models = modelCases();
     // Model-major: every candidate on the first model, then the next.
     std::vector<DnnEvalResult> results;

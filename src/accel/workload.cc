@@ -19,7 +19,7 @@ OperandSparsity::dense()
 OperandSparsity
 OperandSparsity::unstructured(double density)
 {
-    if (density <= 0.0 || density > 1.0)
+    if (!(density > 0.0 && density <= 1.0))
         fatal(msgOf("OperandSparsity::unstructured: density ", density));
     OperandSparsity s;
     s.kind = PatternKind::Unstructured;

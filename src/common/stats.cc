@@ -42,6 +42,22 @@ pmfFromLogs(int n, int k, double lg_n1, double lg_k1, double lg_nk1,
     return std::exp(log_pmf);
 }
 
+/**
+ * lg[j] = lgamma(j + 1) for every j in [0, n], from a per-thread table
+ * that grows on demand. Each entry holds the bits lgammaTs(j + 1.0)
+ * returns, so readers get the same arguments as a direct call, and
+ * after a thread has seen its largest n no call computes an lgamma or
+ * allocates.
+ */
+const double *
+lgammaFactorials(int n)
+{
+    thread_local std::vector<double> table;
+    for (std::size_t j = table.size(); j <= static_cast<std::size_t>(n); ++j)
+        table.push_back(lgammaTs(static_cast<double>(j) + 1.0));
+    return table.data();
+}
+
 } // namespace
 
 double
@@ -117,19 +133,11 @@ binomialPmfs(int n, double p, std::vector<double> &out)
             out[k] = binomialPmf(n, k, p);
         return;
     }
-    // out[j] holds lgamma(j + 1) until the pair (j, n - j) overwrites
-    // it with the two masses that share those two values.
-    for (int j = 0; j <= n; ++j)
-        out[j] = lgammaTs(j + 1.0);
-    const double lg_n1 = out[n];
+    const double *lg = lgammaFactorials(n);
     const double log_p = std::log(p);
     const double log_q = std::log1p(-p);
-    for (int k = 0, j = n; k <= j; ++k, --j) {
-        const double lg_k1 = out[k];
-        const double lg_j1 = out[j];
-        out[k] = pmfFromLogs(n, k, lg_n1, lg_k1, lg_j1, log_p, log_q);
-        out[j] = pmfFromLogs(n, j, lg_n1, lg_j1, lg_k1, log_p, log_q);
-    }
+    for (int k = 0; k <= n; ++k)
+        out[k] = pmfFromLogs(n, k, lg[n], lg[k], lg[n - k], log_p, log_q);
 }
 
 } // namespace highlight

@@ -52,11 +52,12 @@ double binomialPmf(int n, int k, double p);
  *
  * Used by the DSTC workload-balance model (Sec 2.2.1: occupancy must be
  * a multiple of the compute-column width for perfect balance), which
- * DSTC evaluates four times per layer. Summing binomialPmf term by term
- * costs three lgamma calls plus a log, a log1p and an exp per k; here
- * lgamma(n+1), log p and log1p(-p) are computed once and each
- * lgamma(j+1) once for both k = j and k = n - j, so a call costs
- * n + 1 lgamma and n + 1 exp.
+ * runs it once per miss of unstructuredUtilization's per-thread memo.
+ * Summing binomialPmf term by term costs three lgamma calls plus a
+ * log, a log1p and an exp per k; here log p and log1p(-p) are computed
+ * once, and lgamma(j+1) comes from a per-thread table that holds the
+ * same lgamma_r bits and grows on demand. So once a thread has seen its
+ * largest n, a call costs no lgamma, one log, one log1p and n + 1 exp.
  *
  * @param n   Number of Bernoulli trials; panics when negative.
  * @param p   Success probability.

@@ -17,6 +17,25 @@ DnnEvalResult::edp() const
     return total_energy_pj * 1e-12 * seconds;
 }
 
+std::vector<DnnScenario>
+fig15Candidates()
+{
+    std::vector<DnnScenario> candidates;
+    candidates.push_back({"TC", PruningApproach::Dense, 0.0});
+    // Channel pruning runs on the dense accelerator with shrunken
+    // layers — the classic co-design baseline.
+    for (double s : {0.3, 0.5})
+        candidates.push_back({"TC", PruningApproach::Channel, s});
+    candidates.push_back({"STC", PruningApproach::OneRankGh, 0.5});
+    for (double s : {0.5, 0.625, 0.75})
+        candidates.push_back({"S2TA", PruningApproach::OneRankGh, s});
+    for (double s : {0.5, 0.6, 0.7, 0.8, 0.9})
+        candidates.push_back({"DSTC", PruningApproach::Unstructured, s});
+    for (double s : {0.5, 0.6, 2.0 / 3.0, 0.75})
+        candidates.push_back({"HighLight", PruningApproach::Hss, s});
+    return candidates;
+}
+
 Evaluator::Evaluator()
 {
     owned_ = standardDesigns();
@@ -150,7 +169,7 @@ Evaluator::runDnn(const DnnModel &model, DnnName accuracy_model,
     out.accuracy_loss = AccuracyModel::loss(
         accuracy_model, scenario.approach, scenario.weight_sparsity);
 
-    const auto suite = buildDnnWorkloads(model, scenario);
+    auto suite = buildDnnWorkloads(model, scenario);
     const Accelerator &accel = design(scenario.design);
 
     // Evaluate all layers concurrently (deduped through the cache),
@@ -158,9 +177,10 @@ Evaluator::runDnn(const DnnModel &model, DnnName accuracy_model,
     // the same floating-point sequence as the old serial loop.
     std::vector<EvalJob> jobs;
     jobs.reserve(suite.size());
-    for (const auto &w : suite)
-        jobs.push_back({&accel, w});
+    for (auto &w : suite)
+        jobs.push_back({&accel, std::move(w)});
     std::vector<EvalResult> results = runBatch(jobs);
+    out.per_layer.reserve(results.size());
 
     for (EvalResult &r : results) {
         if (!r.supported) {

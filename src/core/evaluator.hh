@@ -32,6 +32,14 @@ struct DnnScenario
     double weight_sparsity = 0.0; ///< Applied to prunable layers.
 };
 
+/**
+ * Fig 15's co-design candidates, one per (design, pruning, sparsity):
+ * dense TC first (the baseline every EDP is normalized to), then
+ * channel pruning on TC, one-rank G:H on STC and S2TA, unstructured
+ * on DSTC and HSS on HighLight at their swept weight sparsities.
+ */
+std::vector<DnnScenario> fig15Candidates();
+
 /** One design's aggregate over a DNN's layers. */
 struct DnnEvalResult
 {

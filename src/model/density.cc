@@ -1,6 +1,7 @@
 #include "model/density.hh"
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/logging.hh"
@@ -27,13 +28,24 @@ expectedBlockOccupancy(double density, std::int64_t block)
     return density * static_cast<double>(block);
 }
 
-double
-unstructuredUtilization(double density, int lane_width, int sample_block)
+namespace
 {
-    if (lane_width < 1 || sample_block < 1)
-        fatal("unstructuredUtilization: bad geometry");
-    if (density <= 0.0)
-        return 1.0; // no work at all: vacuous full utilization
+
+/** One slot of unstructuredUtilization's per-thread memo. */
+struct UtilizationSlot
+{
+    std::uint64_t density_bits;
+    int lane_width; ///< 0 marks an empty slot (threads start zeroed).
+    int sample_block;
+    double util;
+};
+
+constexpr int kUtilizationSlotBits = 6; ///< 64 slots.
+
+/** The balance model itself: one binomialPmfs pass, summed in k order. */
+double
+balanceUtilization(double density, int lane_width, int sample_block)
+{
     // Per-thread scratch (H2Pack's thread_buf idiom): pool workers call
     // this concurrently, and after a thread's first call no call
     // allocates.
@@ -51,6 +63,36 @@ unstructuredUtilization(double density, int lane_width, int sample_block)
     if (e_slots <= 0.0)
         return 1.0;
     return e_occ / e_slots;
+}
+
+} // namespace
+
+double
+unstructuredUtilization(double density, int lane_width, int sample_block)
+{
+    if (lane_width < 1 || sample_block < 1)
+        fatal("unstructuredUtilization: bad geometry");
+    if (!(density >= 0.0 && density <= 1.0))
+        fatal(msgOf("unstructuredUtilization: density ", density));
+    if (density == 0.0)
+        return 1.0; // no work at all: vacuous full utilization
+    // A direct-mapped per-thread memo on the exact key. The model is a
+    // pure function of it, so a hit returns the bits a recomputation
+    // would; no lock, and no allocation.
+    thread_local UtilizationSlot memo[1 << kUtilizationSlotBits];
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &density, sizeof(bits));
+    std::uint64_t h = (bits ^ static_cast<std::uint64_t>(lane_width)) *
+                      0x9e3779b97f4a7c15ULL;
+    h = (h ^ static_cast<std::uint64_t>(sample_block)) *
+        0x9e3779b97f4a7c15ULL;
+    UtilizationSlot &slot = memo[h >> (64 - kUtilizationSlotBits)];
+    if (slot.density_bits != bits || slot.lane_width != lane_width ||
+        slot.sample_block != sample_block) {
+        slot = {bits, lane_width, sample_block,
+                balanceUtilization(density, lane_width, sample_block)};
+    }
+    return slot.util;
 }
 
 double

@@ -38,9 +38,17 @@ double expectedBlockOccupancy(double density, std::int64_t block);
  * a multiple of the lane width (Sec 2.2.1); otherwise the last lane
  * group runs partially empty. util = E[occ] / E[ceil(occ/W) * W] with
  * occ ~ Binomial(sample_block, density). Structured operands (exact
- * occupancy) get util = 1 from the same formula. Makes no heap
- * allocation after its first call on a thread, unless sample_block
- * grows.
+ * occupancy) get util = 1 from the same formula. Density 0 returns 1
+ * (no work at all); a density that is NaN, below 0 or above 1 is fatal.
+ *
+ * Each thread keeps a fixed-size, direct-mapped memo of 64 slots keyed
+ * on (density bits, lane_width, sample_block), checked after the
+ * arguments. DSTC evaluates each operand's utilization in both operand
+ * orders, so its evaluateBest computes at most two mass functions and
+ * a sweep's repeated densities cost one lookup each. The memo is exact
+ * (the model is a pure function of the key) and invisible in every
+ * result. Makes no heap allocation after its first call on a thread,
+ * unless sample_block grows.
  */
 double unstructuredUtilization(double density, int lane_width,
                                int sample_block = 128);

@@ -15,7 +15,7 @@ evaluateTraffic(const ArchSpec &arch, const ComponentLibrary &lib,
     if (p.m < 1 || p.k < 1 || p.n < 1)
         fatal(msgOf("evaluateTraffic: bad GEMM ", p.m, "x", p.k, "x",
                     p.n));
-    if (p.time_fraction <= 0.0 || p.utilization <= 0.0)
+    if (!(p.time_fraction > 0.0) || !(p.utilization > 0.0))
         fatal("evaluateTraffic: time_fraction/utilization must be > 0");
 
     EvalResult r;

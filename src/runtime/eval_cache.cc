@@ -1,6 +1,6 @@
 #include "runtime/eval_cache.hh"
 
-#include <charconv>
+#include <cstring>
 #include <type_traits>
 
 namespace highlight
@@ -9,36 +9,34 @@ namespace highlight
 namespace
 {
 
-/** Append the decimal form of an integer or, for a double, printf's
- *  "%.17g" (max_digits10, so distinct densities never collide). */
+/** Append the object bytes of `value`: fixed width, so a field never
+ *  runs into the next one. */
 template <typename T>
 void
-appendNumber(std::string &key, T value)
+appendBytes(std::string &key, T value)
 {
-    char buf[32];
-    std::to_chars_result res;
-    if constexpr (std::is_floating_point_v<T>)
-        res = std::to_chars(buf, buf + sizeof(buf), value,
-                            std::chars_format::general, 17);
-    else
-        res = std::to_chars(buf, buf + sizeof(buf), value);
-    key.append(buf, res.ptr);
+    static_assert(std::is_trivially_copyable_v<T>);
+    char buf[sizeof(T)];
+    std::memcpy(buf, &value, sizeof(T));
+    key.append(buf, sizeof(T));
 }
 
 void
 appendOperand(std::string &key, const OperandSparsity &s)
 {
+    key += static_cast<char>(s.kind);
     switch (s.kind) {
       case PatternKind::Dense:
-        key += 'D';
         break;
       case PatternKind::Unstructured:
-        key += 'U';
-        appendNumber(key, s.density);
+        appendBytes(key, s.density);
         break;
       case PatternKind::Hss:
-        key += 'H';
-        key += s.hss.str();
+        appendBytes(key, static_cast<std::uint32_t>(s.hss.numRanks()));
+        for (const GhPattern &rank : s.hss.patterns()) {
+            appendBytes(key, static_cast<std::int32_t>(rank.g));
+            appendBytes(key, static_cast<std::int32_t>(rank.h));
+        }
         break;
     }
 }
@@ -50,16 +48,12 @@ EvalCache::keyOf(const std::string &design, const GemmWorkload &w)
 {
     std::string key;
     key.reserve(design.size() + 96);
+    appendBytes(key, static_cast<std::uint64_t>(design.size()));
     key += design;
-    key += '|';
-    appendNumber(key, w.m);
-    key += 'x';
-    appendNumber(key, w.k);
-    key += 'x';
-    appendNumber(key, w.n);
-    key += '|';
+    appendBytes(key, w.m);
+    appendBytes(key, w.k);
+    appendBytes(key, w.n);
     appendOperand(key, w.a);
-    key += '|';
     appendOperand(key, w.b);
     return key;
 }

@@ -59,9 +59,16 @@ class EvalCache
 {
   public:
     /**
-     * Canonical cache key: design name, M/K/N, and each operand's
-     * kind, density (full precision) and HSS spec. Excludes the
-     * workload's display name.
+     * Canonical cache key, as fixed-width binary fields: the design
+     * name's length and bytes; M, K and N as int64; then per operand
+     * its kind byte, followed by the density's bit pattern for an
+     * unstructured operand, or the rank count and each rank's G and H
+     * (rank 0 first) for an HSS operand, and nothing more for a dense
+     * one. Excludes the workload's display name, a dense operand's
+     * density field and an HSS operand's derived density. Two jobs
+     * share a key exactly when their design, shape and those operand
+     * fields are equal. The bytes are an in-memory detail: nothing
+     * stores or parses them.
      */
     static std::string keyOf(const std::string &design,
                              const GemmWorkload &w);

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/env.hh"
@@ -255,6 +256,38 @@ TEST(Stats, BinomialPmfsMatchBinomialPmfBitForBit)
     }
     EXPECT_EQ(mismatches, 0) << "of " << checked << " values";
     EXPECT_EQ(checked, 1003LL * 301 * 302 / 2);
+}
+
+TEST(Stats, BinomialPmfsMatchAsTheLgammaTableGrows)
+{
+    // binomialPmfs reads lgamma(j+1) from a per-thread table that grows
+    // on demand. On a fresh thread the table starts empty: n falls from
+    // 40 (reads of a prefix), then rises one step at a time past 300
+    // and jumps to 1000 (each call grows it), and must match
+    // binomialPmf bit for bit throughout.
+    std::vector<int> ns;
+    for (int n = 40; n >= 0; --n)
+        ns.push_back(n);
+    for (int n = 1; n <= 320; ++n)
+        ns.push_back(n);
+    ns.push_back(1000);
+    ns.push_back(7);
+    long long checked = 0, mismatches = 0;
+    std::thread fresh([&] {
+        std::vector<double> pmf;
+        for (int n : ns) {
+            for (double p : {0.013, 0.5, 0.77}) {
+                binomialPmfs(n, p, pmf);
+                for (int k = 0; k <= n; ++k, ++checked) {
+                    if (bitsOf(pmf[k]) != bitsOf(binomialPmf(n, k, p)))
+                        ++mismatches;
+                }
+            }
+        }
+    });
+    fresh.join();
+    EXPECT_EQ(mismatches, 0) << "of " << checked << " values";
+    EXPECT_GT(checked, 0);
 }
 
 TEST(Env, ParsePositiveIntAcceptsOnlyCleanPositiveDecimals)

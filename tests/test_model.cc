@@ -1,19 +1,24 @@
 /**
  * @file
- * Unit tests for the analytical model: density/balance models,
- * EvalResult arithmetic, and the traffic engine's invariants.
+ * Unit tests for the analytical model: density/balance models (and
+ * that their per-thread memo never shows in a result), EvalResult
+ * arithmetic, and the traffic engine's invariants.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <vector>
 
+#include "accel/workload.hh"
 #include "arch/arch_spec.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "model/density.hh"
 #include "model/engine.hh"
 #include "model/result.hh"
+#include "runtime/thread_pool.hh"
 
 namespace highlight
 {
@@ -48,6 +53,19 @@ TEST(Density, UtilizationDegradesAtPartialDensity)
 TEST(Density, UtilizationHandsOffAtZeroDensity)
 {
     EXPECT_DOUBLE_EQ(unstructuredUtilization(0.0, 32, 128), 1.0);
+}
+
+TEST(Density, UtilizationRejectsBadDensity)
+{
+    // Each is checked before the per-thread memo is read, so a second
+    // call is rejected too: the memo never stored the first.
+    for (int round = 0; round < 2; ++round) {
+        EXPECT_THROW(unstructuredUtilization(1.5, 32, 64), FatalError);
+        EXPECT_THROW(unstructuredUtilization(-0.1, 32, 64), FatalError);
+        EXPECT_THROW(unstructuredUtilization(std::nan(""), 32, 64),
+                     FatalError);
+    }
+    EXPECT_THROW(OperandSparsity::unstructured(std::nan("")), FatalError);
 }
 
 TEST(Density, UtilizationHandComputedSmallCase)
@@ -86,25 +104,104 @@ twoPassUtilization(double density, int lane_width, int sample_block)
     return e_occ / e_slots;
 }
 
-TEST(Density, UtilizationMatchesTwoPassFormulaBitForBit)
+/** One (density, lane width, block) point of the balance model. */
+struct UtilizationCase
 {
-    long long checked = 0, mismatches = 0;
-    for (int lanes : {1, 2, 3, 8, 16, 32}) {
-        for (int block : {1, 2, 3, 8, 64, 100, 128, 257}) {
-            for (int i = 0; i <= 2000; ++i, ++checked) {
-                const double d = i / 2000.0;
-                const double got = unstructuredUtilization(d, lanes, block);
-                const double want = twoPassUtilization(d, lanes, block);
-                if (std::memcmp(&got, &want, sizeof(got)) == 0)
-                    continue;
-                if (++mismatches <= 5)
-                    ADD_FAILURE() << "lanes=" << lanes << " block="
-                                  << block << " d=" << d << ": " << got
-                                  << " vs " << want;
+    double density;
+    int lanes;
+    int block;
+};
+
+/**
+ * 2001 densities in [0, 1] at every (lanes, block) pair, interleaved:
+ * consecutive cases share a density but not a geometry, so they land
+ * in different memo slots and, with 96k keys for 64 slots, evict one
+ * another constantly.
+ */
+const std::vector<UtilizationCase> &
+utilizationCases()
+{
+    static const std::vector<UtilizationCase> cases = [] {
+        std::vector<UtilizationCase> out;
+        for (int i = 0; i <= 2000; ++i) {
+            for (int lanes : {1, 2, 3, 8, 16, 32}) {
+                for (int block : {1, 2, 3, 8, 64, 100, 128, 257})
+                    out.push_back({i / 2000.0, lanes, block});
             }
         }
+        return out;
+    }();
+    return cases;
+}
+
+/** twoPassUtilization of every case, computed once per process. */
+const std::vector<double> &
+twoPassUtilizations()
+{
+    static const std::vector<double> want = [] {
+        std::vector<double> out;
+        for (const UtilizationCase &c : utilizationCases())
+            out.push_back(twoPassUtilization(c.density, c.lanes, c.block));
+        return out;
+    }();
+    return want;
+}
+
+double
+utilizationOf(const UtilizationCase &c)
+{
+    return unstructuredUtilization(c.density, c.lanes, c.block);
+}
+
+/** Compare one computed value with the reference; reports the first 5. */
+void
+expectSameBits(double got, double want, const UtilizationCase &c,
+               long long *mismatches)
+{
+    if (std::memcmp(&got, &want, sizeof(got)) == 0)
+        return;
+    if (++*mismatches <= 5)
+        ADD_FAILURE() << "lanes=" << c.lanes << " block=" << c.block
+                      << " d=" << c.density << ": " << got << " vs "
+                      << want;
+}
+
+TEST(Density, UtilizationMatchesTwoPassFormulaBitForBit)
+{
+    // Every value is computed twice, in forward and then in reverse
+    // order, so it is read both fresh and after its slot was reused:
+    // the memo and the lgamma table must not show in any bit.
+    const auto &cases = utilizationCases();
+    const auto &want = twoPassUtilizations();
+    long long checked = 0, mismatches = 0;
+    for (std::size_t i = 0; i < cases.size(); ++i, ++checked) {
+        expectSameBits(utilizationOf(cases[i]), want[i], cases[i],
+                       &mismatches);
+    }
+    for (std::size_t i = cases.size(); i-- > 0; ++checked) {
+        expectSameBits(utilizationOf(cases[i]), want[i], cases[i],
+                       &mismatches);
     }
     EXPECT_EQ(mismatches, 0) << "of " << checked << " values";
+    EXPECT_EQ(checked, 2LL * 2001 * 6 * 8);
+}
+
+TEST(Density, UtilizationIsBitIdenticalUnderFourThreads)
+{
+    // Four pool workers, each with its own memo and lgamma table, race
+    // through the cases in the pool's claiming order; every value must
+    // still match the serial two-pass reference.
+    const auto &cases = utilizationCases();
+    const auto &want = twoPassUtilizations();
+    ThreadPool pool(4);
+    std::vector<double> got(cases.size());
+    pool.parallelFor(cases.size(), [&](std::size_t i) {
+        got[i] = utilizationOf(cases[i]);
+    });
+    long long mismatches = 0;
+    for (std::size_t i = 0; i < cases.size(); ++i)
+        expectSameBits(got[i], want[i], cases[i], &mismatches);
+    EXPECT_EQ(mismatches, 0) << "of " << cases.size() << " values";
 }
 
 TEST(Density, HssDensityDelegates)
@@ -267,6 +364,16 @@ TEST(Engine, RejectsBadParams)
     auto q = denseParams();
     q.time_fraction = 0.0;
     EXPECT_THROW(evaluateTraffic(tcArch(), lib, q), FatalError);
+    // NaN fails every comparison, so only `!(x > 0)` rejects it; it
+    // would otherwise come out as NaN cycles.
+    for (double bad : {-1.0, 0.0, std::nan("")}) {
+        auto t = denseParams();
+        t.time_fraction = bad;
+        EXPECT_THROW(evaluateTraffic(tcArch(), lib, t), FatalError);
+        auto u = denseParams();
+        u.utilization = bad;
+        EXPECT_THROW(evaluateTraffic(tcArch(), lib, u), FatalError);
+    }
 }
 
 TEST(Engine, EnergyBreakdownAllPositive)

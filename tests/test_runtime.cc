@@ -1,8 +1,10 @@
 /**
  * @file
  * Unit tests for the parallel evaluation runtime: the thread pool's
- * determinism and exception safety, the eval cache's keying and
- * hit/miss accounting, evaluateBatch's dedupe, and — the load-bearing
+ * determinism and exception safety, the eval cache's keying (equal
+ * exactly when the former text keys were) and hit/miss accounting,
+ * DSTC's per-thread memo staying invisible on a fresh thread,
+ * evaluateBatch's dedupe, and — the load-bearing
  * guarantee — bit-identical results between the serial fallback and
  * the N-thread path for runDnn, rankAblation, the Pareto frontier, and
  * per-job-seeded microsim fidelity runs. evaluateBatch's error and
@@ -12,14 +14,22 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
+#include "accel/harness.hh"
 #include "common/random.hh"
 #include "core/evaluator.hh"
 #include "core/explorer.hh"
 #include "core/pareto.hh"
+#include "dnn/deit.hh"
 #include "dnn/resnet50.hh"
 #include "dnn/transformer.hh"
 #include "microsim/simulator.hh"
@@ -182,30 +192,256 @@ TEST(EvalCache, StatsAreExactAndConsistent)
     EXPECT_DOUBLE_EQ(s.hitRate(), 11.0 / 16.0);
 }
 
-TEST(EvalCache, KeyBytesArePinned)
+/**
+ * The cache key's former text form, kept here as the reference for
+ * key equality: the design, then "|MxKxN|", then per operand 'D', 'U'
+ * plus the density as printf's "%.17g" (max_digits10, so distinct
+ * densities never print alike), or 'H' plus HssSpec::str(), with the
+ * two operands separated by '|'.
+ */
+std::string
+textKeyOf(const std::string &design, const GemmWorkload &w)
 {
-    // Densities print as printf's "%.17g", so distinct densities
-    // never share a key.
+    const auto operand = [](const OperandSparsity &s) -> std::string {
+        switch (s.kind) {
+          case PatternKind::Dense:
+            return "D";
+          case PatternKind::Unstructured: {
+            char buf[40];
+            std::snprintf(buf, sizeof(buf), "U%.17g", s.density);
+            return buf;
+          }
+          case PatternKind::Hss:
+            return "H" + s.hss.str();
+        }
+        return "?";
+    };
+    return design + "|" + std::to_string(w.m) + "x" +
+           std::to_string(w.k) + "x" + std::to_string(w.n) + "|" +
+           operand(w.a) + "|" + operand(w.b);
+}
+
+/** A cache key's inputs: a design name and a workload. */
+struct KeyedJob
+{
+    std::string design;
+    GemmWorkload workload;
+};
+
+/** fig15's sweep: 3 DNNs x 16 co-design candidates, 4,544 layer jobs. */
+std::vector<KeyedJob>
+fig15Jobs()
+{
+    const Evaluator ev;
+    std::vector<KeyedJob> jobs;
+    for (const DnnModel &model :
+         {resnet50Model(), transformerBigModel(), deitSmallModel()}) {
+        for (const DnnScenario &c : fig15Candidates()) {
+            for (auto &w : ev.buildDnnWorkloads(model, c))
+                jobs.push_back({c.design, std::move(w)});
+        }
+    }
+    return jobs;
+}
+
+/**
+ * `count` GEMMs shaped like perfbench's gemm_matrix: M, K and N in
+ * multiples of 64 up to 4096, A unstructured or the nearest HighLight
+ * HSS pattern, B unstructured, densities drawn from [0.1, 1).
+ */
+std::vector<GemmWorkload>
+seededGemms(std::uint64_t seed, int count)
+{
+    Rng rng(seed);
+    const auto hss_support = highlightWeightSupport();
+    std::vector<GemmWorkload> out;
+    for (int i = 0; i < count; ++i) {
+        GemmWorkload w;
+        w.name = "gemm" + std::to_string(i);
+        w.m = 64 * rng.uniformInt(1, 64);
+        w.k = 64 * rng.uniformInt(1, 64);
+        w.n = 64 * rng.uniformInt(1, 64);
+        const double a_density = rng.uniform(0.1, 1.0);
+        w.a = rng.bernoulli(0.5)
+                  ? OperandSparsity::unstructured(a_density)
+                  : OperandSparsity::structured(
+                        chooseSpecForDensity(hss_support, a_density));
+        w.b = OperandSparsity::unstructured(rng.uniform(0.1, 1.0));
+        out.push_back(std::move(w));
+    }
+    return out;
+}
+
+TEST(EvalCache, TextKeyReferenceReproducesTheFormerFormat)
+{
     GemmWorkload w;
     w.m = 64;
     w.k = 128;
     w.n = 4096;
-    w.a = OperandSparsity::dense();
-    w.b = OperandSparsity::dense();
-    EXPECT_EQ(EvalCache::keyOf("TC", w), "TC|64x128x4096|D|D");
-
+    EXPECT_EQ(textKeyOf("TC", w), "TC|64x128x4096|D|D");
     w.b = OperandSparsity::unstructured(0.1);
-    EXPECT_EQ(EvalCache::keyOf("DSTC", w),
+    EXPECT_EQ(textKeyOf("DSTC", w),
               "DSTC|64x128x4096|D|U0.10000000000000001");
-    w.b = OperandSparsity::unstructured(0.5);
-    EXPECT_EQ(EvalCache::keyOf("DSTC", w), "DSTC|64x128x4096|D|U0.5");
-
     w.a = OperandSparsity::structured(
         HssSpec({GhPattern(2, 4), GhPattern(4, 8)}));
     w.b = OperandSparsity::unstructured(2.0 / 3.0);
-    EXPECT_EQ(EvalCache::keyOf("HighLight", w),
+    EXPECT_EQ(textKeyOf("HighLight", w),
               "HighLight|64x128x4096|HC1(4:8)->C0(2:4)|"
               "U0.66666666666666663");
+}
+
+TEST(EvalCache, KeyEqualityMatchesTheTextReference)
+{
+    // Over fig15's jobs, 6 designs x 128 gemm_matrix-shaped GEMMs and
+    // a set of edge pairs, two keys are equal exactly when their text
+    // reference keys are: the binary key neither merges nor splits a
+    // dedupe class.
+    std::vector<KeyedJob> corpus = fig15Jobs();
+    ASSERT_EQ(corpus.size(), 4544u);
+    std::set<std::string> fig15_keys, fig15_text_keys;
+    for (const KeyedJob &j : corpus) {
+        fig15_keys.insert(EvalCache::keyOf(j.design, j.workload));
+        fig15_text_keys.insert(textKeyOf(j.design, j.workload));
+    }
+    EXPECT_EQ(fig15_keys.size(), 466u);
+    EXPECT_EQ(fig15_text_keys.size(), 466u);
+
+    const Evaluator ev;
+    const auto gemms = seededGemms(1, 128);
+    for (const Accelerator *d : ev.designs()) {
+        for (const GemmWorkload &w : gemms)
+            corpus.push_back({d->name(), w});
+    }
+
+    // Edge pairs, each with whether its two keys must be equal.
+    GemmWorkload base;
+    base.m = 64;
+    base.k = 128;
+    base.n = 256;
+    const auto with = [&](OperandSparsity a, OperandSparsity b) {
+        GemmWorkload w = base;
+        w.a = std::move(a);
+        w.b = std::move(b);
+        return w;
+    };
+    const auto hss = [](std::vector<GhPattern> ranks) {
+        return OperandSparsity::structured(HssSpec(std::move(ranks)));
+    };
+    OperandSparsity odd_dense = OperandSparsity::dense();
+    odd_dense.density = 0.5;
+    const OperandSparsity u = OperandSparsity::unstructured(0.5);
+    // A density whose bytes read as a rank-1 G = 1, H = 8 followed by
+    // a dense operand's kind byte: only the rank count keeps a
+    // one-rank A with this B apart from a two-rank A with a dense B.
+    const std::uint64_t rank_bits = std::uint64_t{8} << 24;
+    double rank_like = 0.0;
+    std::memcpy(&rank_like, &rank_bits, sizeof(rank_like));
+    const struct
+    {
+        KeyedJob x, y;
+        bool same;
+    } edges[] = {
+        {{"DSTC", with(u, u)},
+         {"DSTC",
+          with(u, OperandSparsity::unstructured(std::nextafter(0.5, 1.0)))},
+         false},
+        {{"HighLight", with(hss({GhPattern(2, 4)}), u)},
+         {"HighLight", with(hss({GhPattern(4, 8)}), u)},
+         false},
+        {{"HighLight", with(hss({GhPattern(2, 4), GhPattern(4, 8)}), u)},
+         {"HighLight", with(hss({GhPattern(4, 8), GhPattern(2, 4)}), u)},
+         false},
+        {{"TC", with(OperandSparsity::dense(), u)},
+         {"TC", with(odd_dense, u)},
+         true},
+        {{"DS", with(u, u)}, {"DSTC", with(u, u)}, false},
+        {{"HighLight", with(hss({GhPattern(2, 4)}),
+                            OperandSparsity::unstructured(rank_like))},
+         {"HighLight", with(hss({GhPattern(2, 4), GhPattern(1, 8)}),
+                            OperandSparsity::dense())},
+         false},
+    };
+    for (const auto &e : edges) {
+        EXPECT_EQ(textKeyOf(e.x.design, e.x.workload) ==
+                      textKeyOf(e.y.design, e.y.workload),
+                  e.same)
+            << textKeyOf(e.x.design, e.x.workload);
+        EXPECT_EQ(EvalCache::keyOf(e.x.design, e.x.workload) ==
+                      EvalCache::keyOf(e.y.design, e.y.workload),
+                  e.same)
+            << textKeyOf(e.x.design, e.x.workload);
+        corpus.push_back(e.x);
+        corpus.push_back(e.y);
+    }
+
+    // Equal text keys map to one binary key and vice versa, so the
+    // two partition the corpus into the same classes.
+    std::map<std::string, std::string> binary_of_text, text_of_binary;
+    for (const KeyedJob &j : corpus) {
+        const std::string text = textKeyOf(j.design, j.workload);
+        const std::string binary = EvalCache::keyOf(j.design, j.workload);
+        EXPECT_EQ(binary_of_text.emplace(text, binary).first->second,
+                  binary)
+            << text;
+        EXPECT_EQ(text_of_binary.emplace(binary, text).first->second,
+                  text)
+            << text;
+    }
+    EXPECT_EQ(binary_of_text.size(), text_of_binary.size());
+}
+
+/** Every field of two results, doubles compared by their bits. */
+void
+expectResultBitIdentical(const EvalResult &a, const EvalResult &b)
+{
+    const auto bits = [](double v) {
+        std::uint64_t out = 0;
+        std::memcpy(&out, &v, sizeof(out));
+        return out;
+    };
+    EXPECT_EQ(a.design, b.design);
+    EXPECT_EQ(a.workload, b.workload);
+    EXPECT_EQ(a.supported, b.supported);
+    EXPECT_EQ(a.note, b.note);
+    EXPECT_EQ(bits(a.cycles), bits(b.cycles)) << a.workload;
+    EXPECT_EQ(bits(a.clock_mhz), bits(b.clock_mhz));
+    const auto expectSame = [&](const std::vector<BreakdownEntry> &ea,
+                                const std::vector<BreakdownEntry> &eb) {
+        ASSERT_EQ(ea.size(), eb.size());
+        for (std::size_t i = 0; i < ea.size(); ++i) {
+            EXPECT_EQ(ea[i].name, eb[i].name);
+            EXPECT_EQ(bits(ea[i].value), bits(eb[i].value))
+                << a.workload << " " << ea[i].name;
+        }
+    };
+    expectSame(a.energy_pj, b.energy_pj);
+    expectSame(a.area_um2, b.area_um2);
+}
+
+TEST(EvalCache, DstcIsBitIdenticalOnColdAndWarmThreads)
+{
+    // A fresh thread starts with an empty utilization memo and lgamma
+    // table; this thread evaluates the same jobs twice, the second
+    // time against a warm memo. Neither may show in any result.
+    const Evaluator ev;
+    const Accelerator &dstc = ev.design("DSTC");
+    const auto gemms = seededGemms(1, 128);
+    const auto evaluateAll = [&] {
+        std::vector<EvalResult> out;
+        for (const GemmWorkload &w : gemms)
+            out.push_back(evaluateBest(dstc, w));
+        return out;
+    };
+    std::vector<EvalResult> cold;
+    std::thread fresh([&] { cold = evaluateAll(); });
+    fresh.join();
+    const auto first = evaluateAll();
+    const auto warm = evaluateAll();
+    ASSERT_EQ(cold.size(), gemms.size());
+    for (std::size_t i = 0; i < gemms.size(); ++i) {
+        expectResultBitIdentical(cold[i], warm[i]);
+        expectResultBitIdentical(first[i], warm[i]);
+    }
 }
 
 TEST(EvaluateBatch, DedupesWithinBatchDeterministically)
