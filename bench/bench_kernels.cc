@@ -252,27 +252,31 @@ BENCHMARK(BM_MicrosimFig16)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * BM_MicrosimFig16's operands (65% sparse B when compressed) prepared
- * as run() prepares them up to the operand-B pass: compressed A, the
- * ordered B stream, its compressed form, and the worker context.
+ * The operands of one of perfbench's three microsim_fig16 runs, named
+ * by B's sparsity in percent, prepared as run() prepares them up to
+ * the operand-B pass: compressed A, the ordered B stream, its
+ * compressed form, and the worker context. 0 and 65 are
+ * BM_MicrosimFig16's two-rank A with dense B streamed dense and with
+ * 65%-sparse B compressed; 90 is a one-rank C0(2:4) A with 90%-sparse
+ * B compressed.
  */
 struct Fig16Context
 {
-    explicit Fig16Context(bool compress_b)
+    explicit Fig16Context(int b_sparsity)
+        : spec(b_sparsity == 90 ? HssSpec({GhPattern(2, 4)}) : benchSpec())
     {
-        const HssSpec &spec = benchSpec();
         Rng rng_a(42), rng_b(7);
         const auto a = hssSparsify(
             randomDense(TensorShape({{"M", m}, {"K", k}}), rng_a), spec);
         auto b = randomDense(TensorShape({{"K", k}, {"N", n}}), rng_b);
-        if (compress_b)
-            b = unstructuredSparsify(b, 0.65);
+        if (b_sparsity != 0)
+            b = unstructuredSparsify(b, b_sparsity / 100.0);
         a_cp = std::make_unique<HierarchicalCpMatrix>(a, spec);
         stream = buildOrderedBStream(b, spec.totalSpan());
-        if (compress_b)
+        if (b_sparsity != 0)
             b_comp = std::make_unique<OperandBStream>(
                 stream.data(), static_cast<std::int64_t>(stream.size()),
-                spec.rank(0).h, spec.rank(1).h);
+                spec.rank(0).h, spec.numRanks() > 1 ? spec.rank(1).h : 1);
         ctx = makeSimContext(*a_cp, b_comp.get(), stream, n);
     }
 
@@ -281,6 +285,7 @@ struct Fig16Context
     Fig16Context &operator=(const Fig16Context &) = delete;
 
     static constexpr std::int64_t m = 32, k = 1024, n = 128;
+    const HssSpec spec;
     std::unique_ptr<HierarchicalCpMatrix> a_cp;
     std::vector<float> stream;
     std::unique_ptr<OperandBStream> b_comp;
@@ -296,35 +301,34 @@ struct Fig16Context
 void
 BM_OperandBPass(benchmark::State &state)
 {
-    const Fig16Context f(state.range(0) != 0);
+    const Fig16Context f(static_cast<int>(state.range(0)));
     for (auto _ : state) {
         const OperandBPass pass(f.ctx);
-        benchmark::DoNotOptimize(pass.set(0));
+        benchmark::DoNotOptimize(pass.slot(0, 0));
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * f.ctx.groups * f.n);
 }
 BENCHMARK(BM_OperandBPass)
-    ->ArgsProduct({{0, 1}})
-    ->ArgNames({"compress_b"})
+    ->ArgsProduct({{0, 65, 90}})
+    ->ArgNames({"b_sparsity"})
     ->Unit(benchmark::kMillisecond);
 
 /**
  * The row-group steady state alone: RowGroupWorker::runGroup over all
- * 32 rows of a prebuilt context with BM_MicrosimFig16's operands, in
- * groups of the second argument, on the calling thread. Compressing A,
- * building and compressing the B stream, the operand-B pass
- * (BM_OperandBPass), the pool and the stats fold stay outside the
- * timed loop, so this times the lanes only, and the ledger can
- * attribute a change in BM_MicrosimFig16 to the steady state or to the
- * phases around it.
+ * 32 rows of a prebuilt context with one microsim_fig16 run's operands
+ * (Fig16Context), in groups of the second argument, on the calling
+ * thread. Compressing A, building and compressing the B stream, the
+ * operand-B pass (BM_OperandBPass), the pool and the stats fold stay
+ * outside the timed loop, so this times the lanes only, and the ledger
+ * can attribute a change in BM_MicrosimFig16 to the steady state or to
+ * the phases around it.
  */
 void
 BM_RowGroupSteadyState(benchmark::State &state)
 {
-    const bool compress_b = state.range(0) != 0;
     const int group_rows = static_cast<int>(state.range(1));
-    const Fig16Context f(compress_b);
+    const Fig16Context f(static_cast<int>(state.range(0)));
     const std::int64_t m = f.m, n = f.n;
     const OperandBPass pass(f.ctx);
     SimContext ctx = f.ctx;
@@ -342,8 +346,8 @@ BM_RowGroupSteadyState(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * m * ctx.groups * n);
 }
 BENCHMARK(BM_RowGroupSteadyState)
-    ->ArgsProduct({{0, 1}, {1, 8}})
-    ->ArgNames({"compress_b", "group_rows"})
+    ->ArgsProduct({{0, 65, 90}, {1, 8}})
+    ->ArgNames({"b_sparsity", "group_rows"})
     ->Unit(benchmark::kMillisecond);
 
 /** The VFMU ring buffer alone: variable shifts over aligned rows. */

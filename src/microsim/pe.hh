@@ -11,8 +11,8 @@
  *
  * MicroPe models one PE on its own: DssoSimulator's datapath and the
  * unit tests step it directly. HighlightSimulator's row-group worker
- * steps whole lane tables instead, through the same gatedProduct(), so
- * the two produce the same bits. The pointer-based loadBlock/step
+ * instead sweeps each live lane across every output column, through
+ * the same gatedProduct(), so the two produce the same bits. The pointer-based loadBlock/step
  * overloads never allocate (the G0 lane registers are sized once at
  * construction), and step() gates lanes without a data-dependent
  * branch.

@@ -100,49 +100,6 @@ namespace
 {
 
 /**
- * Rows one column step advances side by side: the worker steps a
- * group's rows in tiles of this many, and any leftover rows (fewer
- * than a tile) one at a time. A tile's sums stay in registers, and
- * its rows' independent addition chains overlap in the pipeline.
- */
-constexpr int kTileRows = 4;
-
-/**
- * One processing step of a tile of W rows whose lane tables are
- * interleaved, [lane][row]: every lane gates through gatedProduct(),
- * each row's PE partial sums and row sum accumulate in double exactly
- * as G1 MicroPe steps would (lanes in order within a PE, PEs in order
- * within the row, each sum from +0.0), and each row adds its sum to
- * its output, `out[w * out_stride]`. Returns the effectual lanes.
- */
-template <int W>
-inline std::int64_t
-stepTile(const double *a, const std::int32_t *b_idx, const float *set,
-         int g1, int g0, float *out, std::int64_t out_stride)
-{
-    double row_sum[W] = {};
-    std::int64_t effectual = 0;
-    for (int p = 0; p < g1; ++p) {
-        double pe_sum[W] = {};
-        for (int l = 0; l < g0; ++l) {
-            for (int w = 0; w < W; ++w) {
-                const double b = set[b_idx[w]];
-                const bool live = b != 0.0;
-                pe_sum[w] += gatedProduct(a[w], b, live);
-                effectual += live;
-            }
-            a += W;
-            b_idx += W;
-        }
-        for (int w = 0; w < W; ++w)
-            row_sum[w] += pe_sum[w];
-    }
-    for (int w = 0; w < W; ++w)
-        out[w * out_stride] += static_cast<float>(row_sum[w]);
-    return effectual;
-}
-
-/**
  * Cold path of the short-read check: building the message costs an
  * ostringstream, which must stay out of the steady-state loop body.
  */
@@ -186,48 +143,60 @@ checkOperandB(const SimContext &ctx, const char *who)
 } // namespace
 
 OperandBPass::OperandBPass(const SimContext &ctx)
-    : stride_(static_cast<std::int64_t>(ctx.h0) * ctx.h1 + 1),
-      num_sets_(ctx.groups * ctx.n)
+    : groups_(ctx.groups),
+      slots_(static_cast<std::int64_t>(ctx.h0) * ctx.h1), columns_(ctx.n)
 {
     checkOperandB(ctx, "OperandBPass");
-    const int set_span = static_cast<int>(stride_ - 1);
     const int h0 = ctx.h0, h1 = ctx.h1;
+    const int set_span = static_cast<int>(slots_);
+    const std::int64_t n = columns_;
     const OperandBStream *const bc = ctx.b_comp;
-    // Zero-filled, so every slot no word lands in (a stored zero of
-    // compressed B, and each set's trailing gated slot) reads +0.0.
-    table_.assign(static_cast<std::size_t>(num_sets_ * stride_), 0.0f);
+    // Zero-filled, so every word no stored nonzero of compressed B
+    // lands in reads +0.0.
+    table_.assign(static_cast<std::size_t>(groups_ * slots_ * n), 0.0f);
+    nonzeros_.assign(static_cast<std::size_t>(groups_ * slots_), 0);
     MicroGlb glb(ctx.stream, ctx.stream_len, ctx.glb_row_words);
     Vfmu vfmu(glb, ctx.vfmu_capacity);
-    std::vector<float> words(
-        bc != nullptr ? static_cast<std::size_t>(set_span) : 0);
-    for (std::int64_t s = 0; s < num_sets_; ++s) {
-        float *const set = table_.data() + s * stride_;
-        if (bc == nullptr) {
-            // Dense B: a fixed shift of H1 blocks (H1*H0 words) lands
-            // straight in the set's aligned blocks.
-            const int got = vfmu.readShift(set_span, set);
-            if (got != set_span)
-                truncatedStream(s, set_span, got);
-            continue;
-        }
-        // Compressed B: the level-1 count is the shift (0 for an
-        // all-zero set, which moves no data and touches no counter),
-        // and the level-2 block ends and level-3 offsets scatter each
-        // word into its block.
-        const std::int64_t count = bc->setCountAt(s);
-        const int got = vfmu.readShift(static_cast<int>(count), words.data());
-        if (got != count)
-            truncatedStream(s, count, got);
-        const std::int64_t first_block = s * h1;
-        const std::int64_t set_start =
-            first_block == 0 ? 0 : bc->blockEndAt(first_block - 1);
-        std::int64_t w = set_start;
-        for (int j = 0; j < h1; ++j) {
-            float *const block = set + static_cast<std::int64_t>(j) * h0;
-            const std::int64_t end = bc->blockEndAt(first_block + j);
-            for (; w < end; ++w)
-                block[bc->offsetAt(w)] =
-                    words[static_cast<std::size_t>(w - set_start)];
+    std::vector<float> words(static_cast<std::size_t>(slots_));
+    for (std::int64_t g = 0; g < groups_; ++g) {
+        float *const group = table_.data() + g * slots_ * n;
+        std::int64_t *const nonzeros = nonzeros_.data() + g * slots_;
+        // Word `word` of the set lands in column `col` of slot `s`.
+        const auto place = [&](int s, std::int64_t col, float word) {
+            group[s * n + col] = word;
+            nonzeros[s] += word != 0.0f;
+        };
+        for (std::int64_t col = 0; col < n; ++col) {
+            const std::int64_t set_idx = g * n + col;
+            if (bc == nullptr) {
+                // Dense B: a fixed shift of H1 blocks (H1*H0 words),
+                // word i of which is slot i.
+                const int got = vfmu.readShift(set_span, words.data());
+                if (got != set_span)
+                    truncatedStream(set_idx, set_span, got);
+                for (int s = 0; s < set_span; ++s)
+                    place(s, col, words[static_cast<std::size_t>(s)]);
+                continue;
+            }
+            // Compressed B: the level-1 count is the shift (0 for an
+            // all-zero set, which moves no data and touches no
+            // counter), and the level-2 block ends and level-3 offsets
+            // scatter each word into its slot.
+            const std::int64_t count = bc->setCountAt(set_idx);
+            const int got =
+                vfmu.readShift(static_cast<int>(count), words.data());
+            if (got != count)
+                truncatedStream(set_idx, count, got);
+            const std::int64_t first_block = set_idx * h1;
+            const std::int64_t set_start =
+                first_block == 0 ? 0 : bc->blockEndAt(first_block - 1);
+            std::int64_t w = set_start;
+            for (int j = 0; j < h1; ++j) {
+                const std::int64_t end = bc->blockEndAt(first_block + j);
+                for (; w < end; ++w)
+                    place(j * h0 + bc->offsetAt(w), col,
+                          words[static_cast<std::size_t>(w - set_start)]);
+            }
         }
     }
     glb_stats_ = glb.stats();
@@ -265,64 +234,18 @@ RowGroupWorker::RowGroupWorker(const SimContext &ctx,
                     set_span, " do not span operand A's ",
                     ctx_.a_cp->cols(), " columns (n=", ctx_.n, ")"));
     checkOperandB(ctx_, "RowGroupWorker");
-    if (pass_ != nullptr && (pass_->stride() != set_span + 1 ||
-                             pass_->numSets() != ctx_.groups * ctx_.n))
+    if (pass_ != nullptr && (pass_->numKGroups() != ctx_.groups ||
+                             pass_->slotsPerGroup() != set_span ||
+                             pass_->numColumns() != ctx_.n))
         fatal(msgOf("RowGroupWorker: operand-B pass of ",
-                    pass_->numSets(), " sets at stride ", pass_->stride(),
-                    " does not hold ", ctx_.groups * ctx_.n,
-                    " sets of ", set_span, " words"));
+                    pass_->numKGroups(), " K-groups x ",
+                    pass_->slotsPerGroup(), " slots x ",
+                    pass_->numColumns(), " columns does not hold ",
+                    ctx_.groups, " K-groups x ", set_span, " slots x ",
+                    ctx_.n, " columns"));
 
-    const std::size_t cap = static_cast<std::size_t>(group_capacity_);
-    const std::size_t lanes = cap * static_cast<std::size_t>(ctx_.g1) *
-                              static_cast<std::size_t>(ctx_.g0);
-    lane_a_.assign(lanes, 0.0);
-    lane_b_.assign(lanes, 0);
-}
-
-void
-RowGroupWorker::loadKGroup(std::int64_t g, std::int64_t row0, int nrows)
-{
-    const int g0 = ctx_.g0, g1 = ctx_.g1, h0 = ctx_.h0;
-    const int lanes_per_row = g1 * g0;
-    const std::int32_t zero_slot = h0 * ctx_.h1;
-    const int full = nrows / kTileRows * kTileRows;
-    for (int r = 0; r < nrows; ++r) {
-        // Row r's lane j sits at [j][r - first] of the tile that
-        // starts at row `first`: a full tile, or r alone past them.
-        const int width = r < full ? kTileRows : 1;
-        const int first = r < full ? r / kTileRows * kTileRows : r;
-        const std::size_t base =
-            static_cast<std::size_t>(first * lanes_per_row + r - first);
-        double *a_out = lane_a_.data() + base;
-        std::int32_t *b_out = lane_b_.data() + base;
-        const HierarchicalCpRow &cp = ctx_.a_cp->row(row0 + r);
-        const float *cp_vals = cp.values().data();
-        const std::uint8_t *cp_offs0 = cp.offsets(0).data();
-        const std::uint8_t *cp_offs1 =
-            ctx_.two_rank ? cp.offsets(1).data() : nullptr;
-        for (int p = 0; p < g1; ++p) {
-            // Rank-1 skipping SAF: this PE's selected block (real or
-            // dummy) stays stationary for the whole K-group.
-            const std::int64_t entry = g * g1 + p;
-            const std::size_t block = ctx_.two_rank ? cp_offs1[entry] : 0;
-            const float *vals = cp_vals + entry * g0;
-            const std::uint8_t *offs = cp_offs0 + entry * g0;
-            bool all_dummy = true;
-            for (int l = 0; l < g0; ++l) {
-                // Rank-0 mux: a dummy lane (A = 0) or an offset past
-                // the block selects the zero slot, so it always gates.
-                const float a = vals[l];
-                const bool reads_b = a != 0.0f && offs[l] < h0;
-                const int j = p * g0 + l;
-                a_out[j * width] = static_cast<double>(a);
-                b_out[j * width] =
-                    reads_b ? static_cast<std::int32_t>(block) * h0 + offs[l]
-                            : zero_slot;
-                all_dummy &= a == 0.0f;
-            }
-            stats_.dummy_blocks += all_dummy;
-        }
-    }
+    pe_sum_.assign(static_cast<std::size_t>(ctx_.n), 0.0);
+    row_sum_.assign(static_cast<std::size_t>(ctx_.n), 0.0);
 }
 
 void
@@ -333,9 +256,11 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
                     " rows exceeds capacity ", group_capacity_));
     const std::int64_t n = ctx_.n;
     if (out.shape().rank() != 2 || out.shape().dim(1).extent != n ||
-        row0 < 0 || out.shape().dim(0).extent < row0 + nrows)
+        row0 < 0 || out.shape().dim(0).extent < row0 + nrows ||
+        ctx_.a_cp->numRows() < row0 + nrows)
         fatal(msgOf("RowGroupWorker: output ", out.shape().str(),
-                    " cannot hold rows [", row0, ", ", row0 + nrows,
+                    " or operand A's ", ctx_.a_cp->numRows(),
+                    " rows cannot hold rows [", row0, ", ", row0 + nrows,
                     ") of ", n, " columns"));
     if (pass_ == nullptr) {
         // A hand-built context carries no shared pass: decode operand B
@@ -343,43 +268,58 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
         own_pass_ = std::make_unique<OperandBPass>(ctx_);
         pass_ = own_pass_.get();
     }
-    const int g0 = ctx_.g0, g1 = ctx_.g1;
-    const OperandBStream *const bc = ctx_.b_comp;
-    const int lanes_per_row = g1 * g0;
-
-    const double *const lane_a = lane_a_.data();
-    const std::int32_t *const lane_b = lane_b_.data();
-    float *const out_data = out.data().data();
-    const int full = nrows / kTileRows * kTileRows;
-    std::int64_t effectual = 0;
+    const int g0 = ctx_.g0, g1 = ctx_.g1, h0 = ctx_.h0;
+    double *const pe_sum = pe_sum_.data();
+    double *const row_sum = row_sum_.data();
+    std::int64_t effectual = 0, dummy_blocks = 0;
     for (std::int64_t g = 0; g < ctx_.groups; ++g) {
-        loadKGroup(g, row0, nrows);
-
-        for (std::int64_t col = 0; col < n; ++col) {
-            const std::int64_t set_idx = g * n + col;
-            // An all-zero compressed set: every lane gates and each
-            // row's partial sum is +0.0. Adding +0.0 leaves an output
-            // unchanged (outputs start at +0.0 and never become -0.0),
-            // and every counter the step moves is charged in closed
-            // form below, so the set costs nothing here.
-            if (bc != nullptr && bc->setCountAt(set_idx) == 0)
-                continue;
-            const float *const set = pass_->set(set_idx);
-
-            // One processing step for every row of the group, a tile
-            // of rows at a time — the exact serial per-row operation
-            // sequence, so outputs are byte-identical to ungrouped
-            // execution.
-            float *const out_col = out_data + row0 * n + col;
-            int r = 0;
-            for (; r < full; r += kTileRows)
-                effectual += stepTile<kTileRows>(lane_a + r * lanes_per_row,
-                                    lane_b + r * lanes_per_row, set, g1,
-                                    g0, out_col + r * n, n);
-            for (; r < nrows; ++r)
-                effectual += stepTile<1>(lane_a + r * lanes_per_row,
-                            lane_b + r * lanes_per_row, set, g1, g0,
-                            out_col + r * n, n);
+        for (std::int64_t row = row0; row < row0 + nrows; ++row) {
+            const HierarchicalCpRow &cp = ctx_.a_cp->row(row);
+            const float *const cp_vals = cp.values().data();
+            const std::uint8_t *const cp_offs0 = cp.offsets(0).data();
+            const std::uint8_t *const cp_offs1 =
+                ctx_.two_rank ? cp.offsets(1).data() : nullptr;
+            std::fill(row_sum, row_sum + n, 0.0);
+            for (int p = 0; p < g1; ++p) {
+                // Rank-1 skipping SAF: this PE's selected block (real
+                // or dummy) stays stationary for the whole K-group.
+                const std::int64_t entry = g * g1 + p;
+                const int block = ctx_.two_rank ? cp_offs1[entry] : 0;
+                const float *const vals = cp_vals + entry * g0;
+                const std::uint8_t *const offs = cp_offs0 + entry * g0;
+                // PE 0 adds its lanes straight into the row sums: they
+                // start at +0.0 as its own sums would, and folding a PE
+                // sum into +0.0 leaves its bits as they are (it is
+                // never -0.0, see gatedProduct()).
+                double *const sum = p == 0 ? row_sum : pe_sum;
+                if (p > 0)
+                    std::fill(pe_sum, pe_sum + n, 0.0);
+                bool all_dummy = true;
+                for (int l = 0; l < g0; ++l) {
+                    // Rank-0 mux: a dummy lane (A = 0) or an offset
+                    // past the block always gates, and the +0.0 it
+                    // would add leaves the partial sums' bits as they
+                    // are, so it is skipped.
+                    all_dummy &= vals[l] == 0.0f;
+                    if (vals[l] == 0.0f || offs[l] >= h0)
+                        continue;
+                    const double a = vals[l];
+                    const int s = block * h0 + offs[l];
+                    const float *const b = pass_->slot(g, s);
+                    effectual += pass_->nonzeros(g, s);
+                    for (std::int64_t c = 0; c < n; ++c) {
+                        const double bc = b[c];
+                        sum[c] += gatedProduct(a, bc, bc != 0.0);
+                    }
+                }
+                dummy_blocks += all_dummy;
+                if (p > 0)
+                    for (std::int64_t c = 0; c < n; ++c)
+                        row_sum[c] += pe_sum[c];
+            }
+            float *const out_row = out.data().data() + row * n;
+            for (std::int64_t c = 0; c < n; ++c)
+                out_row[c] += static_cast<float>(row_sum[c]);
         }
     }
 
@@ -387,11 +327,13 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
     // (K-group, column) and updates its RF once per step, loads G1 * G0
     // stationary A words per K-group, and selects through all G1 * G0
     // muxes on every step; every lane that was not effectual gated.
+    const std::int64_t lanes_per_row = static_cast<std::int64_t>(g1) * g0;
     const std::int64_t steps = ctx_.groups * n * nrows;
     const std::int64_t lane_steps = steps * lanes_per_row;
     stats_.cycles += steps;
     stats_.psum_updates += steps;
     stats_.a_words_loaded += ctx_.groups * nrows * lanes_per_row;
+    stats_.dummy_blocks += dummy_blocks;
     stats_.pe.mux_selects += lane_steps;
     stats_.pe.mac_ops += effectual;
     stats_.pe.gated_macs += lane_steps - effectual;

@@ -157,12 +157,16 @@ SimContext makeSimContext(const HierarchicalCpMatrix &a_cp,
  * into a read-only table; nothing in it depends on the output row, so
  * every row group steps its lanes against the same table.
  *
- * Set s occupies [s * stride(), +stride()): its H1 aligned blocks of
- * H0 words, then one word that is always +0.0, the slot a gated lane
- * reads. On the compressed-B path every block is scattered from the
- * level-2/3 metadata and holds +0.0 where B has no stored nonzero. The
- * GLB and VFMU counters are those of the one traversal; a worker
- * charges them once per row it steps (restream-equivalent accounting).
+ * The table is column-major per K-group, [K-group][slot][column]: a
+ * slot is one of a set's H1 * H0 expanded words (slot j * H0 + o is
+ * word o of the set's block j), and slot(g, s) holds its value in all N
+ * output columns, contiguous, so a stationary A lane sweeps every
+ * column in one unit-stride loop. On the compressed-B path every block
+ * is scattered from the level-2/3 metadata and holds +0.0 where B has
+ * no stored nonzero. The traversal also counts each slot's nonzero
+ * columns, a live lane's effectual MACs. The GLB and VFMU counters are
+ * those of the one traversal; a worker charges them once per row it
+ * steps (restream-equivalent accounting).
  */
 class OperandBPass
 {
@@ -175,49 +179,60 @@ class OperandBPass
      */
     explicit OperandBPass(const SimContext &ctx);
 
-    /** Set `s`'s H1 * H0 expanded words and its trailing zero slot. */
+    /** K-group `g`'s slot `s` in all numColumns() output columns. */
     const float *
-    set(std::int64_t s) const
+    slot(std::int64_t g, int s) const
     {
-        return table_.data() + s * stride_;
+        return table_.data() + (g * slots_ + s) * columns_;
     }
 
-    /** Words per set in the table: H1 * H0 plus the zero slot. */
-    std::int64_t stride() const { return stride_; }
-    /** Sets in the table: K-groups x output columns. */
-    std::int64_t numSets() const { return num_sets_; }
+    /** The columns whose word in K-group `g`'s slot `s` is nonzero. */
+    std::int64_t
+    nonzeros(std::int64_t g, int s) const
+    {
+        return nonzeros_[static_cast<std::size_t>(g * slots_ + s)];
+    }
+
+    std::int64_t numKGroups() const { return groups_; }
+    /** Slots per K-group: H1 * H0. */
+    std::int64_t slotsPerGroup() const { return slots_; }
+    std::int64_t numColumns() const { return columns_; }
 
     const GlbStats &glbStats() const { return glb_stats_; }
     const VfmuStats &vfmuStats() const { return vfmu_stats_; }
 
   private:
-    std::int64_t stride_;
-    std::int64_t num_sets_;
+    std::int64_t groups_;
+    std::int64_t slots_;
+    std::int64_t columns_;
     std::vector<float> table_;
+    std::vector<std::int64_t> nonzeros_;
     GlbStats glb_stats_;
     VfmuStats vfmu_stats_;
 };
 
 /**
  * The steady state of the datapath for a contiguous group of output
- * rows: the group's lane tables and the operand-B pass they step
- * against. The worker owns no GLB and no VFMU: B was decoded once by
- * OperandBPass, and every row of the group reads the same expanded
- * sets, mirroring the hardware's column broadcast. Constructed once
- * (per thread-pool slot) and reused across groups.
+ * rows against the operand-B pass. The worker owns no GLB and no VFMU:
+ * B was decoded once by OperandBPass, and every row of the group reads
+ * the same expanded slots, mirroring the hardware's column broadcast.
+ * Constructed once (per thread-pool slot) and reused across groups.
  *
- * When a K-group's stationary A blocks load, the worker records for
- * every (row, PE, lane) the lane's A value and the index its rank-1
- * and rank-0 muxes select in the expanded set (the set's zero slot for
- * a dummy lane or an offset past H0). A column then steps every row of
- * the group from those tables: each row's PE partial sums and row
- * partial sum are accumulated in double in exactly the order of G1
- * MicroPe steps (lanes in order within a PE, PEs in order within a
- * row, each sum starting from +0.0), gated through gatedProduct().
- * Only the effectual-MAC count is counted inside the loop; cycles,
+ * For each K-group, each row of the group holds its G1 stationary A
+ * blocks, read straight from the row's CP payload, and each of its
+ * live lanes (a nonzero A whose offset falls inside the block) sweeps
+ * every output column of the slot its rank-1 and rank-0 muxes select,
+ * in one unit-stride loop. Per (row, column), the PE partial sums and
+ * the row partial sum are accumulated in double in exactly the order
+ * of G1 MicroPe steps (lanes in order within a PE, PEs in order within
+ * a row, each sum starting from +0.0), gated through gatedProduct(),
+ * and the row adds its sum to the output once per K-group. The only
+ * additions left out cannot change a bit: a dummy lane's or an offset
+ * past H0's, which only ever add +0.0, and PE 0's fold into the +0.0
+ * row sum, since PE 0 adds its lanes into the row sum directly. The
+ * effectual MACs are the live lanes' slot nonzero counts; cycles,
  * partial-sum updates, A loads, mux selections and gated MACs are
- * charged once per group in closed form, so an all-zero compressed
- * set, whose only effect is those charges, costs no per-row work.
+ * charged once per group in closed form.
  *
  * Fidelity counters stay restream-equivalent: the pass's GLB/VFMU
  * activity is a pure function of the stream and the shift sequence
@@ -229,7 +244,8 @@ class OperandBPass
  * The pass comes from ctx.b_pass. A context without one (hand-built
  * by tests and benchmarks) makes the worker run OperandBPass itself on
  * its first runGroup() and keep it. Once the worker has its pass,
- * runGroup() never allocates.
+ * runGroup() never allocates: its per-column sums are sized at
+ * construction.
  */
 class RowGroupWorker
 {
@@ -244,10 +260,9 @@ class RowGroupWorker
      *                       sets; stream_len no longer than the words
      *                       those sets hold (a shorter view is left to
      *                       OperandBPass's short-read panic); and
-     *                       b_pass, if set, holding groups * n sets of
-     *                       h0 * h1 words.
-     * @param group_capacity Max rows per runGroup() call (the lane
-     *                       tables are sized for this many rows).
+     *                       b_pass, if set, holding groups K-groups of
+     *                       h0 * h1 slots over n columns.
+     * @param group_capacity Max rows per runGroup() call.
      */
     explicit RowGroupWorker(const SimContext &ctx,
                             int group_capacity = 1);
@@ -258,13 +273,14 @@ class RowGroupWorker
     /**
      * Simulate output rows [row0, row0 + nrows), accumulating into
      * out[r*N .. +N) for each row r, against the operand-B pass.
-     * `nrows` must be in [1, groupCapacity()] and `out` must be a
-     * rank-2 tensor of ctx.n columns and at least row0 + nrows rows
-     * (fatal otherwise). Without a shared pass the first call runs
-     * OperandBPass, which panics on a truncated stream. An all-zero
-     * compressed set leaves the outputs untouched instead of adding
-     * +0.0, which is the same bits for every entry except -0.0; a
-     * fresh output tensor holds +0.0 and never gains a -0.0.
+     * `nrows` must be in [1, groupCapacity()], the rows must exist in
+     * operand A, and `out` must be a rank-2 tensor of ctx.n columns and
+     * at least row0 + nrows rows (fatal otherwise). Without a shared
+     * pass the first call runs OperandBPass, which panics on a
+     * truncated stream. On both B paths each row adds every K-group's
+     * row sum to its outputs, +0.0 where every lane gated: that turns
+     * an output's -0.0 into +0.0, but a fresh output tensor holds +0.0
+     * and never gains a -0.0.
      */
     void runGroup(std::int64_t row0, int nrows, DenseTensor &out);
 
@@ -282,12 +298,6 @@ class RowGroupWorker
 
   private:
     /**
-     * Load K-group `g`'s stationary A blocks for rows [row0, row0 +
-     * nrows): fill the lane tables and count the dummy blocks.
-     */
-    void loadKGroup(std::int64_t g, std::int64_t row0, int nrows);
-
-    /**
      * By value: SimContext is a flat bundle of pointers and geometry,
      * so copying it costs nothing and a worker can never outlive a
      * caller's context object — only the pointees must outlive the
@@ -298,17 +308,8 @@ class RowGroupWorker
     /** ctx_.b_pass, or own_pass_ once the first runGroup() built it. */
     const OperandBPass *pass_;
     std::unique_ptr<OperandBPass> own_pass_;
-    /**
-     * The lane tables of the current K-group: lane_a_ holds each
-     * (row, PE, lane)'s stationary A value and lane_b_ the index its
-     * rank-1 and rank-0 muxes select in an expanded set (H1 * H0, the
-     * zero slot, for a lane that always gates), so a step reads
-     * set[lane_b_[i]] with no branch. Rows are stored in tiles that a
-     * step advances together: tile rows [t, t + w) own [t * G1 * G0,
-     * +w * G1 * G0), lane-major and row-minor within the tile.
-     */
-    std::vector<double> lane_a_;
-    std::vector<std::int32_t> lane_b_;
+    /** One row's PE and row partial sums, one per output column. */
+    std::vector<double> pe_sum_, row_sum_;
     SimStats stats_;
 };
 

@@ -264,8 +264,8 @@ TEST(AllocFree, GroupWorkerSteadyStateAllocatesNothingAfterWarmUp)
     // The row-group worker sized for several rows, given the run's
     // operand-B pass as run() gives it: after construction, any mix of
     // full groups, partial trailing groups, and single rows — dense or
-    // compressed — must not allocate a single time. The lane tables
-    // are sized at construction.
+    // compressed — must not allocate a single time. The per-column
+    // sums are sized at construction.
     const HssSpec spec({GhPattern(2, 4), GhPattern(2, 4)});
     Rng rng(41);
     const std::int64_t m = 10, k = spec.totalSpan() * 6, n = 12;

@@ -729,11 +729,12 @@ TEST(OperandBPass, PanicsOnTruncatedView)
     }
 }
 
-TEST(OperandBPass, TableHoldsEveryExpandedSetAndAZeroSlot)
+TEST(OperandBPass, TableHoldsEverySlotColumnMajorWithItsNonzeroCount)
 {
-    // Every set of the ordered stream, expanded to H1 * H0 words on
-    // both B paths (a compressed zero reads +0.0, the dense path keeps
-    // a -0.0), followed by a +0.0 slot for gated lanes.
+    // Slot s of K-group g is B's row g * H1 * H0 + s, laid out over
+    // every output column, on both B paths (a compressed zero reads
+    // +0.0, the dense path keeps a -0.0), and its nonzero count is the
+    // number of columns where that row is nonzero.
     const HssSpec spec({GhPattern(1, 4), GhPattern(2, 3)});
     Rng rng(36);
     const std::int64_t m = 2, k = spec.totalSpan() * 3, n = 5;
@@ -746,21 +747,25 @@ TEST(OperandBPass, TableHoldsEveryExpandedSetAndAZeroSlot)
     for (const bool compress_b : {false, true}) {
         const HandContext hc(a, spec, b, compress_b);
         const OperandBPass pass(hc.ctx);
-        ASSERT_EQ(pass.stride(), span + 1);
-        ASSERT_EQ(pass.numSets(), k / span * n);
-        for (std::int64_t s = 0; s < pass.numSets(); ++s) {
-            const float *set = pass.set(s);
-            for (std::int64_t i = 0; i < span; ++i) {
-                const float word =
-                    hc.stream[static_cast<std::size_t>(s * span + i)];
-                const float want = compress_b && word == 0.0f ? 0.0f : word;
-                EXPECT_EQ(std::memcmp(&set[i], &want, sizeof want), 0)
-                    << "set " << s << " word " << i << ": " << set[i]
-                    << " vs " << want;
+        ASSERT_EQ(pass.numKGroups(), k / span);
+        ASSERT_EQ(pass.slotsPerGroup(), span);
+        ASSERT_EQ(pass.numColumns(), n);
+        for (std::int64_t g = 0; g < pass.numKGroups(); ++g) {
+            for (int s = 0; s < span; ++s) {
+                const float *slot = pass.slot(g, s);
+                std::int64_t nonzeros = 0;
+                for (std::int64_t c = 0; c < n; ++c) {
+                    const float word = b.at2(g * span + s, c);
+                    const float want =
+                        compress_b && word == 0.0f ? 0.0f : word;
+                    EXPECT_EQ(std::memcmp(&slot[c], &want, sizeof want), 0)
+                        << "K-group " << g << " slot " << s << " column "
+                        << c << ": " << slot[c] << " vs " << want;
+                    nonzeros += word != 0.0f;
+                }
+                EXPECT_EQ(pass.nonzeros(g, s), nonzeros)
+                    << "K-group " << g << " slot " << s;
             }
-            const float zero = 0.0f;
-            EXPECT_EQ(std::memcmp(&set[span], &zero, sizeof zero), 0)
-                << "set " << s << " zero slot";
         }
         EXPECT_EQ(pass.vfmuStats().words_out,
                   compress_b ? hc.b_comp->dataWords() : k * n);
@@ -1060,17 +1065,30 @@ TEST(RowWorker, RejectsContextsThatDisagreeWithTheirOperands)
     const HandContext wide_b(a, spec, b_wide, false);
     const OperandBPass wide_pass(wide_b.ctx);
     c.b_pass = &wide_pass;
-    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "b_pass sets";
-    // As many sets (4 K-groups x 2 columns), each of 8 words.
+    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "b_pass columns";
+    // As many K-groups and columns, each of 8 slots, not 16.
     const HssSpec narrow_spec({GhPattern(2, 8)});
+    const auto a_narrow = hssSparsify(
+        randomDense(TensorShape({{"M", m}, {"K", k / 2}}), rng),
+        narrow_spec);
     const auto b_narrow = randomUnstructured(
-        TensorShape({{"K", k}, {"N", n / 2}}), 0.5, rng);
-    const HandContext narrow(hssSparsify(a, narrow_spec), narrow_spec,
-                             b_narrow, false);
+        TensorShape({{"K", k / 2}, {"N", n}}), 0.5, rng);
+    const HandContext narrow(a_narrow, narrow_spec, b_narrow, false);
     const OperandBPass narrow_pass(narrow.ctx);
-    ASSERT_EQ(narrow_pass.numSets(), own_pass.numSets());
+    ASSERT_EQ(narrow_pass.numKGroups(), own_pass.numKGroups());
+    ASSERT_EQ(narrow_pass.numColumns(), own_pass.numColumns());
     c.b_pass = &narrow_pass;
-    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "b_pass stride";
+    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "b_pass slots";
+    // Twice the K-groups, each of as many slots over as many columns.
+    const auto a_deep = hssSparsify(
+        randomDense(TensorShape({{"M", m}, {"K", 2 * k}}), rng), spec);
+    const auto b_deep = randomUnstructured(
+        TensorShape({{"K", 2 * k}, {"N", n}}), 0.5, rng);
+    const HandContext deep(a_deep, spec, b_deep, false);
+    const OperandBPass deep_pass(deep.ctx);
+    ASSERT_EQ(deep_pass.slotsPerGroup(), own_pass.slotsPerGroup());
+    c.b_pass = &deep_pass;
+    EXPECT_THROW(RowGroupWorker{c}, FatalError) << "b_pass K-groups";
 
     // An output that cannot hold the group's rows.
     RowGroupWorker worker(dense.ctx, /*group_capacity=*/2);
@@ -1082,6 +1100,11 @@ TEST(RowWorker, RejectsContextsThatDisagreeWithTheirOperands)
     EXPECT_THROW(worker.runGroup(0, 2, flat), FatalError) << "rank";
     DenseTensor out(TensorShape({{"M", m}, {"N", n}}));
     EXPECT_THROW(worker.runGroup(-1, 2, out), FatalError) << "row0";
+    // An output taller than operand A, asked for rows A does not have.
+    DenseTensor tall(TensorShape({{"M", 2 * m}, {"N", n}}));
+    EXPECT_THROW(worker.runGroup(6, 2, tall), FatalError) << "A rows";
+    EXPECT_THROW(worker.runGroup(m - 1, 2, tall), FatalError)
+        << "last A row";
     worker.runGroup(2, 2, out);
     EXPECT_EQ(worker.stats().cycles, 2 * k / spec.totalSpan() * n);
 }
@@ -1090,9 +1113,9 @@ TEST(RowWorker, RejectsContextsThatDisagreeWithTheirOperands)
  * The datapath's per-row operation sequence, stepped through the
  * components themselves: every output row restreams operand B through
  * its own GLB view and VFMU, expands every set in full, and steps G1
- * MicroPes per (K-group, column) — no lane tables, no closed-form
- * counters, no skipped sets. HighlightSimulator::run must reproduce
- * its outputs bit for bit and all of its counters.
+ * MicroPes per (K-group, column) — no column-major table, no
+ * closed-form counters, no skipped lanes. HighlightSimulator::run must
+ * reproduce its outputs bit for bit and all of its counters.
  */
 SimResult
 perRowReference(const DenseTensor &a, const HssSpec &spec,
@@ -1183,50 +1206,71 @@ TEST_P(SimDifferential, MatchesThePerRowComponentReference)
     const HssSpec spec(GetParam().ranks);
     Rng rng(static_cast<std::uint64_t>(spec.totalSpan()) * 131 +
             spec.numRanks());
-    // m = 10 leaves a partial trailing group at group_rows 3 and 8.
-    const std::int64_t m = 10, k = spec.totalSpan() * 4, n = 16;
-    const std::int64_t set_span = spec.totalSpan();
+    // m = 10 leaves a partial trailing group at group_rows 3 and 8. No
+    // SIMD width divides n = 13, so each column loop runs a tail.
+    for (const std::int64_t n : {16, 13}) {
+        const std::int64_t m = 10, k = spec.totalSpan() * 4;
+        const std::int64_t set_span = spec.totalSpan();
 
-    // A: HSS-conforming with extra zeros, so rank-0 blocks hold dummy
-    // lanes and whole rank-1 entries turn dummy; row 4 is all zero.
-    auto a = hssSparsify(
-        randomDense(TensorShape({{"M", m}, {"K", k}}), rng), spec);
-    for (std::int64_t r = 0; r < m; ++r)
-        for (std::int64_t c = 0; c < k; ++c)
-            if (r == 4 || rng.bernoulli(0.3))
-                a.set2(r, c, 0.0f);
+        // A: HSS-conforming with extra zeros, so rank-0 blocks hold
+        // dummy lanes and whole rank-1 entries turn dummy; row 4 is all
+        // zero.
+        auto a = hssSparsify(
+            randomDense(TensorShape({{"M", m}, {"K", k}}), rng), spec);
+        for (std::int64_t r = 0; r < m; ++r)
+            for (std::int64_t c = 0; c < k; ++c)
+                if (r == 4 || rng.bernoulli(0.3))
+                    a.set2(r, c, 0.0f);
 
-    // B: sparse, with one K-group of all-zero sets in every column,
-    // and about a third of the zeros negative.
-    auto b = randomUnstructured(TensorShape({{"K", k}, {"N", n}}), 0.6,
-                                rng);
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-        for (std::int64_t c = 0; c < n; ++c) {
-            const bool zero_set = kk >= set_span && kk < 2 * set_span;
-            const float v = zero_set ? 0.0f : b.at2(kk, c);
-            b.set2(kk, c, v == 0.0f && rng.bernoulli(0.3) ? -0.0f : v);
+        // B: sparse, with one K-group of all-zero sets in every column,
+        // and about a third of the zeros negative.
+        auto b = randomUnstructured(TensorShape({{"K", k}, {"N", n}}),
+                                    0.6, rng);
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+            for (std::int64_t c = 0; c < n; ++c) {
+                const bool zero_set = kk >= set_span && kk < 2 * set_span;
+                const float v = zero_set ? 0.0f : b.at2(kk, c);
+                b.set2(kk, c, v == 0.0f && rng.bernoulli(0.3) ? -0.0f : v);
+            }
         }
-    }
 
-    for (const bool compress_b : {false, true}) {
-        const SimResult ref = perRowReference(a, spec, b, compress_b);
-        EXPECT_GT(ref.stats.pe.mac_ops, 0);
-        EXPECT_GT(ref.stats.dummy_blocks, 0);
-        for (const int group_rows : {1, 3, 8}) {
-            MicrosimConfig cfg;
-            cfg.compress_b = compress_b;
-            cfg.group_rows = group_rows;
-            const SimResult r = HighlightSimulator(cfg).run(a, spec, b);
-            const std::string at =
-                spec.str() + (compress_b ? " comp_b" : " dense_b") +
-                " group_rows=" + std::to_string(group_rows);
-            ASSERT_EQ(r.output.data().size(), ref.output.data().size());
-            EXPECT_EQ(std::memcmp(r.output.data().data(),
-                                  ref.output.data().data(),
-                                  ref.output.data().size() * sizeof(float)),
-                      0)
-                << at;
-            expectSameStats(r.stats, ref.stats, at);
+        // Two of every three of A's nonzeros facing that K-group turn
+        // inf and -inf in turn. Every lane they drive gates, so each
+        // must add +0.0, never inf * 0 = NaN.
+        const float inf = std::numeric_limits<float>::infinity();
+        int facing = 0;
+        for (std::int64_t r = 0; r < m; ++r) {
+            for (std::int64_t c = set_span; c < 2 * set_span; ++c) {
+                if (a.at2(r, c) != 0.0f && facing++ % 3 != 2)
+                    a.set2(r, c, facing % 3 == 1 ? inf : -inf);
+            }
+        }
+        EXPECT_GE(facing, 2);
+
+        for (const bool compress_b : {false, true}) {
+            const SimResult ref = perRowReference(a, spec, b, compress_b);
+            EXPECT_GT(ref.stats.pe.mac_ops, 0);
+            EXPECT_GT(ref.stats.dummy_blocks, 0);
+            for (const float v : ref.output.data())
+                ASSERT_TRUE(std::isfinite(v)) << "a gated lane added " << v;
+            for (const int group_rows : {1, 3, 8}) {
+                MicrosimConfig cfg;
+                cfg.compress_b = compress_b;
+                cfg.group_rows = group_rows;
+                const SimResult r = HighlightSimulator(cfg).run(a, spec, b);
+                const std::string at =
+                    spec.str() + (compress_b ? " comp_b" : " dense_b") +
+                    " n=" + std::to_string(n) +
+                    " group_rows=" + std::to_string(group_rows);
+                ASSERT_EQ(r.output.data().size(), ref.output.data().size());
+                EXPECT_EQ(std::memcmp(r.output.data().data(),
+                                      ref.output.data().data(),
+                                      ref.output.data().size() *
+                                          sizeof(float)),
+                          0)
+                    << at;
+                expectSameStats(r.stats, ref.stats, at);
+            }
         }
     }
 }
@@ -1249,7 +1293,7 @@ TEST(Simulator, AddsLanesThenPesInDatapathOrder)
     // Products of 2^56 and 1 round in double (2^56 + 1 == 2^56), so
     // these cases pin the addition order the datapath fixes: each PE
     // adds its lanes in order, then the row adds the PE sums in order.
-    // Five equal rows cover a full tile of rows and a leftover one.
+    // Five equal rows, stepped one at a time and as one group.
     const float big = 0x1p56f;
     const auto run = [](const HssSpec &spec, const std::vector<float> &row,
                         int group_rows) {
