@@ -30,6 +30,7 @@
 #include "format/hierarchical_cp.hh"
 #include "format/operand_b.hh"
 #include "io/bench_io.hh"
+#include "microsim/lane_kernel.hh"
 #include "microsim/simulator.hh"
 #include "microsim/vfmu.hh"
 #include "model/density.hh"
@@ -317,18 +318,21 @@ BENCHMARK(BM_OperandBPass)
 /**
  * The row-group steady state alone: RowGroupWorker::runGroup over all
  * 32 rows of a prebuilt context with one microsim_fig16 run's operands
- * (Fig16Context), in groups of the second argument, on the calling
- * thread. Compressing A, building and compressing the B stream, the
- * operand-B pass (BM_OperandBPass), the pool and the stats fold stay
- * outside the timed loop, so this times the lanes only, and the ledger
- * can attribute a change in BM_MicrosimFig16 to the steady state or to
- * the phases around it.
+ * (Fig16Context), in groups of `group_rows`, on the calling thread,
+ * with one compiled variant of the lane kernel. Compressing A, building
+ * and compressing the B stream, the operand-B pass (BM_OperandBPass),
+ * the pool and the stats fold stay outside the timed loop, so this
+ * times the lanes only, and the ledger can attribute a change in
+ * BM_MicrosimFig16 to the steady state or to the phases around it.
+ * main() registers one row per host-supported variant
+ * (laneKernelVariants()), so the ratio of a wide variant's row to the
+ * baseline's is the multiversioning gain, measured within one run.
  */
 void
-BM_RowGroupSteadyState(benchmark::State &state)
+BM_RowGroupSteadyState(benchmark::State &state, int b_sparsity,
+                       int group_rows, LaneKernel kernel)
 {
-    const int group_rows = static_cast<int>(state.range(1));
-    const Fig16Context f(static_cast<int>(state.range(0)));
+    const Fig16Context f(b_sparsity);
     const std::int64_t m = f.m, n = f.n;
     const OperandBPass pass(f.ctx);
     SimContext ctx = f.ctx;
@@ -339,16 +343,12 @@ BM_RowGroupSteadyState(benchmark::State &state)
     for (auto _ : state) {
         std::fill(out.data().begin(), out.data().end(), 0.0f);
         for (std::int64_t row = 0; row < m; row += group_rows)
-            worker.runGroup(row, group_rows, out);
+            worker.runGroup(row, group_rows, out, kernel);
         benchmark::DoNotOptimize(out.data().data());
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * m * ctx.groups * n);
 }
-BENCHMARK(BM_RowGroupSteadyState)
-    ->ArgsProduct({{0, 65, 90}, {1, 8}})
-    ->ArgNames({"b_sparsity", "group_rows"})
-    ->Unit(benchmark::kMillisecond);
 
 /** The VFMU ring buffer alone: variable shifts over aligned rows. */
 void
@@ -524,6 +524,26 @@ main(int argc, char **argv)
         const std::string name = "BM_EvaluateBest/" + design->name();
         benchmark::RegisterBenchmark(name.c_str(), BM_EvaluateBest,
                                      design);
+    }
+    // Named as google-benchmark names an argument product, with the
+    // variant last, e.g. BM_RowGroupSteadyState/b_sparsity:65/
+    // group_rows:8/variant:avx2.
+    for (const int b_sparsity : {0, 65, 90}) {
+        for (const int group_rows : {1, 8}) {
+            for (const LaneKernelVariant &v : laneKernelVariants()) {
+                if (!v.host_supported)
+                    continue;
+                const std::string name =
+                    "BM_RowGroupSteadyState/b_sparsity:" +
+                    std::to_string(b_sparsity) +
+                    "/group_rows:" + std::to_string(group_rows) +
+                    "/variant:" + v.name;
+                benchmark::RegisterBenchmark(name.c_str(),
+                                             BM_RowGroupSteadyState,
+                                             b_sparsity, group_rows, v.run)
+                    ->Unit(benchmark::kMillisecond);
+            }
+        }
     }
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))

@@ -1,6 +1,7 @@
 #include "microsim/simulator.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "common/logging.hh"
@@ -140,6 +141,30 @@ checkOperandB(const SimContext &ctx, const char *who)
                     max_len, " words of operand B"));
 }
 
+/**
+ * Fatal if rank-2 operand `name` holds a NaN, naming the first one's
+ * row and column (why run() refuses NaN: see its documentation).
+ */
+void
+rejectNan(const DenseTensor &t, const char *name)
+{
+    const std::vector<float> &v = t.data();
+    // A branch-free scan first (it vectorizes); the search only runs
+    // once a NaN is known to be there.
+    unsigned any_nan = 0;
+    for (const float x : v)
+        any_nan |= static_cast<unsigned>(std::isnan(x));
+    if (any_nan == 0)
+        return;
+    const auto at = static_cast<std::int64_t>(
+        std::find_if(v.begin(), v.end(),
+                     [](float x) { return std::isnan(x); }) -
+        v.begin());
+    const std::int64_t cols = t.shape().dim(1).extent;
+    fatal(msgOf("HighlightSimulator: operand ", name, " holds NaN at row ",
+                at / cols, ", column ", at % cols));
+}
+
 } // namespace
 
 OperandBPass::OperandBPass(const SimContext &ctx)
@@ -205,7 +230,8 @@ OperandBPass::OperandBPass(const SimContext &ctx)
 
 RowGroupWorker::RowGroupWorker(const SimContext &ctx,
                                int group_capacity)
-    : ctx_(ctx), group_capacity_(group_capacity), pass_(ctx.b_pass)
+    : ctx_(ctx), group_capacity_(group_capacity), kernel_(laneKernel()),
+      pass_(ctx.b_pass)
 {
     if (group_capacity_ < 1)
         fatal(msgOf("RowGroupWorker: group capacity ", group_capacity_,
@@ -251,6 +277,13 @@ RowGroupWorker::RowGroupWorker(const SimContext &ctx,
 void
 RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
 {
+    runGroup(row0, nrows, out, kernel_);
+}
+
+void
+RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out,
+                         LaneKernel kernel)
+{
     if (nrows < 1 || nrows > group_capacity_)
         fatal(msgOf("RowGroupWorker: group of ", nrows,
                     " rows exceeds capacity ", group_capacity_));
@@ -268,75 +301,25 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out)
         own_pass_ = std::make_unique<OperandBPass>(ctx_);
         pass_ = own_pass_.get();
     }
-    const int g0 = ctx_.g0, g1 = ctx_.g1, h0 = ctx_.h0;
-    double *const pe_sum = pe_sum_.data();
-    double *const row_sum = row_sum_.data();
-    std::int64_t effectual = 0, dummy_blocks = 0;
-    for (std::int64_t g = 0; g < ctx_.groups; ++g) {
-        for (std::int64_t row = row0; row < row0 + nrows; ++row) {
-            const HierarchicalCpRow &cp = ctx_.a_cp->row(row);
-            const float *const cp_vals = cp.values().data();
-            const std::uint8_t *const cp_offs0 = cp.offsets(0).data();
-            const std::uint8_t *const cp_offs1 =
-                ctx_.two_rank ? cp.offsets(1).data() : nullptr;
-            std::fill(row_sum, row_sum + n, 0.0);
-            for (int p = 0; p < g1; ++p) {
-                // Rank-1 skipping SAF: this PE's selected block (real
-                // or dummy) stays stationary for the whole K-group.
-                const std::int64_t entry = g * g1 + p;
-                const int block = ctx_.two_rank ? cp_offs1[entry] : 0;
-                const float *const vals = cp_vals + entry * g0;
-                const std::uint8_t *const offs = cp_offs0 + entry * g0;
-                // PE 0 adds its lanes straight into the row sums: they
-                // start at +0.0 as its own sums would, and folding a PE
-                // sum into +0.0 leaves its bits as they are (it is
-                // never -0.0, see gatedProduct()).
-                double *const sum = p == 0 ? row_sum : pe_sum;
-                if (p > 0)
-                    std::fill(pe_sum, pe_sum + n, 0.0);
-                bool all_dummy = true;
-                for (int l = 0; l < g0; ++l) {
-                    // Rank-0 mux: a dummy lane (A = 0) or an offset
-                    // past the block always gates, and the +0.0 it
-                    // would add leaves the partial sums' bits as they
-                    // are, so it is skipped.
-                    all_dummy &= vals[l] == 0.0f;
-                    if (vals[l] == 0.0f || offs[l] >= h0)
-                        continue;
-                    const double a = vals[l];
-                    const int s = block * h0 + offs[l];
-                    const float *const b = pass_->slot(g, s);
-                    effectual += pass_->nonzeros(g, s);
-                    for (std::int64_t c = 0; c < n; ++c) {
-                        const double bc = b[c];
-                        sum[c] += gatedProduct(a, bc, bc != 0.0);
-                    }
-                }
-                dummy_blocks += all_dummy;
-                if (p > 0)
-                    for (std::int64_t c = 0; c < n; ++c)
-                        row_sum[c] += pe_sum[c];
-            }
-            float *const out_row = out.data().data() + row * n;
-            for (std::int64_t c = 0; c < n; ++c)
-                out_row[c] += static_cast<float>(row_sum[c]);
-        }
-    }
+    const LaneCounts counts =
+        kernel(LaneGroup{&ctx_, pass_, row0, nrows, pe_sum_.data(),
+                         row_sum_.data(), out.data().data()});
 
     // Closed-form charges: every row of the group takes one step per
     // (K-group, column) and updates its RF once per step, loads G1 * G0
     // stationary A words per K-group, and selects through all G1 * G0
     // muxes on every step; every lane that was not effectual gated.
-    const std::int64_t lanes_per_row = static_cast<std::int64_t>(g1) * g0;
+    const std::int64_t lanes_per_row =
+        static_cast<std::int64_t>(ctx_.g1) * ctx_.g0;
     const std::int64_t steps = ctx_.groups * n * nrows;
     const std::int64_t lane_steps = steps * lanes_per_row;
     stats_.cycles += steps;
     stats_.psum_updates += steps;
     stats_.a_words_loaded += ctx_.groups * nrows * lanes_per_row;
-    stats_.dummy_blocks += dummy_blocks;
+    stats_.dummy_blocks += counts.dummy_blocks;
     stats_.pe.mux_selects += lane_steps;
-    stats_.pe.mac_ops += effectual;
-    stats_.pe.gated_macs += lane_steps - effectual;
+    stats_.pe.mac_ops += counts.effectual;
+    stats_.pe.gated_macs += lane_steps - counts.effectual;
 
     // Fold the operand-B pass into the worker aggregate. The pass ran
     // once, but is accounted restream-equivalently: its counters are a
@@ -369,6 +352,8 @@ HighlightSimulator::run(const DenseTensor &a, const HssSpec &a_spec,
     if (b.shape().dim(0).extent != k)
         fatal(msgOf("HighlightSimulator: A is Mx", k, " but B is ",
                     b.shape().dim(0).extent, "xN"));
+    rejectNan(a, "A");
+    rejectNan(b, "B");
 
     // Geometry from the operand-A spec. The datapath implements the
     // paper's two-level SAF hierarchy (PE-array level + PE level,

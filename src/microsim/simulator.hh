@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "microsim/glb.hh"
+#include "microsim/lane_kernel.hh"
 #include "microsim/pe.hh"
 #include "microsim/vfmu.hh"
 #include "sparsity/hss.hh"
@@ -229,10 +230,12 @@ class OperandBPass
  * and the row adds its sum to the output once per K-group. The only
  * additions left out cannot change a bit: a dummy lane's or an offset
  * past H0's, which only ever add +0.0, and PE 0's fold into the +0.0
- * row sum, since PE 0 adds its lanes into the row sum directly. The
- * effectual MACs are the live lanes' slot nonzero counts; cycles,
- * partial-sum updates, A loads, mux selections and gated MACs are
- * charged once per group in closed form.
+ * row sum, since PE 0 adds its lanes into the row sum directly. That
+ * loop nest is the lane kernel (microsim/lane_kernel.hh), compiled per
+ * ISA level with the same bits in each; runGroup() runs the widest
+ * variant the host supports. The effectual MACs are the live lanes'
+ * slot nonzero counts; cycles, partial-sum updates, A loads, mux
+ * selections and gated MACs are charged once per group in closed form.
  *
  * Fidelity counters stay restream-equivalent: the pass's GLB/VFMU
  * activity is a pure function of the stream and the shift sequence
@@ -284,6 +287,14 @@ class RowGroupWorker
      */
     void runGroup(std::int64_t row0, int nrows, DenseTensor &out);
 
+    /**
+     * As above with a given variant of the lane kernel, one of
+     * laneKernelVariants()' (the tests and bench_kernels compare
+     * them); every variant gives the same outputs and counters.
+     */
+    void runGroup(std::int64_t row0, int nrows, DenseTensor &out,
+                  LaneKernel kernel);
+
     /** Single-row convenience (the ungrouped steady state). */
     void
     runRow(std::int64_t row, DenseTensor &out)
@@ -305,6 +316,8 @@ class RowGroupWorker
      */
     const SimContext ctx_;
     const int group_capacity_;
+    /** laneKernel(), resolved once so runGroup() never allocates. */
+    const LaneKernel kernel_;
     /** ctx_.b_pass, or own_pass_ once the first runGroup() built it. */
     const OperandBPass *pass_;
     std::unique_ptr<OperandBPass> own_pass_;
@@ -344,6 +357,11 @@ class HighlightSimulator
      * @param a_spec The HSS pattern of A (1 or 2 ranks); the PE count
      *               equals G1 (or 1 for single-rank specs).
      * @param b      Activation matrix (K x N), dense or sparse.
+     *
+     * A NaN in either operand is fatal, naming the operand, row and
+     * column: the bits of a sum of two NaNs depend on the operand
+     * order, which the lane kernel's ISA variants need not share.
+     * +-inf is legal.
      */
     SimResult run(const DenseTensor &a, const HssSpec &a_spec,
                   const DenseTensor &b) const;

@@ -371,7 +371,7 @@ TEST(Headline, HighlightBestEdpAcrossSyntheticSuite)
             if (r.supported) {
                 // Best or within 5%: dense-A cells against DSTC's
                 // dual-side latency advantage land at parity in our
-                // substitute component models (EXPERIMENTS.md).
+                // substitute component models (FIDELITY.md).
                 EXPECT_LE(r_hl.edp(), r.edp() * 1.05)
                     << w.str() << " vs " << other->name();
             }

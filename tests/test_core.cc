@@ -221,7 +221,7 @@ TEST(Pareto, HighlightOnResnetFrontier)
     EXPECT_TRUE(highlight_on_frontier);
     // ...and no HighLight point is dominated by a dense or one-rank
     // structured competitor (only unstructured DSTC trades blows at
-    // mid sparsity, within the model tolerances of EXPERIMENTS.md).
+    // mid sparsity, within the model tolerances of FIDELITY.md).
     for (std::size_t i = 0; i < points.size(); ++i) {
         if (!is_highlight[i])
             continue;

@@ -10,10 +10,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -23,6 +25,7 @@
 #include "microsim/compression_unit.hh"
 #include "microsim/dsso_sim.hh"
 #include "microsim/glb.hh"
+#include "microsim/lane_kernel.hh"
 #include "microsim/simulator.hh"
 #include "microsim/vfmu.hh"
 #include "runtime/thread_pool.hh"
@@ -557,6 +560,75 @@ TEST(Simulator, RejectsNonDivisibleK)
     auto a = DenseTensor::matrix(2, 20);
     auto b = DenseTensor::matrix(20, 4);
     EXPECT_THROW(HighlightSimulator().run(a, spec, b), FatalError);
+}
+
+TEST(Simulator, RejectsNanOperands)
+{
+    // With two NaN payloads the bits of a sum or product depend on the
+    // operand order, which the lane kernel's ISA variants need not
+    // share, so run() refuses a NaN in either operand and says where
+    // it is. +-inf runs: inf - inf gives the same default NaN
+    // everywhere.
+    const HssSpec spec({GhPattern(2, 4), GhPattern(2, 4)});
+    Rng rng(23);
+    const std::int64_t m = 3, k = spec.totalSpan() * 2, n = 5;
+    const auto a = hssSparsify(
+        randomDense(TensorShape({{"M", m}, {"K", k}}), rng), spec);
+    const auto b =
+        randomUnstructured(TensorShape({{"K", k}, {"N", n}}), 0.5, rng);
+    const auto expectRejected = [&](const DenseTensor &a_in,
+                                    const DenseTensor &b_in,
+                                    bool compress_b,
+                                    const std::string &where) {
+        MicrosimConfig cfg;
+        cfg.compress_b = compress_b;
+        try {
+            HighlightSimulator(cfg).run(a_in, spec, b_in);
+            ADD_FAILURE() << where << " ran";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+                << e.what();
+        }
+    };
+    // A quiet NaN, and one with a payload and the sign bit set.
+    float payload_nan = 0.0f;
+    const std::uint32_t payload_bits = 0xffc01234u;
+    std::memcpy(&payload_nan, &payload_bits, sizeof payload_nan);
+    for (const float nan :
+         {std::numeric_limits<float>::quiet_NaN(), payload_nan}) {
+        // In A, in place of row 2's first nonzero, so A still conforms.
+        std::int64_t col = 0;
+        while (a.at2(2, col) == 0.0f)
+            ++col;
+        DenseTensor bad_a = a;
+        bad_a.set2(2, col, nan);
+        for (const bool compress_b : {false, true})
+            expectRejected(bad_a, b, compress_b,
+                           msgOf("operand A holds NaN at row 2, column ",
+                                 col));
+        // In B, streamed dense and compressed.
+        DenseTensor bad_b = b;
+        bad_b.set2(k - 3, 4, nan);
+        expectRejected(a, bad_b, false,
+                       msgOf("operand B holds NaN at row ", k - 3,
+                             ", column 4"));
+        bad_b.set2(5, 1, nan);
+        expectRejected(a, bad_b, true,
+                       "operand B holds NaN at row 5, column 1");
+    }
+
+    const float inf = std::numeric_limits<float>::infinity();
+    DenseTensor inf_a = a;
+    for (std::int64_t c = 0; c < k; ++c)
+        if (inf_a.at2(1, c) != 0.0f)
+            inf_a.set2(1, c, c % 2 == 0 ? inf : -inf);
+    DenseTensor inf_b = b;
+    inf_b.set2(0, 0, -inf);
+    for (const bool compress_b : {false, true}) {
+        MicrosimConfig cfg;
+        cfg.compress_b = compress_b;
+        EXPECT_NO_THROW(HighlightSimulator(cfg).run(inf_a, spec, inf_b));
+    }
 }
 
 TEST(RowWorker, PanicsOnTruncatedOperandBStream)
@@ -1287,6 +1359,145 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<DiffCase> &info) {
         return info.param.name;
     });
+
+/**
+ * Operands that reach every corner of the lane kernel's arithmetic:
+ * `spec`'s A with extra zeros (dummy lanes and whole dummy rank-1
+ * entries, row 1 all zero) and about one nonzero in eight turned +inf
+ * or -inf; B 40% dense with a third of its zeros -0.0, one nonzero in
+ * five subnormal, and its second K-group all zero.
+ */
+std::pair<DenseTensor, DenseTensor>
+laneKernelOperands(const HssSpec &spec, std::int64_t m, std::int64_t k,
+                   std::int64_t n, Rng &rng)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float subnormal = std::numeric_limits<float>::denorm_min();
+    const std::int64_t set_span = spec.totalSpan();
+    auto a = hssSparsify(
+        randomDense(TensorShape({{"M", m}, {"K", k}}), rng), spec);
+    int infinite = 0;
+    for (std::int64_t r = 0; r < m; ++r) {
+        for (std::int64_t c = 0; c < k; ++c) {
+            if (r == 1 || rng.bernoulli(0.25))
+                a.set2(r, c, 0.0f);
+            else if (a.at2(r, c) != 0.0f && rng.bernoulli(0.125))
+                a.set2(r, c, infinite++ % 2 == 0 ? inf : -inf);
+        }
+    }
+    auto b = randomUnstructured(TensorShape({{"K", k}, {"N", n}}), 0.6, rng);
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+        for (std::int64_t c = 0; c < n; ++c) {
+            float v = b.at2(kk, c);
+            if (kk >= set_span && kk < 2 * set_span)
+                v = 0.0f;
+            if (v == 0.0f && rng.bernoulli(0.3))
+                v = -0.0f;
+            else if (v != 0.0f && rng.bernoulli(0.2))
+                v = subnormal * static_cast<float>(1 + rng.uniformInt(0, 999)) *
+                    (v < 0.0f ? -1.0f : 1.0f);
+            b.set2(kk, c, v);
+        }
+    }
+    return {a, b};
+}
+
+TEST(LaneKernel, EveryHostVariantMatchesTheBaselineBitForBit)
+{
+    const std::vector<LaneKernelVariant> &variants = laneKernelVariants();
+    ASSERT_FALSE(variants.empty());
+    for (const LaneKernelVariant &v : variants)
+        if (!v.host_supported)
+            std::cout << "lane kernel variant " << v.name
+                      << " not run: this host cannot execute it\n";
+    std::int64_t infinite = 0, nans = 0, subnormals = 0;
+    const std::vector<HssSpec> specs = {
+        HssSpec({GhPattern(3, 8)}),
+        HssSpec({GhPattern(2, 4), GhPattern(4, 8)}),
+        HssSpec({GhPattern(1, 4), GhPattern(2, 3)})};
+    for (const HssSpec &spec : specs) {
+        Rng rng(static_cast<std::uint64_t>(spec.totalSpan()) * 17 +
+                spec.numRanks());
+        // N = 1 and 13 leave every vector width a scalar tail, 16 none,
+        // and 131 full vectors plus a tail; groups of 3 rows leave a
+        // one-row trailing group.
+        for (const std::int64_t n : {1, 13, 16, 131}) {
+            const std::int64_t m = 7, k = spec.totalSpan() * 3;
+            const int group_rows = 3;
+            const auto [a, b] = laneKernelOperands(spec, m, k, n, rng);
+            for (const bool compress_b : {false, true}) {
+                const HandContext hc(a, spec, b, compress_b);
+                const OperandBPass pass(hc.ctx);
+                SimContext ctx = hc.ctx;
+                ctx.b_pass = &pass;
+                const auto runVariant = [&](LaneKernel kernel) {
+                    RowGroupWorker worker(ctx, group_rows);
+                    SimResult r{
+                        DenseTensor(TensorShape({{"M", m}, {"N", n}})), {}};
+                    for (std::int64_t row = 0; row < m; row += group_rows)
+                        worker.runGroup(
+                            row,
+                            static_cast<int>(std::min<std::int64_t>(
+                                group_rows, m - row)),
+                            r.output, kernel);
+                    r.stats = worker.stats();
+                    return r;
+                };
+                const SimResult base = runVariant(variants.front().run);
+                for (const float v : base.output.data()) {
+                    infinite += std::isinf(v);
+                    nans += std::isnan(v);
+                    subnormals += std::fpclassify(v) == FP_SUBNORMAL;
+                }
+                for (const LaneKernelVariant &v : variants) {
+                    if (!v.host_supported)
+                        continue;
+                    const SimResult r = runVariant(v.run);
+                    const std::string at =
+                        std::string(v.name) + " " + spec.str() +
+                        (compress_b ? " comp_b" : " dense_b") +
+                        " n=" + std::to_string(n);
+                    ASSERT_EQ(r.output.data().size(),
+                              base.output.data().size());
+                    EXPECT_EQ(std::memcmp(r.output.data().data(),
+                                          base.output.data().data(),
+                                          base.output.data().size() *
+                                              sizeof(float)),
+                              0)
+                        << at;
+                    expectSameStats(r.stats, base.stats, at);
+                }
+            }
+        }
+    }
+    // The corners were reached: infinite sums, inf - inf, and sums
+    // small enough to round to a subnormal float.
+    EXPECT_GT(infinite, 0);
+    EXPECT_GT(nans, 0);
+    EXPECT_GT(subnormals, 0);
+}
+
+TEST(LaneKernel, X86BuildsCompileEveryVariant)
+{
+    // Only the table reaches a specific variant, so a build that lost
+    // one would quietly run narrower code: on x86-64 under GCC or
+    // Clang the baseline, AVX2 and AVX-512F variants must all be there.
+    const std::vector<LaneKernelVariant> &variants = laneKernelVariants();
+    ASSERT_FALSE(variants.empty());
+    EXPECT_STREQ(variants.front().name, "baseline");
+    EXPECT_TRUE(variants.front().host_supported);
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+    ASSERT_GE(variants.size(), 3u);
+    EXPECT_STREQ(variants[1].name, "avx2");
+    EXPECT_STREQ(variants[2].name, "avx512f");
+#endif
+    // Every worker runs the widest variant the host supports.
+    LaneKernel widest = nullptr;
+    for (const LaneKernelVariant &v : variants)
+        if (v.host_supported)
+            widest = v.run;
+    EXPECT_EQ(laneKernel(), widest);
+}
 
 TEST(Simulator, AddsLanesThenPesInDatapathOrder)
 {
