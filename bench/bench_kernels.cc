@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "accel/harness.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "core/evaluator.hh"
 #include "dnn/deit.hh"
@@ -112,46 +113,90 @@ BM_HierarchicalCpDecompress(benchmark::State &state)
 BENCHMARK(BM_HierarchicalCpDecompress)->Arg(16)->Arg(64);
 
 /**
- * One analytical layer job for one design: evaluateBest, which
- * evaluates both operand orders, on a 1024^3 GEMM with unstructured A
- * and B. Designs that cannot run unstructured A report unsupported
- * quickly. DSTC asks its balance model for both operands in both
- * orders, but the workload never changes, so after the first
- * iteration every one of those calls hits the per-thread memo: the
- * DSTC row times the warm path only (BM_UnstructuredUtilization times
- * the model's hit and miss paths). main() registers one row per design
- * of the Evaluator lineup, named BM_EvaluateBest/<design>.
+ * How many densities distinct:1 and DSTC_cold cycle through: far more
+ * than the 64-slot per-thread memo of DSTC's balance model holds, so
+ * nearly every call runs the model.
+ */
+constexpr int kDistinctDensities = 1000;
+
+double
+distinctDensity(int i)
+{
+    return (i + 1) / (kDistinctDensities + 1.0);
+}
+
+/**
+ * One supported analytical layer job per call: evaluateBest, which
+ * evaluates both operand orders, on each of `workloads` in turn. A
+ * workload the design rejects fails the row instead of timing the
+ * rejection path. main() registers one row per design of the
+ * Evaluator lineup, named BM_EvaluateBest/<design>, on one workload:
+ * the synthetic suite's A50%-B50% cell (1024^3, a 50%-dense HSS A and
+ * a 50%-dense unstructured B), which the five designs of the paper's
+ * lineup all run, and for DSSO, which needs a structured B, fig17's
+ * B = C1(2:4) cell. DSTC asks its balance model for both operands in
+ * both orders; on one workload every call after the first hits the
+ * per-thread memo, so BM_EvaluateBest/DSTC times the warm path and
+ * BM_EvaluateBest/DSTC_cold cycles B's density through
+ * kDistinctDensities values, so B's calls miss.
  */
 void
-BM_EvaluateBest(benchmark::State &state, const Accelerator *design)
+BM_EvaluateBest(benchmark::State &state, const Accelerator *design,
+                const std::vector<GemmWorkload> &workloads)
+{
+    for (const GemmWorkload &w : workloads) {
+        if (!evaluateBest(*design, w).supported) {
+            const std::string msg = design->name() + " rejects " + w.str();
+            state.SkipWithError(msg.c_str());
+            return;
+        }
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        auto r = evaluateBest(*design, workloads[i]);
+        benchmark::DoNotOptimize(r.cycles);
+        i = i + 1 == workloads.size() ? 0 : i + 1;
+    }
+}
+
+/** The synthetic suite's cell of the given name, e.g. "A50%-B50%". */
+GemmWorkload
+syntheticCell(const std::string &name)
+{
+    for (const GemmWorkload &w : syntheticSuite())
+        if (w.name == name)
+            return w;
+    fatal("bench_kernels: no synthetic cell " + name);
+}
+
+/** fig17's workload for DSSO at B = C1(2:4)->C0(dense). */
+GemmWorkload
+fig17DssoCell()
 {
     GemmWorkload w;
-    w.name = "bench";
+    w.name = "B=C1(2:4)";
     w.m = w.k = w.n = 1024;
-    w.a = OperandSparsity::unstructured(0.5);
-    w.b = OperandSparsity::unstructured(0.35);
-    for (auto _ : state) {
-        auto r = evaluateBest(*design, w);
-        benchmark::DoNotOptimize(r.cycles);
-    }
+    w.a = OperandSparsity::structured(HssSpec({GhPattern(2, 4)}));
+    w.b = OperandSparsity::structured(
+        HssSpec({GhPattern(4, 4), GhPattern(2, 4)}));
+    return w;
 }
 
 /**
  * DSTC's balance model at its lane width and block (32 lanes, 64
  * elements). distinct:0 repeats one density, so every call after the
- * first is a memo hit; distinct:1 cycles through 1,000 densities, far
- * more than the 64-slot per-thread memo holds, so nearly every call
- * runs the model: one binomialPmfs pass over the lgamma table.
+ * first is a memo hit; distinct:1 cycles through kDistinctDensities
+ * densities, so nearly every call runs the model: one binomialPmfs
+ * pass over the lgamma table.
  */
 void
 BM_UnstructuredUtilization(benchmark::State &state)
 {
-    constexpr int kDensities = 1000;
     const bool distinct = state.range(0) != 0;
     int i = 0;
     for (auto _ : state) {
-        const double d = distinct ? (i + 1) / (kDensities + 1.0) : 0.35;
-        i = i + 1 == kDensities ? 0 : i + 1;
+        const double d = distinct ? distinctDensity(i) : 0.35;
+        i = i + 1 == kDistinctDensities ? 0 : i + 1;
         benchmark::DoNotOptimize(unstructuredUtilization(d, 32, 64));
     }
 }
@@ -520,11 +565,21 @@ main(int argc, char **argv)
     const std::string json_path = extractJsonPath(argc, argv);
     // The lineup only owns the design models.
     const Evaluator lineup;
+    const GemmWorkload cell = syntheticCell("A50%-B50%");
     for (const Accelerator *design : lineup.designs()) {
         const std::string name = "BM_EvaluateBest/" + design->name();
+        const GemmWorkload w =
+            design->name() == "DSSO" ? fig17DssoCell() : cell;
         benchmark::RegisterBenchmark(name.c_str(), BM_EvaluateBest,
-                                     design);
+                                     design, std::vector<GemmWorkload>{w});
     }
+    std::vector<GemmWorkload> cold(kDistinctDensities, cell);
+    for (int i = 0; i < kDistinctDensities; ++i)
+        cold[static_cast<std::size_t>(i)].b =
+            OperandSparsity::unstructured(distinctDensity(i));
+    benchmark::RegisterBenchmark("BM_EvaluateBest/DSTC_cold",
+                                 BM_EvaluateBest, &lineup.design("DSTC"),
+                                 cold);
     // Named as google-benchmark names an argument product, with the
     // variant last, e.g. BM_RowGroupSteadyState/b_sparsity:65/
     // group_rows:8/variant:avx2.

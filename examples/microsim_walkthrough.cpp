@@ -11,7 +11,6 @@
 
 #include "common/random.hh"
 #include "common/table.hh"
-#include "dataflow/loopnest.hh"
 #include "microsim/simulator.hh"
 #include "sparsity/sparsify.hh"
 #include "tensor/generator.hh"
@@ -27,12 +26,6 @@ main()
     std::cout << "Operand A pattern: " << spec.str() << " (density "
               << spec.density() << ", " << spec.sparsity() * 100
               << "% sparse)\n";
-
-    // Fig 8(b): the HSS-operand stationary dataflow as a loopnest.
-    std::cout << "HighLight's dataflow (Fig 8(b)):\n"
-              << highlightDataflow(1024, 1024, 1024, 64, 50, 32, 32)
-                     .str()
-              << "\n";
 
     Rng rng(7);
     const std::int64_t m = 4, k = 64, n = 8;

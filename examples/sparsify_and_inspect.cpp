@@ -1,9 +1,9 @@
 /**
  * @file
- * Walkthrough of the paper's Figs 3-5 and 9: build a small weight
- * tensor, view it as a fibertree, apply the example two-rank HSS
- * pattern with the magnitude/scaled-L2 sparsifier, verify conformance,
- * and inspect the hierarchical CP compression metadata.
+ * Walkthrough of the paper's Figs 4-5 and 9: build a small weight
+ * matrix in its (RS, C) view, apply the example two-rank HSS pattern
+ * with the magnitude/scaled-L2 sparsifier, verify conformance, and
+ * inspect the hierarchical CP compression metadata.
  */
 
 #include <iostream>
@@ -13,30 +13,18 @@
 #include "sparsity/conformance.hh"
 #include "sparsity/sparsify.hh"
 #include "sparsity/spec.hh"
-#include "tensor/fibertree.hh"
 #include "tensor/generator.hh"
-#include "tensor/transform.hh"
 
 int
 main()
 {
     using namespace highlight;
 
-    // Fig 3: a small dense weight tensor with C channels and RxS
-    // kernels, viewed as a fibertree.
+    // Fig 4(b)'s view of a weight tensor with C channels and 2x2
+    // kernels: one row per flattened RS position, C innermost.
     Rng rng(2023);
-    const auto weights = randomDense(
-        TensorShape({{"C", 16}, {"R", 2}, {"S", 2}}), rng);
-    std::cout << "Dense weight tensor " << weights.shape().str()
-              << ", fibertree:\n"
-              << Fibertree::fromDense(weights).str() << "\n";
-
-    // Fig 4(b)-style transform pipeline: reorder to put C innermost,
-    // flatten RS.
-    auto view = reorder(weights, {"R", "S", "C"});
-    view = flatten(view, "R", "S");
-    std::cout << "After reorder + flatten: " << view.shape().str()
-              << "\n\n";
+    const auto view = randomDense(TensorShape({{"RS", 4}, {"C", 16}}), rng);
+    std::cout << "Dense weight view " << view.shape().str() << "\n\n";
 
     // Fig 5: the example two-rank HSS, RS->C2->C1(3:4)->C0(2:4).
     const SparsitySpec paper_spec = exampleTwoRankHssSpec();
@@ -53,8 +41,6 @@ main()
     std::cout << "Sparsified: density " << sparse.density()
               << ", conforms: " << (report.conforms ? "yes" : "NO")
               << "\n";
-    std::cout << "Sparse fibertree (pruned coordinates are absent):\n"
-              << Fibertree::fromDense(sparse).str() << "\n";
 
     // Fig 9: hierarchical CP compression of the first row.
     const HierarchicalCpMatrix cp(sparse, hss);

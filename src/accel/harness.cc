@@ -5,8 +5,6 @@
 #include "accel/s2ta.hh"
 #include "accel/stc.hh"
 #include "accel/tc.hh"
-#include "common/logging.hh"
-#include "common/stats.hh"
 
 namespace highlight
 {
@@ -40,24 +38,6 @@ evaluateBest(const Accelerator &accel, const GemmWorkload &w)
     }
     return direct;
 }
-
-double
-SuiteResult::geomeanEdp() const
-{
-    std::vector<double> edps;
-    for (const auto &r : results) {
-        if (r.supported)
-            edps.push_back(r.edp());
-    }
-    if (edps.empty())
-        fatal(msgOf("SuiteResult: design ", design,
-                    " supports no workload in the suite"));
-    return geomean(edps);
-}
-
-// evaluateSuite lives in src/runtime/suite_runner.cc: it fans the
-// design x workload matrix out through the batched parallel runtime,
-// which layers above accel/.
 
 std::vector<std::unique_ptr<Accelerator>>
 standardDesigns()

@@ -26,28 +26,6 @@ namespace highlight
  */
 EvalResult evaluateBest(const Accelerator &accel, const GemmWorkload &w);
 
-/** Result of a full suite evaluation for one design. */
-struct SuiteResult
-{
-    std::string design;
-    std::vector<EvalResult> results; // one per workload, may be unsup.
-
-    /** Geomean EDP across supported workloads; fatal if none. */
-    double geomeanEdp() const;
-};
-
-/**
- * Evaluate a set of designs across a workload suite (with swapping).
- *
- * Defined in src/runtime/suite_runner.cc: the whole design x workload
- * matrix runs as one batch on the parallel evaluation runtime, deduped
- * through a suite-local EvalCache. Results are in (design, workload)
- * input order and bit-identical to evaluating each cell serially.
- */
-std::vector<SuiteResult> evaluateSuite(
-    const std::vector<const Accelerator *> &designs,
-    const std::vector<GemmWorkload> &suite);
-
 /**
  * The standard five-design lineup of the paper's evaluation:
  * TC, STC, S2TA, DSTC, HighLight (owned by the returned vector).

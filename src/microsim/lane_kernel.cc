@@ -108,7 +108,18 @@ stepLanesAvx2(const LaneGroup &group)
     return stepLanes(group);
 }
 
-__attribute__((target("avx512f"))) LaneCounts
+// A bare target("avx512f") keeps the build's preferred vector width,
+// and under GCC -march=native on a CPU that prefers 256-bit vectors
+// (Sapphire Rapids, for one) sets that to 256, so the variant would
+// step its lanes in ymm registers. GCC takes the width as a target
+// key; Clang rejects the key and would then drop the whole attribute.
+#if defined(__clang__)
+#define HIGHLIGHT_LANE_KERNEL_AVX512F "avx512f"
+#else
+#define HIGHLIGHT_LANE_KERNEL_AVX512F "avx512f,prefer-vector-width=512"
+#endif
+
+__attribute__((target(HIGHLIGHT_LANE_KERNEL_AVX512F))) LaneCounts
 stepLanesAvx512f(const LaneGroup &group)
 {
     return stepLanes(group);

@@ -30,7 +30,8 @@ namespace highlight
  * Apply an N-rank HSS pattern to a rank-2 matrix along its columns.
  *
  * Every row is treated as an independent flattened fiber: the column
- * count must be divisible by spec.totalSpan() (use padTo first if not).
+ * count must be divisible by spec.totalSpan() (pad with zero columns
+ * first if not).
  * Returns a new tensor; the input is untouched.
  */
 DenseTensor hssSparsify(const DenseTensor &matrix, const HssSpec &spec);

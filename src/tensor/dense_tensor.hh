@@ -23,7 +23,7 @@ namespace highlight
  * A dense tensor with named dimensions and row-major float storage.
  *
  * Zero values are semantically "empty" for all sparsity purposes: the
- * fibertree view and the compression formats treat exact 0.0f as absent.
+ * compression formats treat exact 0.0f as absent.
  */
 class DenseTensor
 {

@@ -339,20 +339,6 @@ TEST(Harness, UnsupportedBothWaysReported)
     EXPECT_FALSE(r.note.empty());
 }
 
-TEST(Harness, SuiteEvaluationShapes)
-{
-    const auto designs = standardDesigns();
-    std::vector<const Accelerator *> ptrs;
-    for (const auto &d : designs)
-        ptrs.push_back(d.get());
-    const auto suite = syntheticSuite();
-    ASSERT_EQ(suite.size(), 12u); // 3 A-degrees x 4 B-degrees
-    const auto results = evaluateSuite(ptrs, suite);
-    ASSERT_EQ(results.size(), 5u);
-    for (const auto &sr : results)
-        EXPECT_EQ(sr.results.size(), 12u);
-}
-
 TEST(Headline, HighlightBestEdpAcrossSyntheticSuite)
 {
     // Fig 13: "HighLight always achieves the best EDP ... for all

@@ -1,14 +1,13 @@
 /**
  * @file
- * Unit tests for the architecture specs (Table 4) and the dataflow
- * representation (Fig 8(b)) / canonical tiling.
+ * Unit tests for the architecture specs (Table 4) and the canonical
+ * tiling.
  */
 
 #include <gtest/gtest.h>
 
 #include "arch/arch_spec.hh"
 #include "common/logging.hh"
-#include "dataflow/loopnest.hh"
 #include "dataflow/mapping.hh"
 
 namespace highlight
@@ -56,32 +55,6 @@ TEST(Arch, SpatialOrganization)
     const auto a = tcArch();
     EXPECT_EQ(a.spatialM() * a.spatial_k, a.numMacs());
     EXPECT_EQ(a.glbDataWords(), 320 * 1024 / 2);
-}
-
-TEST(LoopNest, IterationCounts)
-{
-    const LoopNest nest({{"M", 4, false, ""},
-                         {"K", 2, true, ""},
-                         {"N", 3, false, ""}});
-    EXPECT_EQ(nest.totalIterations(), 24);
-    EXPECT_EQ(nest.spatialIterations(), 2);
-}
-
-TEST(LoopNest, RejectsBadBounds)
-{
-    EXPECT_THROW(LoopNest({{"M", 0, false, ""}}), FatalError);
-}
-
-TEST(LoopNest, HighlightDataflowStructure)
-{
-    const auto nest = highlightDataflow(1024, 1024, 1024, 78, 50, 32,
-                                        32);
-    // Two spatial loops at the bottom (M0, K0).
-    EXPECT_EQ(nest.spatialIterations(), 32 * 32);
-    const auto s = nest.str();
-    EXPECT_NE(s.find("parallel-for"), std::string::npos);
-    EXPECT_NE(s.find("Z[m][n] += A[m][k] * B[k][n]"),
-              std::string::npos);
 }
 
 TEST(Tiling, DenseBaselineTiles)

@@ -1,17 +1,15 @@
 /**
  * @file
- * Tests for the two-layer chain simulator (Sec 6.4's compression-unit
- * loop) and the micro-sim energy adapter that cross-prices measured
- * activity with the analytical component library.
+ * Tests for the micro-sim energy adapter, which prices the simulator's
+ * measured activity with the analytical component library.
  */
 
 #include <gtest/gtest.h>
 
 #include "accel/highlight.hh"
-#include "common/logging.hh"
 #include "common/random.hh"
 #include "microsim/energy_adapter.hh"
-#include "microsim/layer_chain.hh"
+#include "microsim/simulator.hh"
 #include "sparsity/sparsify.hh"
 #include "tensor/generator.hh"
 
@@ -20,91 +18,28 @@ namespace highlight
 namespace
 {
 
-struct ChainFixture
+/** A 32x32 two-rank HSS A against a dense 32x6 B. */
+struct AdapterFixture
 {
-    HssSpec spec1{{GhPattern(2, 4), GhPattern(2, 4)}};
-    HssSpec spec2{{GhPattern(2, 4), GhPattern(2, 4)}};
-    DenseTensor a1, input, a2;
+    HssSpec spec{{GhPattern(2, 4), GhPattern(2, 4)}};
+    DenseTensor a, b;
 
-    explicit ChainFixture(std::uint64_t seed = 21)
+    AdapterFixture()
     {
-        Rng rng(seed);
-        const std::int64_t m1 = 32, k1 = 32, n = 6, m2 = 8;
-        a1 = hssSparsify(
-            randomDense(TensorShape({{"M", m1}, {"K", k1}}), rng),
-            spec1);
-        input = randomDense(TensorShape({{"K", k1}, {"N", n}}), rng);
-        a2 = hssSparsify(
-            randomDense(TensorShape({{"M", m2}, {"K", m1}}), rng),
-            spec2);
+        Rng rng(21);
+        const std::int64_t m = 32, k = 32, n = 6;
+        a = hssSparsify(
+            randomDense(TensorShape({{"M", m}, {"K", k}}), rng), spec);
+        b = randomDense(TensorShape({{"K", k}, {"N", n}}), rng);
     }
 };
 
-TEST(LayerChain, MatchesDenseReference)
-{
-    const ChainFixture f;
-    const auto chain = LayerChainSimulator().run(f.a1, f.spec1, f.input,
-                                                 f.a2, f.spec2);
-    const auto reference = referenceChain(f.a1, f.input, f.a2);
-    EXPECT_LT(chain.final_output.maxAbsDiff(reference), 1e-3);
-}
-
-TEST(LayerChain, ActivationsAreReluOfLayer1)
-{
-    const ChainFixture f;
-    const auto chain = LayerChainSimulator().run(f.a1, f.spec1, f.input,
-                                                 f.a2, f.spec2);
-    for (std::int64_t i = 0; i < chain.layer1_output.numel(); ++i) {
-        const float pre = chain.layer1_output.atFlat(i);
-        EXPECT_FLOAT_EQ(chain.activations.atFlat(i),
-                        pre > 0.0f ? pre : 0.0f);
-    }
-    // ReLU of a zero-mean output leaves roughly half the values.
-    EXPECT_GT(chain.activation_density, 0.25);
-    EXPECT_LT(chain.activation_density, 0.75);
-}
-
-TEST(LayerChain, CompressionUnitCountsMatch)
-{
-    const ChainFixture f;
-    const auto chain = LayerChainSimulator().run(f.a1, f.spec1, f.input,
-                                                 f.a2, f.spec2);
-    EXPECT_EQ(chain.compression.values_in,
-              chain.layer1_output.numel());
-    EXPECT_EQ(chain.compression.nonzeros_out,
-              chain.activations.countNonzeros());
-}
-
-TEST(LayerChain, BothLayersRunAndCount)
-{
-    const ChainFixture f;
-    const auto chain = LayerChainSimulator().run(f.a1, f.spec1, f.input,
-                                                 f.a2, f.spec2);
-    EXPECT_GT(chain.layer1.cycles, 0);
-    EXPECT_GT(chain.layer2.cycles, 0);
-    // Layer 2 streams compressed activations: with ~50% dense
-    // activations the VFMU skips some fetches.
-    EXPECT_GT(chain.layer2.vfmu.skipped_fetches, 0);
-}
-
-TEST(LayerChain, RejectsMisalignedShapes)
-{
-    const ChainFixture f;
-    Rng rng(1);
-    // Layer-2 K != layer-1 M.
-    const auto a2_bad = hssSparsify(
-        randomDense(TensorShape({{"M", 8}, {"K", 16}}), rng), f.spec2);
-    EXPECT_THROW(LayerChainSimulator().run(f.a1, f.spec1, f.input,
-                                           a2_bad, f.spec2),
-                 FatalError);
-}
-
 TEST(EnergyAdapter, AllComponentsPresentAndPositive)
 {
-    const ChainFixture f;
-    const auto r = HighlightSimulator().run(f.a1, f.spec1, f.input);
+    const AdapterFixture f;
+    const auto r = HighlightSimulator().run(f.a, f.spec, f.b);
     const ComponentLibrary lib;
-    const auto energy = microsimEnergy(r.stats, f.spec1, lib);
+    const auto energy = microsimEnergy(r.stats, f.spec, lib);
     for (const char *name : {"mac", "glb", "rf", "saf", "reg"}) {
         EXPECT_GT(breakdownShare(energy, name), 0.0) << name;
     }

@@ -2,8 +2,8 @@
  * @file
  * Additional coverage: edge cases and secondary behaviours across
  * subsystems that the per-module suites don't exercise — engine knob
- * interactions, format corner cases, higher-rank tensors, harness
- * aggregates, and the explorer/evaluator error paths.
+ * interactions, format corner cases, design areas and notes, and the
+ * explorer/evaluator error paths.
  */
 
 #include <gtest/gtest.h>
@@ -20,14 +20,11 @@
 #include "dnn/transformer.hh"
 #include "format/hierarchical_cp.hh"
 #include "format/operand_b.hh"
-#include "format/rle.hh"
 #include "microsim/simulator.hh"
 #include "model/engine.hh"
 #include "sparsity/conformance.hh"
 #include "sparsity/sparsify.hh"
-#include "tensor/fibertree.hh"
 #include "tensor/generator.hh"
-#include "tensor/transform.hh"
 
 namespace highlight
 {
@@ -114,13 +111,6 @@ TEST(EngineExtra, MetadataPartitionRepurposedWhenUnused)
 
 // --- format corner cases ---
 
-TEST(FormatExtra, RleMetadataBitsFormula)
-{
-    const std::vector<float> v = {0.0f, 1.0f, 0.0f, 0.0f, 2.0f};
-    const RleStream r(v.data(), 5, 4);
-    EXPECT_EQ(r.metadataBits(), r.entries() * 4);
-}
-
 TEST(FormatExtra, OperandBWithUnitH1)
 {
     // h1 = 1: every block is its own set.
@@ -171,30 +161,6 @@ TEST(FormatExtra, ThreeRankSparsifyDensity)
     EXPECT_EQ(spec.totalSpan(), 32);
 }
 
-// --- tensors beyond rank 3 ---
-
-TEST(TensorExtra, FourDimensionalFibertreeRoundTrip)
-{
-    Rng rng(4);
-    const auto t = randomUnstructured(
-        TensorShape({{"M", 3}, {"C", 4}, {"R", 2}, {"S", 2}}), 0.7,
-        rng);
-    const auto tree = Fibertree::fromDense(t);
-    EXPECT_EQ(tree.numRanks(), 4u);
-    EXPECT_EQ(tree.rankName(3), "M");
-    EXPECT_TRUE(tree.toDense().equals(t));
-}
-
-TEST(TensorExtra, PadToOuterDimension)
-{
-    Rng rng(5);
-    const auto t = randomDense(TensorShape({{"M", 3}, {"K", 4}}), rng);
-    const auto p = padTo(t, "M", 4);
-    EXPECT_EQ(p.shape().dim(0).extent, 4);
-    EXPECT_FLOAT_EQ(p.at2(3, 2), 0.0f);
-    EXPECT_FLOAT_EQ(p.at2(2, 3), t.at2(2, 3));
-}
-
 TEST(TensorExtra, HssSparsifyColumnsConforms)
 {
     Rng rng(6);
@@ -202,32 +168,15 @@ TEST(TensorExtra, HssSparsifyColumnsConforms)
     const auto b = hssSparsifyColumns(
         randomDense(TensorShape({{"K", 32}, {"N", 5}}), rng), spec);
     // Transposed view conforms along rows.
-    const auto bt = reorder(b, {"N", "K"});
+    DenseTensor bt(TensorShape({{"N", 5}, {"K", 32}}));
+    for (std::int64_t k = 0; k < 32; ++k)
+        for (std::int64_t n = 0; n < 5; ++n)
+            bt.set2(n, k, b.at2(k, n));
     EXPECT_TRUE(conformsTo(bt, spec));
     EXPECT_NEAR(b.density(), 0.5, 1e-12);
 }
 
-// --- harness aggregates & design areas ---
-
-TEST(HarnessExtra, SuiteGeomeanEdp)
-{
-    const TcLike tc;
-    SuiteResult sr;
-    sr.design = "TC";
-    for (const auto &w : syntheticSuite())
-        sr.results.push_back(evaluateBest(tc, w));
-    EXPECT_GT(sr.geomeanEdp(), 0.0);
-}
-
-TEST(HarnessExtra, GeomeanEdpFatalWithoutSupport)
-{
-    SuiteResult sr;
-    sr.design = "empty";
-    EvalResult unsupported;
-    unsupported.supported = false;
-    sr.results.push_back(unsupported);
-    EXPECT_THROW(sr.geomeanEdp(), FatalError);
-}
+// --- design areas & notes ---
 
 TEST(HarnessExtra, AllDesignAreasPositiveWithExpectedComponents)
 {

@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit and property tests for the compression formats: hierarchical CP
- * (Fig 9), operand-B three-level metadata (Fig 12(a)), bitmask, RLE,
- * and CSR.
+ * (Fig 9), operand-B three-level metadata (Fig 12(a)) and bitmask.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +12,8 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "format/bitmask.hh"
-#include "format/csr.hh"
 #include "format/hierarchical_cp.hh"
 #include "format/operand_b.hh"
-#include "format/rle.hh"
 #include "runtime/thread_pool.hh"
 #include "sparsity/sparsify.hh"
 #include "tensor/generator.hh"
@@ -431,82 +428,6 @@ TEST(Bitmask, PopcountSpans)
     EXPECT_EQ(b.popcount(0, 3), 2);
     EXPECT_EQ(b.popcount(3, 5), 0);
     EXPECT_THROW(b.popcount(4, 2), PanicError);
-}
-
-TEST(Rle, RoundTripSimple)
-{
-    const std::vector<float> v = {0.0f, 0.0f, 5.0f, 0.0f, 7.0f, 0.0f};
-    const RleStream r(v.data(), 6);
-    EXPECT_EQ(r.decompress(), v);
-    EXPECT_EQ(r.entries(), 2); // two nonzeros, runs fit in 4 bits
-}
-
-TEST(Rle, LongRunsEmitCarriers)
-{
-    std::vector<float> v(40, 0.0f);
-    v[39] = 1.0f;
-    const RleStream r(v.data(), 40, 4);
-    EXPECT_EQ(r.decompress(), v);
-    EXPECT_GT(r.entries(), 1); // 39 zeros need carriers at 4-bit runs
-}
-
-TEST(Rle, AllZerosRoundTrip)
-{
-    std::vector<float> v(20, 0.0f);
-    const RleStream r(v.data(), 20);
-    EXPECT_EQ(r.decompress(), v);
-}
-
-TEST(Rle, DenseCostsOneEntryPerValue)
-{
-    Rng rng;
-    const auto t = randomDense(TensorShape({{"K", 16}}), rng);
-    const RleStream r(t.data().data(), 16);
-    EXPECT_EQ(r.entries(), 16);
-}
-
-TEST(Rle, RejectsBadRunBits)
-{
-    std::vector<float> v(4, 0.0f);
-    EXPECT_THROW(RleStream(v.data(), 4, 0), FatalError);
-    EXPECT_THROW(RleStream(v.data(), 4, 17), FatalError);
-}
-
-TEST(Csr, RoundTripRandom)
-{
-    Rng rng;
-    const auto t = randomUnstructured(
-        TensorShape({{"M", 8}, {"K", 16}}), 0.8, rng);
-    const CsrMatrix csr(t);
-    EXPECT_TRUE(csr.decompress().equals(t));
-    EXPECT_EQ(csr.nnz(), t.countNonzeros());
-}
-
-TEST(Csr, RowPtrStructure)
-{
-    DenseTensor m(TensorShape({{"M", 2}, {"K", 3}}),
-                  {1.0f, 0.0f, 2.0f, 0.0f, 0.0f, 0.0f});
-    const CsrMatrix csr(m);
-    ASSERT_EQ(csr.rowPtr().size(), 3u);
-    EXPECT_EQ(csr.rowPtr()[0], 0);
-    EXPECT_EQ(csr.rowPtr()[1], 2);
-    EXPECT_EQ(csr.rowPtr()[2], 2);
-    EXPECT_EQ(csr.colIdx()[1], 2);
-}
-
-TEST(Csr, MetadataCostExceedsCpForStructured)
-{
-    // At equal density, CSR's full column indices cost more metadata
-    // than hierarchical CP's small offsets — the reason structured
-    // formats are cheap (Table 1's low sparsity tax).
-    Rng rng;
-    const HssSpec spec({GhPattern(2, 4), GhPattern(4, 8)});
-    const auto dense =
-        randomDense(TensorShape({{"M", 8}, {"K", 256}}), rng);
-    const auto sparse = hssSparsify(dense, spec);
-    const HierarchicalCpMatrix cp(sparse, spec);
-    const CsrMatrix csr(sparse);
-    EXPECT_LT(cp.metadataBits(), csr.metadataBits());
 }
 
 } // namespace

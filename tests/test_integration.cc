@@ -21,7 +21,6 @@
 #include "sparsity/conformance.hh"
 #include "sparsity/sparsify.hh"
 #include "tensor/generator.hh"
-#include "tensor/transform.hh"
 
 namespace highlight
 {
@@ -64,21 +63,19 @@ TEST(Integration, SimulatorMacCountMatchesAnalyticalEffectual)
 
 TEST(Integration, SparsifyCompressSimulatePipeline)
 {
-    // Full pipeline on a real conv layer: Toeplitz-expand, pad,
-    // sparsify, verify conformance, compress, simulate, compare.
-    const ConvShape conv{"itest", 4, 6, 3, 3, 4, 4, 1};
+    // Full pipeline on a real conv layer: Toeplitz-expand, sparsify,
+    // verify conformance, compress, simulate, compare.
+    const ConvShape conv{"itest", 16, 6, 3, 3, 4, 4, 1};
     Rng rng(3);
     const auto input = randomDense(
-        TensorShape({{"C", 4}, {"H", 6}, {"W", 6}}), rng);
+        TensorShape({{"C", 16}, {"H", 6}, {"W", 6}}), rng);
     const auto weights = randomDense(
-        TensorShape({{"M", 6}, {"C", 4}, {"R", 3}, {"S", 3}}), rng);
+        TensorShape({{"M", 6}, {"C", 16}, {"R", 3}, {"S", 3}}), rng);
 
     const HssSpec spec({GhPattern(2, 4), GhPattern(2, 4)});
-    // K = 36 is not divisible by the 16-wide span: pad A and B.
-    auto a = flattenWeights(weights);
-    a = padTo(a, "K", spec.totalSpan());
-    auto b = toeplitzExpand(input, conv);
-    b = padTo(b, "K", spec.totalSpan());
+    // K = C*R*S = 144 is a multiple of the 16-wide span.
+    const auto a = flattenWeights(weights);
+    const auto b = toeplitzExpand(input, conv);
 
     const auto a_sparse = hssSparsify(a, spec);
     ASSERT_TRUE(conformsTo(a_sparse, spec));

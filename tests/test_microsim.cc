@@ -2,7 +2,7 @@
  * @file
  * Functional tests for the cycle-level micro-simulator (paper Sec 6):
  * exact GEMM results across HSS degrees, cycle-count formulas, gating
- * behaviour, VFMU fetch skipping, and the compression unit.
+ * behaviour and VFMU fetch skipping.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "common/random.hh"
 #include "format/hierarchical_cp.hh"
 #include "format/operand_b.hh"
-#include "microsim/compression_unit.hh"
 #include "microsim/dsso_sim.hh"
 #include "microsim/glb.hh"
 #include "microsim/lane_kernel.hh"
@@ -268,21 +267,6 @@ TEST(Pe, StepOnAnAllZeroBlockGatesEveryLane)
     EXPECT_EQ(pe.stats().mac_ops, 0);
     EXPECT_EQ(pe.stats().gated_macs, 12);
     EXPECT_EQ(pe.stats().mux_selects, 12);
-}
-
-TEST(CompressionUnit, ReluThenCompressRoundTrip)
-{
-    CompressionUnit cu(4, 3);
-    std::vector<float> stream = {1.0f, -2.0f, 0.0f, 3.0f, -1.0f, -1.0f,
-                                 0.0f, 5.0f, 2.0f, 0.0f, 0.0f, -4.0f};
-    const auto compressed = cu.compress(stream);
-    const auto back = compressed.decompress();
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-        const float expected = stream[i] > 0.0f ? stream[i] : 0.0f;
-        EXPECT_FLOAT_EQ(back[i], expected);
-    }
-    EXPECT_EQ(cu.stats().nonzeros_out, 4);
-    EXPECT_EQ(cu.stats().values_in, 12);
 }
 
 /**

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the tensor subsystem: shapes, dense tensors,
- * fibertrees, rank transforms, and generators.
+ * Unit tests for the tensor subsystem: shapes, dense tensors and
+ * generators.
  */
 
 #include <gtest/gtest.h>
@@ -9,10 +9,8 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "tensor/dense_tensor.hh"
-#include "tensor/fibertree.hh"
 #include "tensor/generator.hh"
 #include "tensor/shape.hh"
-#include "tensor/transform.hh"
 
 namespace highlight
 {
@@ -140,157 +138,6 @@ TEST(DenseTensor, ReferenceGemmRejectsMismatch)
     auto a = DenseTensor::matrix(2, 3);
     auto b = DenseTensor::matrix(4, 2);
     EXPECT_THROW(referenceGemm(a, b), FatalError);
-}
-
-TEST(Fibertree, DenseTensorHasFullTree)
-{
-    Rng rng;
-    const auto t = randomDense(crsShape(), rng);
-    const auto tree = Fibertree::fromDense(t);
-    EXPECT_EQ(tree.numRanks(), 3u);
-    EXPECT_EQ(tree.rankName(0), "S"); // leaf = innermost
-    EXPECT_EQ(tree.rankName(2), "C");
-    EXPECT_EQ(tree.nnz(), 36u);
-    EXPECT_EQ(tree.root().occupancy(), 4u); // all C coords present
-}
-
-TEST(Fibertree, RoundTripsDense)
-{
-    Rng rng;
-    const auto t = randomDense(crsShape(), rng);
-    EXPECT_TRUE(Fibertree::fromDense(t).toDense().equals(t));
-}
-
-TEST(Fibertree, RoundTripsSparse)
-{
-    Rng rng;
-    const auto t = randomUnstructured(crsShape(), 0.6, rng);
-    EXPECT_TRUE(Fibertree::fromDense(t).toDense().equals(t));
-}
-
-TEST(Fibertree, PrunedChannelRemovesSubtree)
-{
-    Rng rng;
-    auto t = randomDense(crsShape(), rng);
-    // Zero out channel 2 entirely: its C-coordinate must vanish.
-    for (std::int64_t r = 0; r < 3; ++r)
-        for (std::int64_t s = 0; s < 3; ++s)
-            t.set({2, r, s}, 0.0f);
-    const auto tree = Fibertree::fromDense(t);
-    EXPECT_EQ(tree.root().occupancy(), 3u);
-    for (std::int64_t c : tree.root().coords)
-        EXPECT_NE(c, 2);
-}
-
-TEST(Fibertree, OccupanciesReflectNnzPerFiber)
-{
-    DenseTensor m(TensorShape({{"M", 2}, {"K", 4}}),
-                  {1.0f, 0.0f, 2.0f, 0.0f, 0.0f, 0.0f, 0.0f, 3.0f});
-    const auto tree = Fibertree::fromDense(m);
-    const auto occ = tree.occupancies(0);
-    ASSERT_EQ(occ.size(), 2u);
-    EXPECT_EQ(occ[0], 2u);
-    EXPECT_EQ(occ[1], 1u);
-}
-
-TEST(Fibertree, StrListsCoordinates)
-{
-    DenseTensor m(TensorShape({{"M", 1}, {"K", 2}}), {0.0f, 5.0f});
-    const auto s = Fibertree::fromDense(m).str();
-    EXPECT_NE(s.find("K=1"), std::string::npos);
-    EXPECT_NE(s.find("5"), std::string::npos);
-}
-
-TEST(Transform, ReorderPermutesValues)
-{
-    Rng rng;
-    const auto t = randomDense(crsShape(), rng);
-    const auto r = reorder(t, {"R", "S", "C"});
-    EXPECT_EQ(r.shape().dim(0).name, "R");
-    for (std::int64_t c = 0; c < 4; ++c)
-        for (std::int64_t rr = 0; rr < 3; ++rr)
-            for (std::int64_t ss = 0; ss < 3; ++ss)
-                EXPECT_FLOAT_EQ(r.at({rr, ss, c}), t.at({c, rr, ss}));
-}
-
-TEST(Transform, ReorderRejectsBadPermutation)
-{
-    Rng rng;
-    const auto t = randomDense(crsShape(), rng);
-    EXPECT_THROW(reorder(t, {"C", "C", "R"}), FatalError);
-    EXPECT_THROW(reorder(t, {"C", "R"}), FatalError);
-}
-
-TEST(Transform, FlattenAdjacentDims)
-{
-    Rng rng;
-    const auto t = randomDense(crsShape(), rng);
-    const auto f = flatten(t, "R", "S");
-    EXPECT_EQ(f.shape().rank(), 2u);
-    EXPECT_EQ(f.shape().dim(1).name, "RS");
-    EXPECT_EQ(f.shape().dim(1).extent, 9);
-    EXPECT_FLOAT_EQ(f.at({1, 5}), t.at({1, 1, 2})); // 5 = 1*3+2
-}
-
-TEST(Transform, FlattenRequiresAdjacency)
-{
-    Rng rng;
-    const auto t = randomDense(crsShape(), rng);
-    EXPECT_THROW(flatten(t, "C", "S"), FatalError);
-    EXPECT_THROW(flatten(t, "S", "R"), FatalError);
-}
-
-TEST(Transform, PartitionSplitsDim)
-{
-    Rng rng;
-    const auto t = randomDense(TensorShape({{"C", 8}}), rng);
-    const auto p = partition(t, "C", 4);
-    EXPECT_EQ(p.shape().rank(), 2u);
-    EXPECT_EQ(p.shape().dim(0).name, "C1");
-    EXPECT_EQ(p.shape().dim(0).extent, 2);
-    EXPECT_EQ(p.shape().dim(1).name, "C0");
-    EXPECT_EQ(p.shape().dim(1).extent, 4);
-    EXPECT_FLOAT_EQ(p.at({1, 2}), t.at({6}));
-}
-
-TEST(Transform, PartitionRequiresDivisibility)
-{
-    Rng rng;
-    const auto t = randomDense(TensorShape({{"C", 6}}), rng);
-    EXPECT_THROW(partition(t, "C", 4), FatalError);
-}
-
-TEST(Transform, StcReorderPartitionPipeline)
-{
-    // The Fig 4(b) pipeline: [C,R,S] -> [R,S,C] -> flatten RS ->
-    // partition C into C1, C0 blocks of 4.
-    Rng rng;
-    const auto t = randomDense(crsShape(), rng);
-    auto v = reorder(t, {"R", "S", "C"});
-    v = flatten(v, "R", "S");
-    v = partition(v, "C", 4);
-    EXPECT_EQ(v.shape().dim(0).name, "RS");
-    EXPECT_EQ(v.shape().dim(1).name, "C1");
-    EXPECT_EQ(v.shape().dim(2).name, "C0");
-    EXPECT_FLOAT_EQ(v.at({4, 0, 3}), t.at({3, 1, 1}));
-}
-
-TEST(Transform, PadToExtendsWithZeros)
-{
-    Rng rng;
-    const auto t = randomDense(TensorShape({{"M", 2}, {"K", 6}}), rng);
-    const auto p = padTo(t, "K", 4);
-    EXPECT_EQ(p.shape().dim(1).extent, 8);
-    EXPECT_FLOAT_EQ(p.at2(0, 3), t.at2(0, 3));
-    EXPECT_FLOAT_EQ(p.at2(0, 6), 0.0f);
-    EXPECT_FLOAT_EQ(p.at2(1, 7), 0.0f);
-}
-
-TEST(Transform, PadToNoOpWhenAligned)
-{
-    Rng rng;
-    const auto t = randomDense(TensorShape({{"M", 2}, {"K", 8}}), rng);
-    EXPECT_TRUE(padTo(t, "K", 4).equals(t));
 }
 
 TEST(Generator, RandomDenseHasNoZeros)
