@@ -25,8 +25,7 @@ namespace highlight
 {
 
 /**
- * A design x workload result matrix evaluated as one batch through
- * the evaluator's parallel runtime.
+ * A design x workload result matrix evaluated as one runBatch.
  */
 class EvalMatrix
 {

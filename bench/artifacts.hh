@@ -2,11 +2,12 @@
  * @file
  * The paper's figures, tables and ablations as plain functions.
  *
- * Each artifact computes its tables on the global thread pool and
- * returns a report: the text its driver prints and the payload the
- * driver writes for `--json PATH`. artifacts() lists all of them
- * under their driver names; every driver executable is
- * bench/driver_main.cc compiled for one of those names.
+ * Each artifact computes its tables and returns a report: the text
+ * its driver prints and the payload the driver writes for `--json
+ * PATH`. Only fig17's microsim runs use the global thread pool.
+ * artifacts() lists all of them under their driver names; every
+ * driver executable is bench/driver_main.cc compiled for one of those
+ * names.
  */
 
 #ifndef HIGHLIGHT_BENCH_ARTIFACTS_HH

@@ -26,8 +26,8 @@ runFig13()
     const auto suite = syntheticSuite();
     const auto designs = ev.standardLineup();
 
-    // One batched parallel evaluation of the whole design x workload
-    // matrix; the metric tables below just index into it.
+    // One batch evaluates the whole design x workload matrix; the
+    // metric tables below just index into it.
     const EvalMatrix matrix(ev, designs, suite);
     const auto at = [&](std::size_t d, std::size_t w) -> const EvalResult & {
         return matrix.at(d, w);

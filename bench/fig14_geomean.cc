@@ -6,8 +6,7 @@
  * geomean EDP gains of ~6.4x vs dense (up to 20.4x) and ~2.7x vs the
  * sparse baselines (up to 5.9x).
  *
- * The whole design x workload matrix goes through the batched
- * parallel runtime.
+ * The whole design x workload matrix is evaluated as one batch.
  */
 
 #include <sstream>

@@ -6,9 +6,9 @@
  * HighLight always sits on the frontier; S2TA cannot run the
  * attention models; DSTC can be worse than dense on the denser models.
  *
- * Every runDnn call fans its layers out over the parallel runtime and
- * dedupes repeated layer shapes through the eval cache. The tables
- * come from one sweep of every candidate on every model.
+ * Every runDnn call evaluates its layers as one batch on the calling
+ * thread, each repeated layer shape once. The tables come from one
+ * sweep of every candidate on every model.
  */
 
 #include <sstream>

@@ -39,7 +39,7 @@ runFig16()
         header.push_back(c);
     header.push_back("total");
     e.setHeader(header);
-    // One batched parallel evaluation of the lineup on the workload.
+    // One batch evaluates the lineup on the workload.
     const auto lineup = ev.standardLineup();
     std::vector<EvalJob> jobs;
     for (const Accelerator *d : lineup)

@@ -56,8 +56,7 @@ runFig6()
 {
     std::ostringstream out;
 
-    // Both designs analyzed as one batch on the parallel runtime
-    // (bit-identical to serial analyze() calls).
+    // Both designs analyzed in one analyzeMany call.
     DesignSpaceExplorer explorer;
     const auto reports = explorer.analyzeMany(
         {DesignSpaceExplorer::designS(), DesignSpaceExplorer::designSS()});

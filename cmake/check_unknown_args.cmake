@@ -1,5 +1,6 @@
 # Check that the figure drivers reject bad arguments: an argument no
-# option consumes, and a missing, empty or repeated option value. Each
+# option consumes, a missing, empty or repeated option value, and a
+# HIGHLIGHT_THREADS that is not an integer from 1 to 4096. Each
 # run must exit with code 1 and give the reason on stderr, so a typo
 # or a flag the driver no longer has cannot silently run another
 # configuration.
@@ -44,6 +45,8 @@ expect_fatal("--json given twice" "${FIG13}" --json a.json --json b.json)
 expect_fatal("--threads given twice" "${FIG13}" --threads 2 --threads 3)
 expect_fatal("--threads 0: expected a positive integer" "${FIG13}" --threads 0)
 expect_fatal("--serial contradicts --threads 2" "${FIG13}" --serial --threads 2)
+expect_fatal("HIGHLIGHT_THREADS=4x is not an integer from 1 to 4096"
+             "${CMAKE_COMMAND}" -E env HIGHLIGHT_THREADS=4x "${FIG13}")
 foreach(f a.json b.json)
   if(EXISTS "${OUTDIR}/${f}")
     message(FATAL_ERROR "a rejected run wrote ${f}")

@@ -25,8 +25,8 @@ main()
         std::cout << d << " ";
     std::cout << "\n\n";
 
-    // Candidate hardware configurations, analyzed as one batch on the
-    // parallel runtime (results come back in input order).
+    // Candidate hardware configurations, analyzed as one batch
+    // (results come back in input order).
     const std::vector<HssDesignConfig> configs = {
         DesignSpaceExplorer::designS(),
         DesignSpaceExplorer::designSS(),

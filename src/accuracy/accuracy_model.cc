@@ -154,18 +154,4 @@ AccuracyModel::loss(DnnName model, PruningApproach approach,
     return std::max(0.0, interpolate(anchors, weight_sparsity));
 }
 
-double
-AccuracyModel::baselineAccuracy(DnnName model)
-{
-    switch (model) {
-      case DnnName::ResNet50:
-        return 76.1; // top-1 %
-      case DnnName::TransformerBig:
-        return 28.4; // BLEU
-      case DnnName::DeitSmall:
-        return 79.8; // top-1 %
-    }
-    return 0.0;
-}
-
 } // namespace highlight

@@ -65,9 +65,6 @@ class AccuracyModel
      */
     static double loss(DnnName model, PruningApproach approach,
                        double weight_sparsity);
-
-    /** Baseline (dense) accuracy of the model, for reference output. */
-    static double baselineAccuracy(DnnName model);
 };
 
 } // namespace highlight

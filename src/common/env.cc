@@ -36,11 +36,10 @@ positiveIntFromEnv(const char *name, long long max_value,
     if (s == nullptr)
         return fallback;
     long long v = 0;
-    if (parsePositiveInt(s, max_value, &v))
-        return v;
-    warn(msgOf(name, "=", s, " is not a positive integer (max ",
-               max_value, "); falling back to the default"));
-    return fallback;
+    if (!parsePositiveInt(s, max_value, &v))
+        fatal(msgOf(name, "=", s, " is not an integer from 1 to ",
+                    max_value));
+    return v;
 }
 
 std::string

@@ -7,8 +7,8 @@
  * strtoull("-1") wraps to 2^64-1, both of which turn a typo into a
  * very wrong configuration. Numeric knobs go through
  * parsePositiveInt(), which accepts decimal digits only — no sign,
- * whitespace, trailing junk or overflow — so the callers can warn and
- * fall back to their defaults on anything else.
+ * whitespace, trailing junk or overflow — and a set value it rejects
+ * is fatal.
  */
 
 #ifndef HIGHLIGHT_COMMON_ENV_HH
@@ -30,9 +30,9 @@ bool parsePositiveInt(const char *s, long long max_value,
 
 /**
  * Read environment variable `name` as a strictly positive integer in
- * [1, max_value]. Returns `fallback` when the variable is unset;
- * warns (naming the variable and the rejected value) and returns
- * `fallback` when it is set to anything parsePositiveInt rejects.
+ * [1, max_value]. Returns `fallback` when the variable is unset. A set
+ * value that parsePositiveInt rejects, the empty string included, is
+ * fatal (FatalError naming the variable and the value).
  */
 long long positiveIntFromEnv(const char *name, long long max_value,
                              long long fallback);

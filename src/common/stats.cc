@@ -95,18 +95,6 @@ maxOf(const std::vector<double> &values)
     return *std::max_element(values.begin(), values.end());
 }
 
-SampleSummary
-summarize(const std::vector<double> &values)
-{
-    SampleSummary s;
-    s.n = values.size();
-    s.mean = mean(values);
-    s.geomean = geomean(values);
-    s.min = minOf(values);
-    s.max = maxOf(values);
-    return s;
-}
-
 double
 binomialPmf(int n, int k, double p)
 {

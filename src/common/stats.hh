@@ -9,7 +9,6 @@
 #ifndef HIGHLIGHT_COMMON_STATS_HH
 #define HIGHLIGHT_COMMON_STATS_HH
 
-#include <cstddef>
 #include <vector>
 
 namespace highlight
@@ -26,22 +25,6 @@ double minOf(const std::vector<double> &values);
 
 /** Maximum element. Fatal on empty input. */
 double maxOf(const std::vector<double> &values);
-
-/**
- * Summary of a sample: n, mean, geomean, min, max.
- * Built once so benches can report consistent aggregates.
- */
-struct SampleSummary
-{
-    std::size_t n = 0;
-    double mean = 0.0;
-    double geomean = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-};
-
-/** Compute all SampleSummary fields for a strictly positive sample. */
-SampleSummary summarize(const std::vector<double> &values);
 
 /** Probability mass P[X = k] for X ~ Binomial(n, p), computed stably. */
 double binomialPmf(int n, int k, double p);

@@ -82,7 +82,7 @@ Evaluator::run(const std::string &design_name,
 std::vector<EvalResult>
 Evaluator::runBatch(const std::vector<EvalJob> &jobs) const
 {
-    return evaluateBatch(jobs, cache_);
+    return evaluateBatch(jobs);
 }
 
 namespace
@@ -172,9 +172,8 @@ Evaluator::runDnn(const DnnModel &model, DnnName accuracy_model,
     auto suite = buildDnnWorkloads(model, scenario);
     const Accelerator &accel = design(scenario.design);
 
-    // Evaluate all layers concurrently (deduped through the cache),
-    // then reduce serially in layer order: the accumulation below is
-    // the same floating-point sequence as the old serial loop.
+    // Evaluate the layers as one batch (each distinct shape once),
+    // then reduce in layer order.
     std::vector<EvalJob> jobs;
     jobs.reserve(suite.size());
     for (auto &w : suite)
@@ -186,8 +185,7 @@ Evaluator::runDnn(const DnnModel &model, DnnName accuracy_model,
         if (!r.supported) {
             // A design that cannot run every layer cannot run the
             // network (Fig 15: S2TA fails on attention models' dense
-            // layers). First failing layer in layer order wins, as in
-            // the serial early-exit path.
+            // layers). The first failing layer in layer order wins.
             out.supported = false;
             out.note = msgOf("layer ", r.workload, ": ", r.note);
             out.per_layer.clear();

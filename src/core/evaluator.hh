@@ -60,8 +60,7 @@ struct DnnEvalResult
 class Evaluator
 {
   public:
-    /** Builds TC, STC, S2TA, DSTC, HighLight and DSSO, with an empty
-     *  in-memory memo cache. */
+    /** Builds TC, STC, S2TA, DSTC, HighLight and DSSO. */
     Evaluator();
 
     /** All designs (stable order: TC, STC, S2TA, DSTC, HighLight, DSSO). */
@@ -74,20 +73,18 @@ class Evaluator
     const Accelerator &design(const std::string &name) const;
 
     /**
-     * Evaluate one workload on one design with operand swapping,
-     * memoized through the evaluator's cache (a one-job runBatch).
+     * Evaluate one workload on one design with operand swapping (a
+     * one-job runBatch).
      */
     EvalResult run(const std::string &design_name,
                    const GemmWorkload &w) const;
 
     /**
-     * Evaluate a batch of heterogeneous (design, workload) jobs through
-     * the evaluator's cache with evaluateBatch() on the global thread
-     * pool. Results come back in input order and are bit-identical to
-     * evaluating each job serially, at any thread count; so are the
-     * cache counters, for batches that do not overlap. Overlapping
-     * batches on one Evaluator return correct results but may
-     * evaluate a key they share twice.
+     * Evaluate a batch of heterogeneous (design, workload) jobs with
+     * evaluateBatch(), on the calling thread: each distinct key of the
+     * batch is evaluated once, and the results come back in input
+     * order. Keeps nothing between calls, so concurrent calls on one
+     * Evaluator share no state.
      */
     std::vector<EvalResult> runBatch(
         const std::vector<EvalJob> &jobs) const;
@@ -102,24 +99,15 @@ class Evaluator
         const DnnModel &model, const DnnScenario &scenario) const;
 
     /**
-     * Evaluate a DNN end to end under a scenario. Layers are
-     * evaluated concurrently on the global thread pool, repeated
-     * layer shapes are deduped through the cache, and the totals are
-     * accumulated serially in layer order, so the result is
-     * bit-identical to the serial path at any thread count.
+     * Evaluate a DNN end to end under a scenario: its layers form one
+     * runBatch, so a repeated layer shape is evaluated once, and the
+     * totals are accumulated in layer order.
      */
     DnnEvalResult runDnn(const DnnModel &model, DnnName accuracy_model,
                          const DnnScenario &scenario) const;
 
-    /** Hit/miss/insertion counters of the memoization cache. */
-    EvalCacheStats cacheStats() const { return cache_.stats(); }
-
-    /** Drop all cached evaluations and reset the counters. */
-    void clearCache() const { cache_.clear(); }
-
   private:
     std::vector<std::unique_ptr<Accelerator>> owned_;
-    mutable EvalCache cache_;
 };
 
 } // namespace highlight

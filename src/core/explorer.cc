@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "common/logging.hh"
-#include "runtime/thread_pool.hh"
 
 namespace highlight
 {
@@ -67,11 +66,11 @@ std::vector<HssDesignReport>
 DesignSpaceExplorer::analyzeMany(
     const std::vector<HssDesignConfig> &configs) const
 {
-    // Grain 1: per-config cost varies with rank count, so fine
-    // claiming balances better than chunks here.
-    return ThreadPool::global().parallelMap(
-        configs.size(),
-        [&](std::size_t i) { return analyze(configs[i]); }, 1);
+    std::vector<HssDesignReport> out;
+    out.reserve(configs.size());
+    for (const HssDesignConfig &config : configs)
+        out.push_back(analyze(config));
+    return out;
 }
 
 namespace
@@ -121,21 +120,14 @@ std::vector<HssDesignReport>
 DesignSpaceExplorer::rankAblation(int min_degrees,
                                   double min_density) const
 {
-    // Each rank count's search is independent: run them concurrently
-    // and collect in rank order. Warnings for non-converged searches
-    // are emitted serially afterwards so the output order is stable.
-    const auto found = ThreadPool::global().parallelMap(
-        std::size_t{3}, [&](std::size_t i) {
-            return searchRankConfig(static_cast<int>(i) + 1,
-                                    min_degrees, min_density);
-        });
-
     std::vector<HssDesignConfig> configs;
-    for (std::size_t i = 0; i < found.size(); ++i) {
-        if (found[i])
-            configs.push_back(*found[i]);
+    for (int ranks = 1; ranks <= 3; ++ranks) {
+        const auto found =
+            searchRankConfig(ranks, min_degrees, min_density);
+        if (found)
+            configs.push_back(*found);
         else
-            warn(msgOf("rankAblation: ", i + 1,
+            warn(msgOf("rankAblation: ", ranks,
                        "-rank search did not converge"));
     }
     return analyzeMany(configs);

@@ -59,11 +59,7 @@ class DesignSpaceExplorer
     /** Analyze one configuration. */
     HssDesignReport analyze(const HssDesignConfig &config) const;
 
-    /**
-     * Analyze a batch of configurations on the global thread pool.
-     * Results come back in input order, bit-identical to calling
-     * analyze() serially on each config.
-     */
+    /** analyze() each configuration, in input order. */
     std::vector<HssDesignReport> analyzeMany(
         const std::vector<HssDesignConfig> &configs) const;
 

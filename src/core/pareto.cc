@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "runtime/thread_pool.hh"
-
 namespace highlight
 {
 
@@ -17,9 +15,6 @@ dominates(const ParetoPoint &a, const ParetoPoint &b)
 {
     return a.x <= b.x && a.y <= b.y && (a.x < b.x || a.y < b.y);
 }
-
-/** Point count below which the pool dispatch costs more than it saves. */
-constexpr std::size_t kParallelThreshold = 256;
 
 bool
 isDominated(const std::vector<ParetoPoint> &points, std::size_t i)
@@ -36,19 +31,9 @@ isDominated(const std::vector<ParetoPoint> &points, std::size_t i)
 std::vector<bool>
 frontierMask(const std::vector<ParetoPoint> &points)
 {
-    const std::size_t n = points.size();
-    std::vector<bool> mask(n, false);
-    if (n < kParallelThreshold) {
-        for (std::size_t i = 0; i < n; ++i)
-            mask[i] = !isDominated(points, i);
-        return mask;
-    }
-    // std::vector<bool> packs bits, so concurrent writes to mask[i]
-    // would race; compute into a byte vector and convert.
-    const std::vector<char> bytes = ThreadPool::global().parallelMap(
-        n, [&](std::size_t i) -> char { return !isDominated(points, i); });
-    for (std::size_t i = 0; i < n; ++i)
-        mask[i] = bytes[i] != 0;
+    std::vector<bool> mask(points.size(), false);
+    for (std::size_t i = 0; i < points.size(); ++i)
+        mask[i] = !isDominated(points, i);
     return mask;
 }
 

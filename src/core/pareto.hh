@@ -24,8 +24,7 @@ struct ParetoPoint
 /**
  * Batched frontier membership: mask[i] is true iff points[i] is on
  * the Pareto frontier (no other point is <= in both coordinates with
- * < in at least one). Large point sets run the dominance checks on
- * the global thread pool; the mask is identical at any thread count.
+ * < in at least one).
  */
 std::vector<bool> frontierMask(const std::vector<ParetoPoint> &points);
 

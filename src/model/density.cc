@@ -20,14 +20,6 @@ blockNonEmptyProb(double density, std::int64_t block)
     return 1.0 - std::pow(1.0 - density, static_cast<double>(block));
 }
 
-double
-expectedBlockOccupancy(double density, std::int64_t block)
-{
-    if (density < 0.0 || density > 1.0)
-        fatal(msgOf("expectedBlockOccupancy: density ", density));
-    return density * static_cast<double>(block);
-}
-
 namespace
 {
 

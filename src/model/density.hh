@@ -26,9 +26,6 @@ namespace highlight
  */
 double blockNonEmptyProb(double density, std::int64_t block);
 
-/** Expected nonzeros in a block of `block` unstructured elements. */
-double expectedBlockOccupancy(double density, std::int64_t block);
-
 /**
  * Expected compute-lane utilization of a DSTC-style design with
  * `lane_width` parallel lanes fed from sub-tensors of `sample_block`

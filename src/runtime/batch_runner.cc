@@ -1,6 +1,9 @@
 #include "runtime/batch_runner.hh"
 
+#include <cstdint>
+#include <cstring>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -8,52 +11,81 @@
 namespace highlight
 {
 
+namespace
+{
+
+/** Append the object bytes of `value`: fixed width, so a field never
+ *  runs into the next one. */
+template <typename T>
+void
+appendBytes(std::string &key, T value)
+{
+    static_assert(std::is_trivially_copyable_v<T>);
+    char buf[sizeof(T)];
+    std::memcpy(buf, &value, sizeof(T));
+    key.append(buf, sizeof(T));
+}
+
+void
+appendOperand(std::string &key, const OperandSparsity &s)
+{
+    key += static_cast<char>(s.kind);
+    switch (s.kind) {
+      case PatternKind::Dense:
+        break;
+      case PatternKind::Unstructured:
+        appendBytes(key, s.density);
+        break;
+      case PatternKind::Hss:
+        appendBytes(key, static_cast<std::uint32_t>(s.hss.numRanks()));
+        for (const GhPattern &rank : s.hss.patterns()) {
+            appendBytes(key, static_cast<std::int32_t>(rank.g));
+            appendBytes(key, static_cast<std::int32_t>(rank.h));
+        }
+        break;
+    }
+}
+
+} // namespace
+
+std::string
+keyOf(const std::string &design, const GemmWorkload &w)
+{
+    std::string key;
+    key.reserve(design.size() + 96);
+    appendBytes(key, static_cast<std::uint64_t>(design.size()));
+    key += design;
+    appendBytes(key, w.m);
+    appendBytes(key, w.k);
+    appendBytes(key, w.n);
+    appendOperand(key, w.a);
+    appendOperand(key, w.b);
+    return key;
+}
+
 std::vector<EvalResult>
-evaluateBatch(const std::vector<EvalJob> &jobs, EvalCache &cache,
-              ThreadPool &pool)
+evaluateBatch(const std::vector<EvalJob> &jobs)
 {
     const std::size_t n = jobs.size();
     std::vector<std::string> keys(n);
     for (std::size_t i = 0; i < n; ++i) {
         if (jobs[i].design == nullptr)
             fatal("evaluateBatch: job with null design");
-        keys[i] = EvalCache::keyOf(jobs[i].design->name(),
-                                   jobs[i].workload);
+        keys[i] = keyOf(jobs[i].design->name(), jobs[i].workload);
     }
 
-    // first[i] is the index of the batch's first job with keys[i]; a
-    // first occurrence that misses the cache is queued in `misses`.
+    // first_of maps a key to the index of its first job, whose result
+    // every later job with that key copies.
     std::vector<EvalResult> out(n);
-    std::vector<std::size_t> first(n);
-    std::vector<std::size_t> misses;
     std::unordered_map<std::string_view, std::size_t> first_of;
     first_of.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         const auto [it, inserted] = first_of.emplace(keys[i], i);
-        first[i] = it->second;
-        if (!inserted)
-            cache.noteHit();
-        else if (!cache.lookup(keys[i], jobs[i].workload.name, &out[i]))
-            misses.push_back(i);
-    }
-
-    std::vector<EvalResult> computed =
-        pool.parallelMap(misses.size(), [&](std::size_t u) {
-            const EvalJob &job = jobs[misses[u]];
-            return evaluateBest(*job.design, job.workload);
-        });
-
-    for (std::size_t u = 0; u < misses.size(); ++u) {
-        const std::size_t i = misses[u];
-        cache.insert(keys[i], computed[u]);
-        out[i] = std::move(computed[u]);
+        if (inserted)
+            out[i] = evaluateBest(*jobs[i].design, jobs[i].workload);
+        else
+            out[i] = out[it->second];
         out[i].workload = jobs[i].workload.name;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        if (first[i] != i) {
-            out[i] = out[first[i]];
-            out[i].workload = jobs[i].workload.name;
-        }
     }
     return out;
 }

@@ -31,6 +31,7 @@ ThreadPool::defaultThreadCount()
     // Strict full-string parsing: std::atoi would silently accept
     // trailing junk ("4x" -> 4) and overflow is UB. The bound keeps a
     // typo'd huge count from fork-bombing the process with threads.
+    // A bad value is fatal.
     const long long v =
         positiveIntFromEnv("HIGHLIGHT_THREADS", /*max_value=*/4096,
                            /*fallback=*/0);
@@ -59,10 +60,33 @@ ThreadPool::setGlobalThreads(int num_threads)
 ThreadPool::ThreadPool(int num_threads)
 {
     num_threads_ = num_threads > 0 ? num_threads : defaultThreadCount();
+}
+
+void
+ThreadPool::startWorkers()
+{
     // The caller participates in every job, so spawn one fewer worker
     // than the target concurrency.
-    for (int i = 1; i < num_threads_; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    std::vector<std::thread> spawned;
+    spawned.reserve(static_cast<std::size_t>(num_threads_ - 1));
+    try {
+        for (int i = 1; i < num_threads_; ++i)
+            spawned.emplace_back([this] { workerLoop(); });
+    } catch (...) {
+        // No job is posted before the workers start, so the ones that
+        // did start are idle: stop and join them, then clear the stop.
+        {
+            MutexLock lock(mu_);
+            stop_ = true;
+        }
+        work_cv_.notifyAll();
+        for (auto &w : spawned)
+            w.join();
+        MutexLock lock(mu_);
+        stop_ = false;
+        throw;
+    }
+    workers_ = std::move(spawned);
 }
 
 ThreadPool::~ThreadPool()
@@ -80,25 +104,20 @@ void
 ThreadPool::drain(Job &job)
 {
     for (;;) {
-        // Claim a contiguous block of `grain` indices per fetch_add;
-        // one atomic op amortizes over the whole block.
-        const std::size_t begin =
-            job.next.fetch_add(job.grain, std::memory_order_relaxed);
-        if (begin >= job.n)
+        const std::size_t i =
+            job.next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= job.n)
             break;
-        const std::size_t end = std::min(begin + job.grain, job.n);
-        for (std::size_t i = begin; i < end; ++i) {
-            try {
-                (*job.fn)(i);
-            } catch (...) {
-                MutexLock lock(job.err_mu);
-                if (!job.error || i < job.error_index) {
-                    job.error = std::current_exception();
-                    job.error_index = i;
-                }
+        try {
+            (*job.fn)(i);
+        } catch (...) {
+            MutexLock lock(job.err_mu);
+            if (!job.error || i < job.error_index) {
+                job.error = std::current_exception();
+                job.error_index = i;
             }
         }
-        job.done.fetch_add(end - begin, std::memory_order_acq_rel);
+        job.done.fetch_add(1, std::memory_order_acq_rel);
     }
 }
 
@@ -129,18 +148,9 @@ ThreadPool::workerLoop()
     }
 }
 
-std::size_t
-ThreadPool::autoGrain(std::size_t n) const
-{
-    const std::size_t per_thread =
-        n / (8 * static_cast<std::size_t>(num_threads_));
-    return std::min<std::size_t>(64, std::max<std::size_t>(1, per_thread));
-}
-
 void
 ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)> &fn,
-                        std::size_t grain)
+                        const std::function<void(std::size_t)> &fn)
 {
     if (n == 0)
         return;
@@ -154,12 +164,13 @@ ThreadPool::parallelFor(std::size_t n,
         return;
     }
 
+    std::call_once(started_, [this] { startWorkers(); });
+
     // Heap-shared so straggler workers holding a reference after the
     // job completes never touch freed memory.
     auto job = std::make_shared<Job>();
     job->fn = &fn;
     job->n = n;
-    job->grain = grain > 0 ? grain : autoGrain(n);
     {
         MutexLock lock(mu_);
         job_ = job;
@@ -206,14 +217,11 @@ ThreadPool::parallelForGroups(
     // Only (total, group) determine it, so results that are
     // deterministic per group are deterministic at any thread count.
     const std::size_t num_groups = (total + group - 1) / group;
-    parallelFor(
-        num_groups,
-        [&](std::size_t g) {
-            const std::size_t begin = g * group;
-            const std::size_t end = std::min(begin + group, total);
-            fn(begin, end);
-        },
-        /*grain=*/1);
+    parallelFor(num_groups, [&](std::size_t g) {
+        const std::size_t begin = g * group;
+        const std::size_t end = std::min(begin + group, total);
+        fn(begin, end);
+    });
 }
 
 } // namespace highlight

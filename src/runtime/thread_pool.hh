@@ -1,20 +1,21 @@
 /**
  * @file
- * A deterministic thread pool with parallel_for / parallel_map.
+ * A deterministic thread pool for the microsim's row groups and the
+ * hierarchical CP compressor's row blocks.
  *
- * The pool exists so the embarrassingly parallel layers of the
- * evaluation pipeline (per-layer DNN evals, rank ablations, Pareto
- * sweeps, figure drivers) can use every core while staying bit-exact
- * with the serial code: work items are indexed, each index writes its
- * result into its own slot, and all reductions happen afterwards in
- * index order on the calling thread. There is no work stealing and no
- * order-dependent accumulation, so the numeric output is independent
- * of the thread count.
+ * Work items are indexed, each index writes its result into its own
+ * slot, and all reductions happen afterwards in index order on the
+ * calling thread. There is no work stealing and no order-dependent
+ * accumulation, so the numeric output is independent of the thread
+ * count.
  *
  * Thread count resolution: an explicit constructor argument wins,
- * otherwise the `HIGHLIGHT_THREADS` environment variable, otherwise
+ * otherwise the `HIGHLIGHT_THREADS` environment variable (fatal unless
+ * an integer from 1 to 4096), otherwise
  * std::thread::hardware_concurrency(). A count of 1 runs every task
- * inline on the caller (the serial fallback path for debugging).
+ * inline on the caller (the serial fallback path for debugging). The
+ * workers start with the first job that runs in parallel, so a process
+ * that posts no such job starts no thread.
  */
 
 #ifndef HIGHLIGHT_RUNTIME_THREAD_POOL_HH
@@ -25,8 +26,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -36,12 +37,15 @@ namespace highlight
 {
 
 /**
- * Fixed-size pool of persistent worker threads.
+ * Fixed-size pool of persistent worker threads, started on first use.
  */
 class ThreadPool
 {
   public:
     /**
+     * Starts no thread: the numThreads() - 1 workers start in the
+     * first parallelFor that runs in parallel.
+     *
      * @param num_threads Worker count; 0 resolves via
      *        defaultThreadCount() (HIGHLIGHT_THREADS env override,
      *        else hardware concurrency).
@@ -56,8 +60,9 @@ class ThreadPool
     int numThreads() const { return num_threads_; }
 
     /**
-     * HIGHLIGHT_THREADS if set to a positive integer, otherwise
-     * hardware concurrency (at least 1).
+     * HIGHLIGHT_THREADS if set, otherwise hardware concurrency (at
+     * least 1). A set value that is not an integer from 1 to 4096 is
+     * fatal.
      */
     static int defaultThreadCount();
 
@@ -76,34 +81,20 @@ class ThreadPool
 
     /**
      * Run fn(i) for every i in [0, n), blocking until all complete.
+     * Threads claim one index at a time.
      *
-     * The caller participates in the work. If any invocation throws,
-     * the exception of the lowest failing index is rethrown here after
-     * every claimed index has finished, so which error a call reports
-     * never depends on the thread count; the pool stays usable. Nested
-     * calls from inside a worker run inline (serially) to avoid
-     * deadlock. Several threads may call concurrently on one pool:
-     * each call covers its own range exactly once, and the workers
-     * serve the most recently posted call.
-     *
-     * @param grain Indices claimed per atomic fetch. Each claim takes
-     *        a contiguous [begin, begin+grain) block, so on very
-     *        fine-grained sweeps a larger grain cuts the shared-counter
-     *        traffic by that factor. 0 resolves via autoGrain(). The
-     *        grain never affects the results — indices still write
-     *        into per-index slots — only the claiming pattern.
+     * The caller participates in the work. A one-thread pool, n == 1
+     * and a nested call from inside a worker run inline (serially);
+     * any other call starts the workers if they have not started yet.
+     * If any invocation throws, the exception of the lowest failing
+     * index is rethrown here after every claimed index has finished,
+     * so which error a call reports never depends on the thread count;
+     * the pool stays usable. Several threads may call concurrently on
+     * one pool: each call covers its own range exactly once, and the
+     * workers serve the most recently posted call.
      */
     void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &fn,
-                     std::size_t grain = 0);
-
-    /**
-     * The grain parallelFor uses when none is given: n / (8 * threads),
-     * clamped to [1, 64]. Eight claims per thread keeps the load
-     * balanced when per-index cost varies; the cap bounds the tail
-     * imbalance on huge ranges.
-     */
-    std::size_t autoGrain(std::size_t n) const;
+                     const std::function<void(std::size_t)> &fn);
 
     /**
      * Run fn(begin, end) for every fixed contiguous group
@@ -111,29 +102,12 @@ class ThreadPool
      * The partition depends only on (total, group) — never on the
      * thread count or scheduling — so any group-local computation that
      * is deterministic per group is deterministic overall. One group is
-     * one work item (grain 1): group bodies are expected to be
-     * milliseconds of work. Inherits parallelFor's exception and
-     * nested-call behavior.
+     * one work item: group bodies are expected to be milliseconds of
+     * work. Inherits parallelFor's exception and nested-call behavior.
      */
     void parallelForGroups(
         std::size_t total, std::size_t group,
         const std::function<void(std::size_t, std::size_t)> &fn);
-
-    /**
-     * Deterministic map: out[i] = fn(i) for i in [0, n). The result
-     * type must be default-constructible; slots are written in place
-     * so the output order never depends on scheduling.
-     */
-    template <typename Fn>
-    auto
-    parallelMap(std::size_t n, Fn &&fn, std::size_t grain = 0)
-        -> std::vector<std::decay_t<decltype(fn(std::size_t{0}))>>
-    {
-        using T = std::decay_t<decltype(fn(std::size_t{0}))>;
-        std::vector<T> out(n);
-        parallelFor(n, [&](std::size_t i) { out[i] = fn(i); }, grain);
-        return out;
-    }
 
   private:
     /** One parallelFor invocation's shared state. */
@@ -141,7 +115,6 @@ class ThreadPool
     {
         const std::function<void(std::size_t)> *fn = nullptr;
         std::size_t n = 0;
-        std::size_t grain = 1;    ///< Indices claimed per fetch_add.
         std::atomic<std::size_t> next{0};
         std::atomic<std::size_t> done{0};
         Mutex err_mu;
@@ -150,12 +123,17 @@ class ThreadPool
         std::size_t error_index GUARDED_BY(err_mu) = 0;
     };
 
+    /**
+     * Spawn the numThreads() - 1 workers; run once, under started_. If
+     * a spawn throws, the workers already spawned are joined and the
+     * pool is left as it was, so a later call tries again.
+     */
+    void startWorkers();
     void workerLoop();
     /** Claim and run indices of `job` until exhausted. */
     static void drain(Job &job);
 
     int num_threads_ = 1; ///< Immutable after construction.
-    std::vector<std::thread> workers_;
 
     Mutex mu_;
     CondVar work_cv_; ///< Signals a new job / stop.
@@ -165,6 +143,11 @@ class ThreadPool
     /** Bumped per job. */
     std::uint64_t job_seq_ GUARDED_BY(mu_) = 0;
     bool stop_ GUARDED_BY(mu_) = false;
+
+    std::once_flag started_;
+    /** Written only by startWorkers() (ordered by started_) and read
+     *  by the destructor. */
+    std::vector<std::thread> workers_;
 };
 
 /**

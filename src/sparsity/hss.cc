@@ -98,20 +98,6 @@ HssSpec::str() const
     return out;
 }
 
-SparsitySpec
-HssSpec::toSpec() const
-{
-    std::vector<RankSpec> ranks;
-    ranks.push_back({"RS", RankRule::dense()});
-    ranks.push_back({"C" + std::to_string(patterns_.size()),
-                     RankRule::dense()});
-    for (std::size_t i = patterns_.size(); i-- > 0;) {
-        ranks.push_back({"C" + std::to_string(i),
-                         RankRule::gh(patterns_[i])});
-    }
-    return SparsitySpec(std::move(ranks));
-}
-
 std::vector<GhPattern>
 RankSupport::patterns() const
 {

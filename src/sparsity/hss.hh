@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "sparsity/gh_pattern.hh"
-#include "sparsity/spec.hh"
 
 namespace highlight
 {
@@ -73,12 +72,6 @@ class HssSpec
      * e.g. "C1(3:4)->C0(2:4)".
      */
     std::string str() const;
-
-    /**
-     * Full fibertree-based specification over a flattened weight
-     * tensor: "RS->C<N>->C<N-1>(G:H)->...->C0(G:H)".
-     */
-    SparsitySpec toSpec() const;
 
     bool operator==(const HssSpec &other) const
     {

@@ -151,35 +151,4 @@ unstructuredSparsify(const DenseTensor &tensor, double sparsity)
     return out;
 }
 
-DenseTensor
-channelSparsify(const DenseTensor &matrix, double sparsity)
-{
-    if (matrix.shape().rank() != 2)
-        fatal("channelSparsify: expected a rank-2 matrix");
-    if (sparsity < 0.0 || sparsity > 1.0)
-        fatal(msgOf("channelSparsify: sparsity ", sparsity,
-                    " outside [0, 1]"));
-    const std::int64_t rows = matrix.shape().dim(0).extent;
-    const std::int64_t cols = matrix.shape().dim(1).extent;
-    const auto prune = static_cast<std::int64_t>(
-        std::llround(sparsity * static_cast<double>(rows)));
-
-    DenseTensor out = matrix;
-    std::vector<std::int64_t> order(static_cast<std::size_t>(rows));
-    std::iota(order.begin(), order.end(), std::int64_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&out, cols](std::int64_t a, std::int64_t b) {
-                         return scaledL2Norm(out.data().data() + a * cols,
-                                             cols) <
-                                scaledL2Norm(out.data().data() + b * cols,
-                                             cols);
-                     });
-    for (std::int64_t i = 0; i < prune; ++i) {
-        std::fill_n(out.data().data() +
-                        order[static_cast<std::size_t>(i)] * cols,
-                    cols, 0.0f);
-    }
-    return out;
-}
-
 } // namespace highlight

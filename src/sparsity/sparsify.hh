@@ -54,13 +54,6 @@ DenseTensor unstructuredSparsify(const DenseTensor &tensor,
                                  double sparsity);
 
 /**
- * Channel pruning (Fig 4(a)): zero entire rows of a rank-2 matrix,
- * removing the `round(sparsity * rows)` rows with the smallest average
- * magnitude.
- */
-DenseTensor channelSparsify(const DenseTensor &matrix, double sparsity);
-
-/**
  * Average magnitude of a contiguous span of values — the paper's
  * "scaled L2 norm" used to rank intermediate-rank payloads.
  */

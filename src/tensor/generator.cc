@@ -47,27 +47,4 @@ randomUnstructured(const TensorShape &shape, double sparsity, Rng &rng)
     return t;
 }
 
-DenseTensor
-randomGhMatrix(std::int64_t rows, std::int64_t cols, int g, int h,
-               Rng &rng)
-{
-    if (g <= 0 || h <= 0 || g > h)
-        fatal(msgOf("randomGhMatrix: bad G:H = ", g, ":", h));
-    if (cols % h != 0)
-        fatal(msgOf("randomGhMatrix: cols ", cols,
-                    " not divisible by H ", h));
-    DenseTensor t = DenseTensor::matrix(rows, cols);
-    for (std::int64_t r = 0; r < rows; ++r) {
-        for (std::int64_t b = 0; b < cols / h; ++b) {
-            for (std::size_t off : rng.sampleIndices(
-                     static_cast<std::size_t>(h),
-                     static_cast<std::size_t>(g))) {
-                t.set2(r, b * h + static_cast<std::int64_t>(off),
-                       nonzeroNormal(rng));
-            }
-        }
-    }
-    return t;
-}
-
 } // namespace highlight

@@ -33,14 +33,6 @@ DenseTensor randomDense(const TensorShape &shape, Rng &rng);
 DenseTensor randomUnstructured(const TensorShape &shape, double sparsity,
                                Rng &rng);
 
-/**
- * Matrix whose every row follows a G:H pattern on the column dimension:
- * within each block of h columns, exactly g entries are nonzero at
- * random positions. Used to make STC/S2TA-conformant operands.
- */
-DenseTensor randomGhMatrix(std::int64_t rows, std::int64_t cols,
-                           int g, int h, Rng &rng);
-
 } // namespace highlight
 
 #endif // HIGHLIGHT_TENSOR_GENERATOR_HH

@@ -105,17 +105,6 @@ TEST(Accuracy, RejectsOutOfRangeSparsity)
                  FatalError);
 }
 
-TEST(Accuracy, BaselineAccuracies)
-{
-    EXPECT_NEAR(AccuracyModel::baselineAccuracy(DnnName::ResNet50),
-                76.1, 1e-9);
-    EXPECT_NEAR(
-        AccuracyModel::baselineAccuracy(DnnName::TransformerBig), 28.4,
-        1e-9);
-    EXPECT_NEAR(AccuracyModel::baselineAccuracy(DnnName::DeitSmall),
-                79.8, 1e-9);
-}
-
 TEST(Accuracy, NameStrings)
 {
     EXPECT_EQ(dnnNameStr(DnnName::ResNet50), "ResNet50");

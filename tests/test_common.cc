@@ -12,6 +12,7 @@
 #include <cstring>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -157,16 +158,6 @@ TEST(Stats, MeanMinMax)
     EXPECT_DOUBLE_EQ(mean(v), 5.0);
     EXPECT_DOUBLE_EQ(minOf(v), 2.0);
     EXPECT_DOUBLE_EQ(maxOf(v), 9.0);
-}
-
-TEST(Stats, SummarizeAllFields)
-{
-    const auto s = summarize({1.0, 4.0, 16.0});
-    EXPECT_EQ(s.n, 3u);
-    EXPECT_DOUBLE_EQ(s.mean, 7.0);
-    EXPECT_NEAR(s.geomean, 4.0, 1e-12);
-    EXPECT_DOUBLE_EQ(s.min, 1.0);
-    EXPECT_DOUBLE_EQ(s.max, 16.0);
 }
 
 TEST(Stats, BinomialPmfSumsToOne)
@@ -315,10 +306,17 @@ TEST(Env, ParsePositiveIntAcceptsOnlyCleanPositiveDecimals)
     EXPECT_EQ(v, -7); // rejected parses leave *out untouched
 }
 
-TEST(Env, PositiveIntFromEnvFallsBackOnGarbage)
+TEST(Env, PositiveIntFromEnvRejectsGarbage)
 {
     ASSERT_EQ(setenv("HIGHLIGHT_TEST_ENV_KNOB", "4x", 1), 0);
-    EXPECT_EQ(positiveIntFromEnv("HIGHLIGHT_TEST_ENV_KNOB", 100, 7), 7);
+    try {
+        positiveIntFromEnv("HIGHLIGHT_TEST_ENV_KNOB", 100, 7);
+        FAIL() << "a garbage value did not throw";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("HIGHLIGHT_TEST_ENV_KNOB=4x"),
+                  std::string::npos)
+            << e.what();
+    }
     ASSERT_EQ(setenv("HIGHLIGHT_TEST_ENV_KNOB", "42", 1), 0);
     EXPECT_EQ(positiveIntFromEnv("HIGHLIGHT_TEST_ENV_KNOB", 100, 7),
               42);

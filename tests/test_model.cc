@@ -33,11 +33,6 @@ TEST(Density, BlockNonEmptyProbBounds)
     EXPECT_NEAR(blockNonEmptyProb(0.5, 2), 0.75, 1e-12);
 }
 
-TEST(Density, ExpectedOccupancyLinear)
-{
-    EXPECT_NEAR(expectedBlockOccupancy(0.25, 32), 8.0, 1e-12);
-}
-
 TEST(Density, UtilizationPerfectAtFullDensity)
 {
     EXPECT_NEAR(unstructuredUtilization(1.0, 32, 128), 1.0, 1e-9);

@@ -1,12 +1,10 @@
 /**
  * @file
- * ThreadPool edge cases: degenerate ranges, grain-size chunking,
- * nested-call handling, which error a failing call reports,
- * concurrent callers, and the HIGHLIGHT_THREADS=1 serial
- * equivalence. The determinism-under-load coverage lives in
- * test_runtime.cc; this file pins down the boundary behavior that a
- * chunked claimer could silently get wrong (an off-by-one in block
- * claiming loses or repeats tail indices).
+ * ThreadPool edge cases: degenerate ranges, nested-call handling,
+ * which error a failing call reports, concurrent callers, the
+ * HIGHLIGHT_THREADS=1 serial equivalence and a bad HIGHLIGHT_THREADS
+ * being fatal. The determinism-under-load coverage lives in
+ * test_runtime.cc; this file pins down the boundary behavior.
  */
 
 #include <gtest/gtest.h>
@@ -31,11 +29,10 @@ namespace
 
 /** Counts how often each index in [0, n) ran. */
 std::vector<int>
-coverage(ThreadPool &pool, std::size_t n, std::size_t grain)
+coverage(ThreadPool &pool, std::size_t n)
 {
     std::vector<std::atomic<int>> counts(n);
-    pool.parallelFor(
-        n, [&](std::size_t i) { counts[i].fetch_add(1); }, grain);
+    pool.parallelFor(n, [&](std::size_t i) { counts[i].fetch_add(1); });
     std::vector<int> out;
     out.reserve(n);
     for (const auto &c : counts)
@@ -48,10 +45,9 @@ TEST(PoolEdge, ZeroLengthRangeIsANoOp)
     ThreadPool pool(4);
     std::atomic<int> calls{0};
     pool.parallelFor(0, [&](std::size_t) { calls.fetch_add(1); });
-    pool.parallelFor(0, [&](std::size_t) { calls.fetch_add(1); }, 1000);
     EXPECT_EQ(calls.load(), 0);
     // The pool stays usable after the no-op.
-    EXPECT_EQ(coverage(pool, 8, 0), std::vector<int>(8, 1));
+    EXPECT_EQ(coverage(pool, 8), std::vector<int>(8, 1));
 }
 
 TEST(PoolEdge, SingleElementRangeRunsInlineOnCaller)
@@ -64,49 +60,6 @@ TEST(PoolEdge, SingleElementRangeRunsInlineOnCaller)
         ran_on = std::this_thread::get_id();
     });
     EXPECT_EQ(ran_on, caller);
-}
-
-TEST(PoolEdge, GrainLargerThanRangeCoversEveryIndexOnce)
-{
-    ThreadPool pool(4);
-    for (const std::size_t n : {2u, 7u, 63u}) {
-        EXPECT_EQ(coverage(pool, n, n * 10), std::vector<int>(n, 1))
-            << "n=" << n;
-    }
-}
-
-TEST(PoolEdge, EveryGrainCoversEveryIndexExactlyOnce)
-{
-    ThreadPool pool(4);
-    const std::size_t n = 1000;
-    for (const std::size_t grain : {0u, 1u, 2u, 3u, 64u, 333u, 999u,
-                                    1000u, 1001u}) {
-        EXPECT_EQ(coverage(pool, n, grain), std::vector<int>(n, 1))
-            << "grain=" << grain;
-    }
-}
-
-TEST(PoolEdge, GrainDoesNotChangeParallelMapResults)
-{
-    ThreadPool pool(4);
-    const auto f = [](std::size_t i) { return 3.0 * i + 1.0; };
-    const auto baseline = pool.parallelMap(std::size_t{513}, f, 1);
-    for (const std::size_t grain : {0u, 7u, 64u, 1024u})
-        EXPECT_EQ(pool.parallelMap(std::size_t{513}, f, grain), baseline)
-            << "grain=" << grain;
-}
-
-TEST(PoolEdge, AutoGrainIsBoundedAndScalesWithRange)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.autoGrain(0), 1u);
-    EXPECT_EQ(pool.autoGrain(1), 1u);
-    EXPECT_EQ(pool.autoGrain(32), 1u); // fewer than 8 claims per thread
-    EXPECT_EQ(pool.autoGrain(1024), 32u);
-    EXPECT_EQ(pool.autoGrain(3200), 64u);    // capped at 64
-    EXPECT_EQ(pool.autoGrain(1 << 20), 64u); // capped at 64
-    ThreadPool serial(1);
-    EXPECT_GE(serial.autoGrain(1000), 1u);
 }
 
 TEST(PoolEdge, NestedCallRunsInlineWithoutDeadlock)
@@ -138,12 +91,14 @@ TEST(PoolEdge, HighlightThreads1MatchesMultiThreadedResults)
     EXPECT_EQ(env_serial.numThreads(), 1);
 
     ThreadPool parallel(4);
-    const auto f = [](std::size_t i) {
-        return static_cast<double>(i * i) * 0.125 + 1.0;
+    const auto fill = [](ThreadPool &pool) {
+        std::vector<double> out(777);
+        pool.parallelFor(out.size(), [&](std::size_t i) {
+            out[i] = static_cast<double>(i * i) * 0.125 + 1.0;
+        });
+        return out;
     };
-    const auto a = env_serial.parallelMap(std::size_t{777}, f);
-    const auto b = parallel.parallelMap(std::size_t{777}, f);
-    EXPECT_EQ(a, b);
+    EXPECT_EQ(fill(env_serial), fill(parallel));
 
     if (prev)
         ASSERT_EQ(setenv("HIGHLIGHT_THREADS", saved.c_str(), 1), 0);
@@ -181,7 +136,7 @@ TEST(PoolConcurrency, ConcurrentCallersEachCoverTheirRangeOnce)
     std::atomic<int> bad_rounds{0};
     const auto caller = [&](std::size_t n) {
         for (int round = 0; round < 50; ++round) {
-            if (coverage(pool, n, 0) != std::vector<int>(n, 1))
+            if (coverage(pool, n) != std::vector<int>(n, 1))
                 bad_rounds.fetch_add(1);
         }
     };
@@ -302,20 +257,29 @@ TEST(WorkerSlots, AcquirePastCapacityPanics)
     EXPECT_THROW(slots.acquire(), PanicError); // sizing bug, not a wait
 }
 
-TEST(PoolEdge, GarbageHighlightThreadsFallsBackToDefault)
+TEST(PoolEdge, BadHighlightThreadsIsFatal)
 {
     const char *prev = std::getenv("HIGHLIGHT_THREADS");
     const std::string saved = prev ? prev : "";
 
-    // atoi would silently read "4x" as 4 and "-1"/"0" as disable;
-    // the strict parser rejects them all (with a warning) and falls
-    // back to default resolution.
-    ASSERT_EQ(unsetenv("HIGHLIGHT_THREADS"), 0);
-    const int fallback = ThreadPool::defaultThreadCount();
+    // atoi would silently read "4x" as 4 and "-1"/"0" as disable; the
+    // strict parser rejects them all, and a rejected value is fatal
+    // rather than replaced by the default.
     for (const char *garbage : {"4x", "-1", "0", "2 4", "1e3", ""}) {
         ASSERT_EQ(setenv("HIGHLIGHT_THREADS", garbage, 1), 0);
-        EXPECT_EQ(ThreadPool::defaultThreadCount(), fallback)
-            << "HIGHLIGHT_THREADS=" << garbage;
+        try {
+            ThreadPool::defaultThreadCount();
+            ADD_FAILURE() << "HIGHLIGHT_THREADS=" << garbage
+                          << " did not throw";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          std::string("HIGHLIGHT_THREADS=") + garbage),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_THROW(ThreadPool pool(0), FatalError) << garbage;
+        // An explicit count does not read the variable.
+        EXPECT_EQ(ThreadPool(2).numThreads(), 2);
     }
     ASSERT_EQ(setenv("HIGHLIGHT_THREADS", "3", 1), 0);
     EXPECT_EQ(ThreadPool::defaultThreadCount(), 3);

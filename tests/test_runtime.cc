@@ -1,23 +1,25 @@
 /**
  * @file
- * Unit tests for the parallel evaluation runtime: the thread pool's
- * determinism and exception safety, the eval cache's keying (equal
- * exactly when the former text keys were) and hit/miss accounting,
- * DSTC's per-thread memo staying invisible on a fresh thread,
- * evaluateBatch's dedupe, and — the load-bearing
- * guarantee — bit-identical results between the serial fallback and
- * the N-thread path for runDnn, rankAblation, the Pareto frontier, and
- * per-job-seeded microsim fidelity runs. evaluateBatch's error and
- * concurrency contracts are in test_async.cc.
+ * Unit tests for the runtime: the thread pool's determinism, exception
+ * safety and lazy start; the dedupe key (equal exactly when the former
+ * text keys were); DSTC's per-thread memo staying invisible on a fresh
+ * thread; evaluateBatch's dedupe, counted in evaluate() calls; the
+ * analytical path starting no pool thread; and — the load-bearing
+ * guarantee — bit-identical results at 1 and 4 threads for runDnn,
+ * rankAblation, the Pareto frontier, and per-job-seeded microsim
+ * fidelity runs. evaluateBatch's error and concurrency contracts are
+ * in test_async.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -34,7 +36,6 @@
 #include "dnn/transformer.hh"
 #include "microsim/simulator.hh"
 #include "runtime/batch_runner.hh"
-#include "runtime/eval_cache.hh"
 #include "runtime/thread_pool.hh"
 #include "sparsity/sparsify.hh"
 #include "tensor/generator.hh"
@@ -59,16 +60,6 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
                      [&](std::size_t i) { counts[i].fetch_add(1); });
     for (const auto &c : counts)
         EXPECT_EQ(c.load(), 1);
-}
-
-TEST(ThreadPool, ParallelMapIsPositional)
-{
-    ThreadPool pool(3);
-    const auto out = pool.parallelMap(
-        std::size_t{257}, [](std::size_t i) { return i * i; });
-    ASSERT_EQ(out.size(), 257u);
-    for (std::size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out[i], i * i);
 }
 
 TEST(ThreadPool, SerialFallbackRunsInline)
@@ -113,7 +104,7 @@ TEST(ThreadPool, EnvOverrideControlsDefaultThreadCount)
     ASSERT_EQ(setenv("HIGHLIGHT_THREADS", "3", 1), 0);
     EXPECT_EQ(ThreadPool::defaultThreadCount(), 3);
     ASSERT_EQ(setenv("HIGHLIGHT_THREADS", "0", 1), 0);
-    EXPECT_GE(ThreadPool::defaultThreadCount(), 1); // ignored, falls back
+    EXPECT_THROW(ThreadPool::defaultThreadCount(), FatalError);
     ASSERT_EQ(unsetenv("HIGHLIGHT_THREADS"), 0);
     EXPECT_GE(ThreadPool::defaultThreadCount(), 1);
 
@@ -121,7 +112,69 @@ TEST(ThreadPool, EnvOverrideControlsDefaultThreadCount)
         ASSERT_EQ(setenv("HIGHLIGHT_THREADS", saved.c_str(), 1), 0);
 }
 
-TEST(EvalCache, KeyIgnoresNameButNotShapeOrSparsity)
+/**
+ * This process's thread count, from the `Threads:` line of
+ * /proc/self/status; -1 where that cannot be read. Reads until two
+ * reads 1 ms apart agree, so a thread joined just before has left the
+ * count.
+ */
+int
+processThreadCount()
+{
+    const auto readOnce = [] {
+        std::ifstream status("/proc/self/status");
+        std::string line;
+        while (std::getline(status, line)) {
+            if (line.rfind("Threads:", 0) == 0)
+                return std::stoi(line.substr(8));
+        }
+        return -1;
+    };
+    int count = readOnce();
+    for (int tries = 0; count >= 0 && tries < 100; ++tries) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        const int again = readOnce();
+        if (again == count)
+            break;
+        count = again;
+    }
+    return count;
+}
+
+/**
+ * The thread count before a check. A sanitizer runtime may start a
+ * helper thread along with the process's first thread, so one thread
+ * is started and joined first.
+ */
+int
+baselineThreadCount()
+{
+    std::thread([] {}).join();
+    return processThreadCount();
+}
+
+TEST(ThreadPool, StartsNoThreadBeforeItsFirstParallelJob)
+{
+    const int before = baselineThreadCount();
+    if (before < 0)
+        GTEST_SKIP() << "no Threads: line in /proc/self/status";
+    ThreadPool pool(4);
+    EXPECT_EQ(processThreadCount(), before);
+    // One item runs inline on the caller.
+    pool.parallelFor(1, [](std::size_t) {});
+    EXPECT_EQ(processThreadCount(), before);
+
+    std::vector<std::atomic<int>> counts(2);
+    pool.parallelFor(counts.size(),
+                     [&](std::size_t i) { counts[i].fetch_add(1); });
+    EXPECT_EQ(counts[0].load() + counts[1].load(), 2);
+    EXPECT_EQ(processThreadCount(), before + 3);
+    // The workers start once.
+    pool.parallelFor(64, [](std::size_t) {});
+    EXPECT_EQ(processThreadCount(), before + 3);
+}
+
+TEST(EvalKey, KeyIgnoresNameButNotShapeOrSparsity)
 {
     GemmWorkload w;
     w.name = "a";
@@ -131,69 +184,20 @@ TEST(EvalCache, KeyIgnoresNameButNotShapeOrSparsity)
 
     GemmWorkload renamed = w;
     renamed.name = "b";
-    EXPECT_EQ(EvalCache::keyOf("TC", w), EvalCache::keyOf("TC", renamed));
-    EXPECT_NE(EvalCache::keyOf("TC", w), EvalCache::keyOf("STC", w));
+    EXPECT_EQ(keyOf("TC", w), keyOf("TC", renamed));
+    EXPECT_NE(keyOf("TC", w), keyOf("STC", w));
 
     GemmWorkload reshaped = w;
     reshaped.m = 65;
-    EXPECT_NE(EvalCache::keyOf("TC", w), EvalCache::keyOf("TC", reshaped));
+    EXPECT_NE(keyOf("TC", w), keyOf("TC", reshaped));
 
     GemmWorkload denser = w;
     denser.b = OperandSparsity::unstructured(0.5000000001);
-    EXPECT_NE(EvalCache::keyOf("TC", w), EvalCache::keyOf("TC", denser));
-}
-
-TEST(EvalCache, HitReturnsPatchedNameAndCounts)
-{
-    const Evaluator ev;
-    EvalCache cache;
-    const Accelerator &tc = ev.design("TC");
-
-    GemmWorkload w;
-    w.name = "first";
-    w.m = w.k = w.n = 128;
-    const auto r1 = cache.evaluate(tc, w);
-    EXPECT_EQ(r1.workload, "first");
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 0u);
-
-    w.name = "second";
-    const auto r2 = cache.evaluate(tc, w);
-    EXPECT_EQ(r2.workload, "second");
-    EXPECT_EQ(r2.cycles, r1.cycles);
-    EXPECT_EQ(r2.totalEnergyPj(), r1.totalEnergyPj());
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-TEST(EvalCache, StatsAreExactAndConsistent)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    EvalCache cache;
-
-    GemmWorkload w;
-    w.name = "w";
-    w.k = w.n = 64;
-    w.a = OperandSparsity::dense();
-    w.b = OperandSparsity::unstructured(0.5);
-    for (int round = 0; round < 3; ++round) {
-        for (int i = 0; i < 5; ++i) {
-            w.m = 8 + i;
-            cache.evaluate(tc, w);
-        }
-    }
-    cache.noteHit();
-    const auto s = cache.stats();
-    EXPECT_EQ(s.misses, 5u);
-    EXPECT_EQ(s.hits, 11u); // 2 warm rounds x 5 + noteHit
-    EXPECT_EQ(s.lookups(), s.hits + s.misses);
-    EXPECT_EQ(s.insertions, 5u);
-    EXPECT_DOUBLE_EQ(s.hitRate(), 11.0 / 16.0);
+    EXPECT_NE(keyOf("TC", w), keyOf("TC", denser));
 }
 
 /**
- * The cache key's former text form, kept here as the reference for
+ * The dedupe key's former text form, kept here as the reference for
  * key equality: the design, then "|MxKxN|", then per operand 'D', 'U'
  * plus the density as printf's "%.17g" (max_digits10, so distinct
  * densities never print alike), or 'H' plus HssSpec::str(), with the
@@ -221,7 +225,7 @@ textKeyOf(const std::string &design, const GemmWorkload &w)
            operand(w.a) + "|" + operand(w.b);
 }
 
-/** A cache key's inputs: a design name and a workload. */
+/** A dedupe key's inputs: a design name and a workload. */
 struct KeyedJob
 {
     std::string design;
@@ -272,7 +276,7 @@ seededGemms(std::uint64_t seed, int count)
     return out;
 }
 
-TEST(EvalCache, TextKeyReferenceReproducesTheFormerFormat)
+TEST(EvalKey, TextKeyReferenceReproducesTheFormerFormat)
 {
     GemmWorkload w;
     w.m = 64;
@@ -290,7 +294,7 @@ TEST(EvalCache, TextKeyReferenceReproducesTheFormerFormat)
               "U0.66666666666666663");
 }
 
-TEST(EvalCache, KeyEqualityMatchesTheTextReference)
+TEST(EvalKey, KeyEqualityMatchesTheTextReference)
 {
     // Over fig15's jobs, 6 designs x 128 gemm_matrix-shaped GEMMs and
     // a set of edge pairs, two keys are equal exactly when their text
@@ -300,7 +304,7 @@ TEST(EvalCache, KeyEqualityMatchesTheTextReference)
     ASSERT_EQ(corpus.size(), 4544u);
     std::set<std::string> fig15_keys, fig15_text_keys;
     for (const KeyedJob &j : corpus) {
-        fig15_keys.insert(EvalCache::keyOf(j.design, j.workload));
+        fig15_keys.insert(keyOf(j.design, j.workload));
         fig15_text_keys.insert(textKeyOf(j.design, j.workload));
     }
     EXPECT_EQ(fig15_keys.size(), 466u);
@@ -366,8 +370,8 @@ TEST(EvalCache, KeyEqualityMatchesTheTextReference)
                       textKeyOf(e.y.design, e.y.workload),
                   e.same)
             << textKeyOf(e.x.design, e.x.workload);
-        EXPECT_EQ(EvalCache::keyOf(e.x.design, e.x.workload) ==
-                      EvalCache::keyOf(e.y.design, e.y.workload),
+        EXPECT_EQ(keyOf(e.x.design, e.x.workload) ==
+                      keyOf(e.y.design, e.y.workload),
                   e.same)
             << textKeyOf(e.x.design, e.x.workload);
         corpus.push_back(e.x);
@@ -379,7 +383,7 @@ TEST(EvalCache, KeyEqualityMatchesTheTextReference)
     std::map<std::string, std::string> binary_of_text, text_of_binary;
     for (const KeyedJob &j : corpus) {
         const std::string text = textKeyOf(j.design, j.workload);
-        const std::string binary = EvalCache::keyOf(j.design, j.workload);
+        const std::string binary = keyOf(j.design, j.workload);
         EXPECT_EQ(binary_of_text.emplace(text, binary).first->second,
                   binary)
             << text;
@@ -418,7 +422,7 @@ expectResultBitIdentical(const EvalResult &a, const EvalResult &b)
     expectSame(a.area_um2, b.area_um2);
 }
 
-TEST(EvalCache, DstcIsBitIdenticalOnColdAndWarmThreads)
+TEST(EvaluateBest, DstcIsBitIdenticalOnColdAndWarmThreads)
 {
     // A fresh thread starts with an empty utilization memo and lgamma
     // table; this thread evaluates the same jobs twice, the second
@@ -444,32 +448,109 @@ TEST(EvalCache, DstcIsBitIdenticalOnColdAndWarmThreads)
     }
 }
 
+/** A design that forwards to `inner` and counts its evaluate() calls. */
+class CountingAccel final : public Accelerator
+{
+  public:
+    explicit CountingAccel(const Accelerator &inner)
+        : Accelerator(inner.arch(), inner.lib()), inner_(inner)
+    {
+    }
+
+    std::string
+    supportedPatternsA() const override
+    {
+        return inner_.supportedPatternsA();
+    }
+    std::string
+    supportedPatternsB() const override
+    {
+        return inner_.supportedPatternsB();
+    }
+    bool
+    supports(const GemmWorkload &w) const override
+    {
+        return inner_.supports(w);
+    }
+    EvalResult
+    evaluate(const GemmWorkload &w) const override
+    {
+        calls_.fetch_add(1);
+        return inner_.evaluate(w);
+    }
+    std::vector<BreakdownEntry>
+    areaBreakdown() const override
+    {
+        return inner_.areaBreakdown();
+    }
+
+    int calls() const { return calls_.load(); }
+
+  private:
+    const Accelerator &inner_;
+    mutable std::atomic<int> calls_{0};
+};
+
 TEST(EvaluateBatch, DedupesWithinBatchDeterministically)
 {
     const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
+    const CountingAccel tc(ev.design("TC"));
 
     GemmWorkload w;
     w.m = w.k = w.n = 256;
+    // One evaluateBest: TC tries both operand orders.
+    const EvalResult single = evaluateBest(tc, w);
+    const int per_job = tc.calls();
+    ASSERT_GT(per_job, 0);
+
     std::vector<EvalJob> jobs;
     for (int i = 0; i < 6; ++i) {
         w.name = "copy-" + std::to_string(i);
         jobs.push_back({&tc, w});
     }
+    const auto results = evaluateBatch(jobs);
+    ASSERT_EQ(results.size(), jobs.size());
+    // Six copies of one job cost one evaluation.
+    EXPECT_EQ(tc.calls(), 2 * per_job);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EvalResult expected = single;
+        expected.workload = jobs[i].workload.name;
+        expectResultBitIdentical(results[i], expected);
+    }
+}
 
-    for (int threads : {1, 4}) {
-        ThreadPool pool(threads);
-        EvalCache cache;
-        const auto results = evaluateBatch(jobs, cache, pool);
-        ASSERT_EQ(results.size(), jobs.size());
-        // One compute, five in-batch hits — regardless of threads.
-        EXPECT_EQ(cache.stats().misses, 1u);
-        EXPECT_EQ(cache.stats().hits, 5u);
-        EXPECT_EQ(cache.size(), 1u);
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            EXPECT_EQ(results[i].workload, jobs[i].workload.name);
-            EXPECT_EQ(results[i].cycles, results[0].cycles);
-        }
+TEST(EvaluateBatch, DedupesRepeatedLayerShapesInEachCall)
+{
+    const Evaluator ev;
+    const CountingAccel hl(ev.design("HighLight"));
+    const auto model = resnet50Model();
+    const DnnScenario sc{"HighLight", PruningApproach::Hss, 0.75};
+
+    // runDnn's batch, with the counting design in place of its own.
+    std::vector<EvalJob> jobs;
+    for (auto &w : ev.buildDnnWorkloads(model, sc))
+        jobs.push_back({&hl, std::move(w)});
+    ASSERT_EQ(jobs.size(), model.layers.size());
+    for (const EvalJob &job : jobs)
+        evaluateBest(hl, job.workload);
+    const int every_layer = hl.calls();
+
+    const auto first = ev.runBatch(jobs);
+    const int per_batch = hl.calls() - every_layer;
+    // ResNet-50 repeats layer shapes across residual stages.
+    EXPECT_GT(per_batch, 0);
+    EXPECT_LT(per_batch, every_layer);
+    EXPECT_LT(per_batch, static_cast<int>(model.layers.size()));
+
+    // Nothing is kept between calls: a second batch evaluates again.
+    const auto second = ev.runBatch(jobs);
+    EXPECT_EQ(hl.calls() - every_layer, 2 * per_batch);
+    const auto dnn = ev.runDnn(model, DnnName::ResNet50, sc);
+    ASSERT_EQ(first.size(), jobs.size());
+    ASSERT_EQ(dnn.per_layer.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        expectResultBitIdentical(first[i], second[i]);
+        expectResultBitIdentical(first[i], dnn.per_layer[i]);
     }
 }
 
@@ -511,11 +592,6 @@ TEST(ParallelEquivalence, RunDnnIsBitIdenticalAcrossThreadCounts)
             parallel_ev.runDnn(model, DnnName::ResNet50, sc);
 
         expectDnnBitIdentical(serial, parallel);
-        // The hit/miss accounting is deterministic too.
-        EXPECT_EQ(serial_ev.cacheStats().hits,
-                  parallel_ev.cacheStats().hits);
-        EXPECT_EQ(serial_ev.cacheStats().misses,
-                  parallel_ev.cacheStats().misses);
     }
 }
 
@@ -538,29 +614,6 @@ TEST(ParallelEquivalence, RunDnnUnsupportedMatchesSerialNote)
     EXPECT_FALSE(serial.supported);
     EXPECT_FALSE(parallel.supported);
     EXPECT_EQ(serial.note, parallel.note);
-}
-
-TEST(ParallelEquivalence, CacheDedupesRepeatedLayerShapes)
-{
-    GlobalPoolGuard guard;
-    ThreadPool::setGlobalThreads(4);
-    const Evaluator ev;
-    const auto model = resnet50Model();
-    const DnnScenario sc{"HighLight", PruningApproach::Hss, 0.75};
-
-    const auto first = ev.runDnn(model, DnnName::ResNet50, sc);
-    const auto s1 = ev.cacheStats();
-    // ResNet-50 repeats layer shapes across residual stages.
-    EXPECT_GT(s1.hits, 0u);
-    EXPECT_LT(s1.misses, model.layers.size());
-    EXPECT_EQ(s1.hits + s1.misses, model.layers.size());
-
-    // A repeat run is served entirely from the cache.
-    const auto second = ev.runDnn(model, DnnName::ResNet50, sc);
-    const auto s2 = ev.cacheStats();
-    EXPECT_EQ(s2.misses, s1.misses);
-    EXPECT_EQ(s2.hits, s1.hits + model.layers.size());
-    expectDnnBitIdentical(first, second);
 }
 
 TEST(ParallelEquivalence, RankAblationIsBitIdenticalAcrossThreadCounts)
@@ -589,7 +642,6 @@ TEST(ParallelEquivalence, RankAblationIsBitIdenticalAcrossThreadCounts)
 TEST(ParallelEquivalence, FrontierMaskIsThreadCountIndependent)
 {
     GlobalPoolGuard guard;
-    // Enough points to cross the parallel-dispatch threshold.
     Rng rng(42);
     std::vector<ParetoPoint> points;
     for (int i = 0; i < 600; ++i)
@@ -625,12 +677,17 @@ TEST(ParallelEquivalence, MicrosimPerJobSeedsAreThreadCountIndependent)
         return HighlightSimulator(MicrosimConfig()).run(a, spec, b);
     };
 
+    const auto simulateAll = [&] {
+        std::vector<SimResult> out(6);
+        ThreadPool::global().parallelFor(
+            out.size(), [&](std::size_t job) { out[job] = simulate(job); });
+        return out;
+    };
+
     ThreadPool::setGlobalThreads(1);
-    const auto serial =
-        ThreadPool::global().parallelMap(std::size_t{6}, simulate);
+    const auto serial = simulateAll();
     ThreadPool::setGlobalThreads(4);
-    const auto parallel =
-        ThreadPool::global().parallelMap(std::size_t{6}, simulate);
+    const auto parallel = simulateAll();
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -641,6 +698,51 @@ TEST(ParallelEquivalence, MicrosimPerJobSeedsAreThreadCountIndependent)
         EXPECT_EQ(serial[i].stats.vfmu.shifts,
                   parallel[i].stats.vfmu.shifts);
     }
+}
+
+TEST(Evaluator, AnalyticalPathStartsNoPoolThread)
+{
+    GlobalPoolGuard guard;
+    ThreadPool::setGlobalThreads(1);
+    const int before = baselineThreadCount();
+    if (before < 0)
+        GTEST_SKIP() << "no Threads: line in /proc/self/status";
+    ThreadPool::setGlobalThreads(4);
+
+    const Evaluator ev;
+    const auto dnn =
+        ev.runDnn(resnet50Model(), DnnName::ResNet50,
+                  {"HighLight", PruningApproach::Hss, 0.75});
+    EXPECT_TRUE(dnn.supported);
+    std::vector<EvalJob> jobs;
+    for (const Accelerator *d : ev.standardLineup()) {
+        for (const GemmWorkload &w : seededGemms(3, 8))
+            jobs.push_back({d, w});
+    }
+    EXPECT_EQ(ev.runBatch(jobs).size(), jobs.size());
+    const DesignSpaceExplorer explorer;
+    EXPECT_FALSE(explorer.rankAblation(10, 0.25).empty());
+    EXPECT_EQ(explorer.analyzeMany({DesignSpaceExplorer::designS(),
+                                    DesignSpaceExplorer::designSS()})
+                  .size(),
+              2u);
+    Rng rng(42);
+    std::vector<ParetoPoint> points;
+    for (int i = 0; i < 600; ++i)
+        points.push_back({rng.uniform(), rng.uniform(), ""});
+    EXPECT_EQ(frontierMask(points).size(), points.size());
+    EXPECT_EQ(processThreadCount(), before);
+
+    // The microsim does use the pool: four one-row groups start its
+    // three workers.
+    const HssSpec spec({GhPattern(2, 4)});
+    const auto a = hssSparsify(
+        randomDense(TensorShape({{"M", 4}, {"K", 8}}), rng), spec);
+    const auto b = randomDense(TensorShape({{"K", 8}, {"N", 2}}), rng);
+    MicrosimConfig config;
+    config.group_rows = 1;
+    HighlightSimulator(config).run(a, spec, b);
+    EXPECT_EQ(processThreadCount(), before + 3);
 }
 
 } // namespace

@@ -121,12 +121,6 @@ TEST(Hss, StrNotation)
     EXPECT_EQ(spec.str(), "C1(3:4)->C0(2:4)");
 }
 
-TEST(Hss, ToSpecBuildsFullFibertreeSpec)
-{
-    const HssSpec spec({GhPattern(2, 4), GhPattern(3, 4)});
-    EXPECT_EQ(spec.toSpec().str(), "RS->C2->C1(3:4)->C0(2:4)");
-}
-
 TEST(Hss, DenseSpec)
 {
     EXPECT_TRUE(HssSpec::dense().isDense());
@@ -239,19 +233,6 @@ TEST(Sparsify, UnstructuredExactCountAndMagnitudeOrder)
     EXPECT_FLOAT_EQ(s.at2(0, 5), 0.0f);
     EXPECT_FLOAT_EQ(s.at2(0, 7), 0.0f);
     EXPECT_FLOAT_EQ(s.at2(0, 0), 8.0f);
-}
-
-TEST(Sparsify, ChannelPruningZeroesWholeRows)
-{
-    DenseTensor m(TensorShape({{"M", 4}, {"K", 2}}),
-                  {9.0f, 9.0f, 1.0f, 1.0f, 8.0f, 8.0f, 2.0f, 2.0f});
-    const auto s = channelSparsify(m, 0.5);
-    // Rows 1 and 3 (smallest average magnitude) are removed.
-    EXPECT_FLOAT_EQ(s.at2(1, 0), 0.0f);
-    EXPECT_FLOAT_EQ(s.at2(1, 1), 0.0f);
-    EXPECT_FLOAT_EQ(s.at2(3, 0), 0.0f);
-    EXPECT_FLOAT_EQ(s.at2(0, 0), 9.0f);
-    EXPECT_FLOAT_EQ(s.at2(2, 1), 8.0f);
 }
 
 TEST(Sparsify, Rank0KeepsLargestMagnitudes)

@@ -163,26 +163,5 @@ TEST(Generator, UnstructuredRejectsBadSparsity)
         FatalError);
 }
 
-TEST(Generator, GhMatrixConformsPerBlock)
-{
-    Rng rng;
-    const auto t = randomGhMatrix(8, 32, 2, 4, rng);
-    for (std::int64_t r = 0; r < 8; ++r) {
-        for (std::int64_t b = 0; b < 8; ++b) {
-            int occ = 0;
-            for (int i = 0; i < 4; ++i)
-                occ += t.at2(r, b * 4 + i) != 0.0f ? 1 : 0;
-            EXPECT_EQ(occ, 2);
-        }
-    }
-}
-
-TEST(Generator, GhMatrixRejectsBadGeometry)
-{
-    Rng rng;
-    EXPECT_THROW(randomGhMatrix(2, 32, 5, 4, rng), FatalError);
-    EXPECT_THROW(randomGhMatrix(2, 30, 2, 4, rng), FatalError);
-}
-
 } // namespace
 } // namespace highlight
