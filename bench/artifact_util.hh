@@ -5,8 +5,8 @@
  *
  * The dumps print doubles at max_digits10 and table cells verbatim,
  * so two dumps are byte-identical iff the results are bit-identical;
- * the smoke ctests byte-compare every driver's dumps across thread
- * counts.
+ * CI byte-compares every artifact's dump across a native and a
+ * generic build.
  */
 
 #ifndef HIGHLIGHT_BENCH_ARTIFACT_UTIL_HH

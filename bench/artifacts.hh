@@ -3,11 +3,13 @@
  * The paper's figures, tables and ablations as plain functions.
  *
  * Each artifact computes its tables and returns a report: the text
- * its driver prints and the payload the driver writes for `--json
- * PATH`. Only fig17's microsim runs use the global thread pool.
- * artifacts() lists all of them under their driver names; every
- * driver executable is bench/driver_main.cc compiled for one of those
- * names.
+ * `paper` prints and the payload it writes for `--json PATH`.
+ * artifacts() lists all of them by name, and `paper`
+ * (bench/driver_main.cc) runs any of them, in one process, in the
+ * order named. Only fig17's microsim cross-checks reach the global
+ * thread pool; their A has two rows, one row group and one
+ * compression block, which run inline, so no artifact starts a pool
+ * thread.
  */
 
 #ifndef HIGHLIGHT_BENCH_ARTIFACTS_HH
@@ -22,11 +24,11 @@ namespace highlight
 /** What one artifact produced. */
 struct ArtifactReport
 {
-    std::string text; ///< The printed tables: the driver's stdout.
+    std::string text; ///< The printed tables: paper's stdout.
     std::string json; ///< The `--json` dump.
 };
 
-/** One paper artifact, named after its driver executable. */
+/** One paper artifact, under the name `paper` takes. */
 struct Artifact
 {
     const char *name;

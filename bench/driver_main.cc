@@ -1,99 +1,86 @@
 /**
  * @file
- * The main of every figure, table and ablation driver. CMake compiles
- * it once per artifact, with HIGHLIGHT_ARTIFACT set to the driver's
- * name. Every driver takes exactly three options:
+ * The main of `paper`, which regenerates the paper's figures, tables
+ * and ablations in one process:
  *
- *   --serial       run on one thread (same as --threads 1)
- *   --threads N    run on N threads, 1 <= N <= 4096 (or --threads=N)
- *   --json PATH    also write the artifact's JSON dump (or --json=PATH)
+ *   paper [NAME...] [--json PATH]
  *
- * Without --serial or --threads the pool takes HIGHLIGHT_THREADS or
- * the hardware concurrency. An unknown argument and a missing, empty
- * or repeated value are fatal: the driver prints the reason on stderr
- * and exits with code 1, so a typo never runs another configuration.
+ * runs the named artifacts of artifacts() in the order given, or all
+ * 14 in artifacts() order when no name is given, and prints each
+ * one's text. `--json PATH` (or `--json=PATH`) also writes the
+ * artifact's JSON dump and needs exactly one artifact to run. The
+ * thread pool takes HIGHLIGHT_THREADS or the hardware concurrency. An
+ * unknown name or argument, a missing, empty or repeated --json value
+ * and a bad HIGHLIGHT_THREADS are fatal before any artifact runs:
+ * paper prints the reason on stderr and exits with code 1, so a typo
+ * never runs another configuration.
  */
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "artifacts.hh"
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "runtime/thread_pool.hh"
-
-#ifndef HIGHLIGHT_ARTIFACT
-#error "define HIGHLIGHT_ARTIFACT as the driver's name in artifacts()"
-#endif
 
 namespace
 {
 
 using namespace highlight;
 
-struct DriverFlags
+struct PaperArgs
 {
-    int threads = 0;       ///< For setGlobalThreads; 0 = the default.
-    std::string json_path; ///< "" = no JSON dump.
+    std::vector<const Artifact *> artifacts; ///< In the order to run.
+    std::string json_path;                   ///< "" = no JSON dump.
 };
 
-DriverFlags
-parseFlags(int argc, char **argv)
-{
-    bool serial = false;
-    std::string threads, json; // "" until given; an empty value is fatal
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (arg == "--serial") {
-            serial = true;
-            continue;
-        }
-        const std::string_view name = arg.substr(0, arg.find('='));
-        std::string *value = nullptr;
-        if (name == "--threads")
-            value = &threads;
-        else if (name == "--json")
-            value = &json;
-        else
-            fatal(msgOf("unknown argument ", arg));
-        if (!value->empty())
-            fatal(msgOf(name, " given twice"));
-        if (name.size() < arg.size())
-            *value = arg.substr(name.size() + 1);
-        else if (i + 1 < argc)
-            *value = argv[++i];
-        if (value->empty())
-            fatal(msgOf(name, " requires a value"));
-    }
-
-    DriverFlags flags;
-    flags.json_path = json;
-    if (!threads.empty()) {
-        long long n = 0;
-        if (!parsePositiveInt(threads.c_str(), 4096, &n))
-            fatal(msgOf("--threads ", threads,
-                        ": expected a positive integer <= 4096"));
-        flags.threads = static_cast<int>(n);
-    }
-    if (serial) {
-        if (flags.threads > 1)
-            fatal(msgOf("--serial contradicts --threads ", flags.threads));
-        flags.threads = 1;
-    }
-    return flags;
-}
-
-const Artifact &
-findArtifact(const char *name)
+const Artifact *
+findArtifact(std::string_view name)
 {
     for (const Artifact &a : artifacts()) {
-        if (std::strcmp(a.name, name) == 0)
-            return a;
+        if (name == a.name)
+            return &a;
     }
-    panic(msgOf("no artifact named ", name));
+    return nullptr;
+}
+
+PaperArgs
+parseArgs(int argc, char **argv)
+{
+    PaperArgs args;
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        const std::string_view name = arg.substr(0, arg.find('='));
+        if (name == "--json") {
+            // An empty value is fatal below, so a set path means --json
+            // was given.
+            if (!args.json_path.empty())
+                fatal("--json given twice");
+            if (name.size() < arg.size())
+                args.json_path = arg.substr(name.size() + 1);
+            else if (i + 1 < argc)
+                args.json_path = argv[++i];
+            if (args.json_path.empty())
+                fatal("--json requires a value");
+        } else if (const Artifact *artifact = findArtifact(arg)) {
+            args.artifacts.push_back(artifact);
+        } else if (arg.substr(0, 1) == "-") {
+            fatal(msgOf("unknown argument ", arg));
+        } else {
+            fatal(msgOf("no artifact named ", arg));
+        }
+    }
+    if (args.artifacts.empty()) {
+        for (const Artifact &a : artifacts())
+            args.artifacts.push_back(&a);
+    }
+    if (!args.json_path.empty() && args.artifacts.size() != 1)
+        fatal(msgOf("--json needs exactly one artifact, got ",
+                    args.artifacts.size()));
+    return args;
 }
 
 } // namespace
@@ -102,20 +89,23 @@ int
 main(int argc, char **argv)
 {
     try {
-        const Artifact &artifact = findArtifact(HIGHLIGHT_ARTIFACT);
-        const DriverFlags flags = parseFlags(argc, argv);
-        ThreadPool::setGlobalThreads(flags.threads);
-        const ArtifactReport report = artifact.run();
-        std::cout << report.text << std::flush;
-        if (!flags.json_path.empty()) {
-            std::ofstream out(flags.json_path, std::ios::trunc);
-            out << report.json;
-            out.close();
-            if (!out)
-                fatal(msgOf("cannot write ", flags.json_path));
+        const PaperArgs args = parseArgs(argc, argv);
+        // Resolve HIGHLIGHT_THREADS now, so a bad value is fatal for
+        // every artifact, not only for those that reach the pool.
+        ThreadPool::global();
+        for (const Artifact *artifact : args.artifacts) {
+            const ArtifactReport report = artifact->run();
+            std::cout << report.text << std::flush;
+            if (!args.json_path.empty()) {
+                std::ofstream out(args.json_path, std::ios::trunc);
+                out << report.json;
+                out.close();
+                if (!out)
+                    fatal(msgOf("cannot write ", args.json_path));
+            }
         }
     } catch (const FatalError &e) {
-        std::cerr << HIGHLIGHT_ARTIFACT << ": " << e.what() << "\n";
+        std::cerr << "paper: " << e.what() << "\n";
         return 1;
     }
     return 0;

@@ -1,13 +1,13 @@
 # Fail when the library carries code that no paper artifact reaches.
-# Every driver links all 14 artifact functions, so one driver's link
-# map names every archive member a driver pulls in. Each member of the
-# library archive must appear in that map as `<archive>(<member>)` or
-# be on the allowlist below; an allowlisted member that the map does
-# name, or that the archive no longer holds, fails too, so the list
-# cannot go stale.
+# `paper` links all 14 artifact functions, so its link map names every
+# archive member an artifact pulls in. Each member of the library
+# archive must appear in that map as `<archive>(<member>)` or be on the
+# allowlist below; an allowlisted member that the map does name, or
+# that the archive no longer holds, fails too, so the list cannot go
+# stale.
 #
 # Usage:
-#   cmake -DAR=<ar> -DARCHIVE=<libhighlight.a> -DMAP=<driver link map>
+#   cmake -DAR=<ar> -DARCHIVE=<libhighlight.a> -DMAP=<paper link map>
 #         -P check_library_objects.cmake
 
 foreach(var AR ARCHIVE MAP)
@@ -17,14 +17,13 @@ foreach(var AR ARCHIVE MAP)
   endif()
 endforeach()
 
-# Object stems (the source file's name without .cc) that no driver
-# links, each with the reason it stays in the library:
+# Object stems (the source file's name without .cc) that paper does
+# not link, each with the reason it stays in the library:
 #   bench_io        bench_kernels' ledger writer (bench/bench_kernels.cc)
-#   tech            a header-hygiene unit for energy/tech.hh; no code
 #   bitmask         DSTC's bitmask metadata, an oracle candidate (ROADMAP F)
 #   conformance     HSS conformance checks, an oracle candidate (ROADMAP F)
 #   energy_adapter  prices microsim counters, an oracle candidate (ROADMAP F)
-set(allowlist bench_io tech bitmask conformance energy_adapter)
+set(allowlist bench_io bitmask conformance energy_adapter)
 
 execute_process(COMMAND "${AR}" t "${ARCHIVE}"
                 RESULT_VARIABLE rc OUTPUT_VARIABLE listing)
@@ -44,11 +43,11 @@ foreach(member ${members})
   list(FIND allowlist ${stem} allowed)
   if(pos EQUAL -1 AND allowed EQUAL -1)
     string(APPEND failures
-           "\n  ${member}: no driver links it; delete it or allowlist "
+           "\n  ${member}: paper does not link it; delete it or allowlist "
            "it with a reason")
   elseif(NOT pos EQUAL -1 AND NOT allowed EQUAL -1)
     string(APPEND failures
-           "\n  ${member}: a driver links it; drop '${stem}' from the "
+           "\n  ${member}: paper links it; drop '${stem}' from the "
            "allowlist")
   endif()
 endforeach()
@@ -64,5 +63,5 @@ if(failures)
   message(FATAL_ERROR "${archive_name} vs ${MAP}:${failures}")
 endif()
 list(LENGTH members count)
-message(STATUS "${archive_name}: ${count} members, each linked by a "
-               "driver or allowlisted")
+message(STATUS "${archive_name}: ${count} members, each linked by "
+               "paper or allowlisted")

@@ -9,6 +9,7 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/table.hh"
 #include "microsim/simulator.hh"
@@ -17,7 +18,7 @@
 
 int
 main()
-{
+try {
     using namespace highlight;
 
     // The paper's down-sized configuration: C1(2:4) -> C0(2:4)
@@ -78,4 +79,8 @@ main()
         << " - every configuration reproduces the reference GEMM "
            "exactly.\n";
     return 0;
+} catch (const highlight::FatalError &e) {
+    // A bad HIGHLIGHT_THREADS surfaces here, when the pool is built.
+    std::cerr << "microsim_walkthrough: " << e.what() << "\n";
+    return 1;
 }

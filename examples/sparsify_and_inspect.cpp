@@ -8,6 +8,7 @@
 
 #include <iostream>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "format/hierarchical_cp.hh"
 #include "sparsity/conformance.hh"
@@ -17,7 +18,7 @@
 
 int
 main()
-{
+try {
     using namespace highlight;
 
     // Fig 4(b)'s view of a weight tensor with C channels and 2x2
@@ -61,4 +62,8 @@ main()
     std::cout << "  lossless round trip: "
               << (cp.decompress().equals(sparse) ? "yes" : "NO") << "\n";
     return 0;
+} catch (const highlight::FatalError &e) {
+    // A bad HIGHLIGHT_THREADS surfaces here, when the pool is built.
+    std::cerr << "sparsify_and_inspect: " << e.what() << "\n";
+    return 1;
 }

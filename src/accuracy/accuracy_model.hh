@@ -1,7 +1,8 @@
 /**
  * @file
  * Accuracy-loss models for pruned DNNs (substitution for the paper's
- * Condensa [24] pruning + fine-tuning pipeline; see DESIGN.md 1.1).
+ * Condensa [24] pruning + fine-tuning pipeline; see FIDELITY.md,
+ * Substitutions).
  *
  * The paper's Fig 15 plots EDP against accuracy loss after pruning
  * each DNN to various degrees under each co-design approach. Training

@@ -8,6 +8,14 @@
 namespace highlight
 {
 
+namespace
+{
+
+/**
+ * Parse a strictly positive decimal integer of at most `max_value`:
+ * digits only. Returns false, leaving *out untouched, on anything
+ * else.
+ */
 bool
 parsePositiveInt(const char *s, long long max_value, long long *out)
 {
@@ -27,6 +35,8 @@ parsePositiveInt(const char *s, long long max_value, long long *out)
     *out = v;
     return true;
 }
+
+} // namespace
 
 long long
 positiveIntFromEnv(const char *name, long long max_value,

@@ -6,7 +6,7 @@
  * instead of mis-parsing it: std::atoi("4x") silently yields 4 and
  * strtoull("-1") wraps to 2^64-1, both of which turn a typo into a
  * very wrong configuration. Numeric knobs go through
- * parsePositiveInt(), which accepts decimal digits only — no sign,
+ * positiveIntFromEnv(), which accepts decimal digits only — no sign,
  * whitespace, trailing junk or overflow — and a set value it rejects
  * is fatal.
  */
@@ -20,18 +20,10 @@ namespace highlight
 {
 
 /**
- * Parse a strictly positive decimal integer. Accepts digits only
- * (rejects empty strings, signs, whitespace, trailing junk like
- * "4x", zero, and values above `max_value`). Returns false — leaving
- * *out untouched — on anything invalid.
- */
-bool parsePositiveInt(const char *s, long long max_value,
-                      long long *out);
-
-/**
  * Read environment variable `name` as a strictly positive integer in
  * [1, max_value]. Returns `fallback` when the variable is unset. A set
- * value that parsePositiveInt rejects, the empty string included, is
+ * value that is not all decimal digits (the empty string, a sign,
+ * whitespace, trailing junk like "4x"), zero, or above `max_value` is
  * fatal (FatalError naming the variable and the value).
  */
 long long positiveIntFromEnv(const char *name, long long max_value,

@@ -1,8 +1,5 @@
 #include "core/pareto.hh"
 
-#include <algorithm>
-#include <numeric>
-
 namespace highlight
 {
 
@@ -35,30 +32,6 @@ frontierMask(const std::vector<ParetoPoint> &points)
     for (std::size_t i = 0; i < points.size(); ++i)
         mask[i] = !isDominated(points, i);
     return mask;
-}
-
-std::vector<std::size_t>
-paretoFrontier(const std::vector<ParetoPoint> &points)
-{
-    const auto mask = frontierMask(points);
-    std::vector<std::size_t> frontier;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (mask[i])
-            frontier.push_back(i);
-    }
-    std::sort(frontier.begin(), frontier.end(),
-              [&points](std::size_t a, std::size_t b) {
-                  if (points[a].x != points[b].x)
-                      return points[a].x < points[b].x;
-                  return points[a].y < points[b].y;
-              });
-    return frontier;
-}
-
-bool
-onFrontier(const std::vector<ParetoPoint> &points, std::size_t i)
-{
-    return frontierMask(points)[i];
 }
 
 } // namespace highlight

@@ -28,19 +28,6 @@ struct ParetoPoint
  */
 std::vector<bool> frontierMask(const std::vector<ParetoPoint> &points);
 
-/**
- * Indices of the points on the Pareto frontier (no other point is
- * <= in both coordinates with < in at least one). Stable order by x.
- */
-std::vector<std::size_t> paretoFrontier(
-    const std::vector<ParetoPoint> &points);
-
-/**
- * True if points[i] is on the frontier. Prefer frontierMask() when
- * querying many points — this recomputes the sweep per call.
- */
-bool onFrontier(const std::vector<ParetoPoint> &points, std::size_t i);
-
 } // namespace highlight
 
 #endif // HIGHLIGHT_CORE_PARETO_HH

@@ -9,7 +9,7 @@
  * a 16-bit MAC ~ 1x, small RF access ~ 1x, a few-hundred-KB SRAM ~ 6x,
  * DRAM ~ 200x per 16-bit word). Every design is evaluated with the same
  * table, so relative energy — which is what all the figures report — is
- * preserved. See DESIGN.md Sec 1.1.
+ * preserved. See FIDELITY.md, Substitutions.
  */
 
 #ifndef HIGHLIGHT_ENERGY_TECH_HH

@@ -67,15 +67,16 @@ class ThreadPool
     static int defaultThreadCount();
 
     /**
-     * The process-wide pool shared by the evaluation pipeline.
-     * Rebuilt by setGlobalThreads().
+     * The process-wide pool that the microsim and the hierarchical CP
+     * compressor run on, built with the default thread count on first
+     * use. Rebuilt by setGlobalThreads().
      */
     static ThreadPool &global();
 
     /**
      * Rebuild the global pool with the given thread count (0 =
-     * default resolution). Used by the bench drivers' --serial flag
-     * and by tests; call only from single-threaded control flow.
+     * default resolution). Used by tests and perfbench to pin the
+     * count; call only from single-threaded control flow.
      */
     static void setGlobalThreads(int num_threads);
 

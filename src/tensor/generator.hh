@@ -6,7 +6,7 @@
  * with controlled sparsity degrees; the DNN suites need weight-like
  * value distributions so magnitude-based sparsification is meaningful.
  * These generators substitute for the ImageNet/WMT16-trained models we
- * cannot train here (DESIGN.md Sec 1.1, substitution 4).
+ * cannot train here (see FIDELITY.md, Substitutions).
  */
 
 #ifndef HIGHLIGHT_TENSOR_GENERATOR_HH

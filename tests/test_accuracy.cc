@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the accuracy-loss models (the Fig 15 y-axis
- * substitution; see DESIGN.md 1.1).
+ * substitution; see FIDELITY.md, Substitutions).
  */
 
 #include <gtest/gtest.h>

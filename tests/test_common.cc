@@ -281,29 +281,24 @@ TEST(Stats, BinomialPmfsMatchAsTheLgammaTableGrows)
     EXPECT_GT(checked, 0);
 }
 
-TEST(Env, ParsePositiveIntAcceptsOnlyCleanPositiveDecimals)
+TEST(Env, PositiveIntFromEnvAcceptsOnlyCleanPositiveDecimals)
 {
-    long long v = 0;
-    EXPECT_TRUE(parsePositiveInt("1", 100, &v));
-    EXPECT_EQ(v, 1);
-    EXPECT_TRUE(parsePositiveInt("100", 100, &v));
-    EXPECT_EQ(v, 100);
+    const char *knob = "HIGHLIGHT_TEST_ENV_KNOB";
+    ASSERT_EQ(setenv(knob, "1", 1), 0);
+    EXPECT_EQ(positiveIntFromEnv(knob, 100, 7), 1);
+    ASSERT_EQ(setenv(knob, "100", 1), 0);
+    EXPECT_EQ(positiveIntFromEnv(knob, 100, 7), 100);
     // Garbage that naive parsing mis-reads: trailing junk silently
     // truncates under atoi, "-1" wraps under strtoull, "1e6" parses
-    // as 1, and whitespace/sign prefixes sneak through strtol.
-    v = -7;
-    EXPECT_FALSE(parsePositiveInt("4x", 100, &v));
-    EXPECT_FALSE(parsePositiveInt("-1", 100, &v));
-    EXPECT_FALSE(parsePositiveInt("1e6", 100, &v));
-    EXPECT_FALSE(parsePositiveInt("+4", 100, &v));
-    EXPECT_FALSE(parsePositiveInt(" 4", 100, &v));
-    EXPECT_FALSE(parsePositiveInt("4 ", 100, &v));
-    EXPECT_FALSE(parsePositiveInt("", 100, &v));
-    EXPECT_FALSE(parsePositiveInt(nullptr, 100, &v));
-    EXPECT_FALSE(parsePositiveInt("0", 100, &v));
-    EXPECT_FALSE(parsePositiveInt("101", 100, &v)); // above max
-    EXPECT_FALSE(parsePositiveInt("99999999999999999999", 100, &v));
-    EXPECT_EQ(v, -7); // rejected parses leave *out untouched
+    // as 1, and whitespace/sign prefixes sneak through strtol. "101"
+    // is above the maximum.
+    for (const char *bad : {"4x", "-1", "1e6", "+4", " 4", "4 ", "", "0",
+                            "101", "99999999999999999999"}) {
+        ASSERT_EQ(setenv(knob, bad, 1), 0);
+        EXPECT_THROW(positiveIntFromEnv(knob, 100, 7), FatalError)
+            << "'" << bad << "'";
+    }
+    ASSERT_EQ(unsetenv(knob), 0);
 }
 
 TEST(Env, PositiveIntFromEnvRejectsGarbage)

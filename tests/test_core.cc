@@ -171,20 +171,16 @@ TEST(Pareto, FrontierBasics)
         {0.9, 0.9, "c"},
         {0.2, 2.0, "d"},
     };
-    const auto frontier = paretoFrontier(pts);
     // b dominates c and a; d survives on x; b survives.
-    ASSERT_EQ(frontier.size(), 2u);
-    EXPECT_EQ(pts[frontier[0]].label, "d");
-    EXPECT_EQ(pts[frontier[1]].label, "b");
-    EXPECT_TRUE(onFrontier(pts, 1));
-    EXPECT_FALSE(onFrontier(pts, 0));
+    EXPECT_EQ(frontierMask(pts),
+              (std::vector<bool>{false, true, false, true}));
 }
 
 TEST(Pareto, DuplicatePointsBothOnFrontier)
 {
     const std::vector<ParetoPoint> pts = {{1.0, 1.0, "a"},
                                           {1.0, 1.0, "b"}};
-    EXPECT_EQ(paretoFrontier(pts).size(), 2u);
+    EXPECT_EQ(frontierMask(pts), (std::vector<bool>{true, true}));
 }
 
 TEST(Pareto, HighlightOnResnetFrontier)
@@ -214,10 +210,10 @@ TEST(Pareto, HighlightOnResnetFrontier)
 
     // HighLight contributes to the frontier (its sparsest point wins
     // the low-EDP end outright in the paper and here)...
-    const auto frontier = paretoFrontier(points);
+    const auto on_frontier = frontierMask(points);
     bool highlight_on_frontier = false;
-    for (std::size_t idx : frontier)
-        highlight_on_frontier |= is_highlight[idx];
+    for (std::size_t i = 0; i < points.size(); ++i)
+        highlight_on_frontier |= on_frontier[i] && is_highlight[i];
     EXPECT_TRUE(highlight_on_frontier);
     // ...and no HighLight point is dominated by a dense or one-rank
     // structured competitor (only unstructured DSTC trades blows at

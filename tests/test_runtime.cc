@@ -652,11 +652,6 @@ TEST(ParallelEquivalence, FrontierMaskIsThreadCountIndependent)
     ThreadPool::setGlobalThreads(4);
     const auto parallel = frontierMask(points);
     EXPECT_EQ(serial, parallel);
-
-    // And the index list agrees with the mask.
-    const auto frontier = paretoFrontier(points);
-    for (std::size_t i : frontier)
-        EXPECT_TRUE(parallel[i]);
 }
 
 TEST(ParallelEquivalence, MicrosimPerJobSeedsAreThreadCountIndependent)
