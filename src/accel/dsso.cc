@@ -52,10 +52,7 @@ fitsBSupport(const OperandSparsity &b)
 
 } // namespace
 
-DssoAccel::DssoAccel(ComponentLibrary lib)
-    : Accelerator(dssoArch(), lib)
-{
-}
+DssoAccel::DssoAccel() : Accelerator(dssoArch()) {}
 
 bool
 DssoAccel::supports(const GemmWorkload &w) const

@@ -24,7 +24,7 @@ namespace highlight
 class DssoAccel : public Accelerator
 {
   public:
-    explicit DssoAccel(ComponentLibrary lib = ComponentLibrary());
+    DssoAccel();
 
     std::string supportedPatternsA() const override
     {

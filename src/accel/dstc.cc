@@ -6,7 +6,7 @@
 namespace highlight
 {
 
-DstcLike::DstcLike(ComponentLibrary lib) : Accelerator(dstcArch(), lib) {}
+DstcLike::DstcLike() : Accelerator(dstcArch()) {}
 
 bool
 DstcLike::supports(const GemmWorkload &) const

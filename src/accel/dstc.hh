@@ -23,7 +23,7 @@ namespace highlight
 class DstcLike : public Accelerator
 {
   public:
-    explicit DstcLike(ComponentLibrary lib = ComponentLibrary());
+    DstcLike();
 
     std::string supportedPatternsA() const override
     {

@@ -17,8 +17,8 @@ const std::vector<int> kHmaxPerRank = {4, 8};
 
 } // namespace
 
-HighLightAccel::HighLightAccel(ComponentLibrary lib)
-    : Accelerator(highlightArch(), lib),
+HighLightAccel::HighLightAccel()
+    : Accelerator(highlightArch()),
       mux_model_(buildHssMuxModel(kGPerRank, kHmaxPerRank,
                                   highlightArch().pes_per_array,
                                   highlightArch().num_arrays))

@@ -24,7 +24,7 @@ namespace highlight
 class HighLightAccel : public Accelerator
 {
   public:
-    explicit HighLightAccel(ComponentLibrary lib = ComponentLibrary());
+    HighLightAccel();
 
     std::string supportedPatternsA() const override
     {
@@ -38,9 +38,6 @@ class HighLightAccel : public Accelerator
     bool supports(const GemmWorkload &w) const override;
     EvalResult evaluate(const GemmWorkload &w) const override;
     std::vector<BreakdownEntry> areaBreakdown() const override;
-
-    /** The skipping-SAF mux structure (for Fig 6(b)/Fig 16(b)). */
-    const MuxModel &muxModel() const { return mux_model_; }
 
     /** True if the HSS spec fits the supported rank patterns. */
     static bool fitsWeightSupport(const HssSpec &spec);

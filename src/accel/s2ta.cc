@@ -10,7 +10,7 @@
 namespace highlight
 {
 
-S2taLike::S2taLike(ComponentLibrary lib) : Accelerator(s2taArch(), lib) {}
+S2taLike::S2taLike() : Accelerator(s2taArch()) {}
 
 int
 S2taLike::quantizeG8(double density)

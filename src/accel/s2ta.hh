@@ -22,7 +22,7 @@ namespace highlight
 class S2taLike : public Accelerator
 {
   public:
-    explicit S2taLike(ComponentLibrary lib = ComponentLibrary());
+    S2taLike();
 
     std::string supportedPatternsA() const override
     {

@@ -5,7 +5,7 @@
 namespace highlight
 {
 
-StcLike::StcLike(ComponentLibrary lib) : Accelerator(stcArch(), lib) {}
+StcLike::StcLike() : Accelerator(stcArch()) {}
 
 bool
 StcLike::fitsSparseMode(const OperandSparsity &a)

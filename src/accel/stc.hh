@@ -23,7 +23,7 @@ namespace highlight
 class StcLike : public Accelerator
 {
   public:
-    explicit StcLike(ComponentLibrary lib = ComponentLibrary());
+    StcLike();
 
     std::string supportedPatternsA() const override
     {

@@ -3,7 +3,7 @@
 namespace highlight
 {
 
-TcLike::TcLike(ComponentLibrary lib) : Accelerator(tcArch(), lib) {}
+TcLike::TcLike() : Accelerator(tcArch()) {}
 
 bool
 TcLike::supports(const GemmWorkload &) const

@@ -20,7 +20,7 @@ namespace highlight
 class TcLike : public Accelerator
 {
   public:
-    explicit TcLike(ComponentLibrary lib = ComponentLibrary());
+    TcLike();
 
     std::string supportedPatternsA() const override { return "dense"; }
     std::string supportedPatternsB() const override { return "dense"; }

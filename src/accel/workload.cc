@@ -55,13 +55,6 @@ OperandSparsity::str() const
     return oss.str();
 }
 
-double
-GemmWorkload::denseMacs() const
-{
-    return static_cast<double>(m) * static_cast<double>(k) *
-           static_cast<double>(n);
-}
-
 GemmWorkload
 GemmWorkload::swapped() const
 {

@@ -50,9 +50,6 @@ struct GemmWorkload
     OperandSparsity a;
     OperandSparsity b;
 
-    /** Total dense multiply count M*K*N. */
-    double denseMacs() const;
-
     /**
      * The operand-swapped workload (paper Sec 7.1.1: MM accelerators
      * treat operands interchangeably): C^T = B^T * A^T exchanges the

@@ -8,20 +8,6 @@ namespace highlight
 {
 
 std::string
-dnnNameStr(DnnName model)
-{
-    switch (model) {
-      case DnnName::ResNet50:
-        return "ResNet50";
-      case DnnName::TransformerBig:
-        return "Transformer-Big";
-      case DnnName::DeitSmall:
-        return "DeiT-small";
-    }
-    return "?";
-}
-
-std::string
 approachStr(PruningApproach approach)
 {
     switch (approach) {
@@ -143,7 +129,7 @@ double
 AccuracyModel::loss(DnnName model, PruningApproach approach,
                     double weight_sparsity)
 {
-    if (weight_sparsity < 0.0 || weight_sparsity >= 1.0)
+    if (!(0.0 <= weight_sparsity && weight_sparsity < 1.0))
         fatal(msgOf("AccuracyModel::loss: sparsity ", weight_sparsity,
                     " outside [0, 1)"));
     if (approach == PruningApproach::Dense || weight_sparsity == 0.0)

@@ -50,7 +50,6 @@ enum class PruningApproach
     Channel,      ///< Whole-channel pruning.
 };
 
-std::string dnnNameStr(DnnName model);
 std::string approachStr(PruningApproach approach);
 
 /**
@@ -62,7 +61,8 @@ class AccuracyModel
     /**
      * Accuracy loss (points) for pruning the given model's prunable
      * weights to `weight_sparsity` under the given approach.
-     * Monotone piecewise-linear in sparsity; 0 at sparsity 0.
+     * Monotone piecewise-linear in sparsity; 0 at sparsity 0. Fatal
+     * unless 0 <= weight_sparsity < 1.
      */
     static double loss(DnnName model, PruningApproach approach,
                        double weight_sparsity);

@@ -6,11 +6,6 @@
 namespace highlight
 {
 
-namespace
-{
-bool verboseEnabled = true;
-} // namespace
-
 void
 fatal(const std::string &msg)
 {
@@ -26,21 +21,7 @@ panic(const std::string &msg)
 void
 warn(const std::string &msg)
 {
-    if (verboseEnabled)
-        std::cerr << "warn: " << msg << "\n";
-}
-
-void
-inform(const std::string &msg)
-{
-    if (verboseEnabled)
-        std::cerr << "info: " << msg << "\n";
-}
-
-void
-setVerbose(bool verbose)
-{
-    verboseEnabled = verbose;
+    std::cerr << "warn: " << msg << "\n";
 }
 
 std::string

@@ -4,8 +4,8 @@
  *
  * Follows the gem5 convention: fatal() is for user errors (bad
  * configuration, unsupported workload) and exits cleanly; panic() is for
- * internal invariant violations (library bugs) and aborts; warn() and
- * inform() are non-fatal status channels.
+ * internal invariant violations (library bugs) and aborts; warn() is
+ * the non-fatal status channel.
  */
 
 #ifndef HIGHLIGHT_COMMON_LOGGING_HH
@@ -53,12 +53,6 @@ class PanicError : public std::logic_error
  * approximation that might surprise the user.
  */
 void warn(const std::string &msg);
-
-/** Emit an informational status message to stderr. */
-void inform(const std::string &msg);
-
-/** Enable/disable warn()/inform() output (on by default). */
-void setVerbose(bool verbose);
 
 /**
  * Build a message from streamable parts, e.g.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/logging.hh"
 
@@ -74,21 +73,6 @@ geomean(const std::vector<double> &values)
 }
 
 double
-mean(const std::vector<double> &values)
-{
-    requireNonEmpty(values, "mean");
-    const double sum = std::accumulate(values.begin(), values.end(), 0.0);
-    return sum / static_cast<double>(values.size());
-}
-
-double
-minOf(const std::vector<double> &values)
-{
-    requireNonEmpty(values, "minOf");
-    return *std::min_element(values.begin(), values.end());
-}
-
-double
 maxOf(const std::vector<double> &values)
 {
     requireNonEmpty(values, "maxOf");
@@ -116,7 +100,9 @@ binomialPmfs(int n, double p, std::vector<double> &out)
     if (n < 0)
         panic("binomialPmfs: negative n");
     out.resize(static_cast<std::size_t>(n) + 1);
-    if (p <= 0.0 || p >= 1.0) {
+    // At p <= 0 or p >= 1 the logs below are not finite; binomialPmf
+    // defines those masses. A NaN p goes there too.
+    if (!(0.0 < p && p < 1.0)) {
         for (int k = 0; k <= n; ++k)
             out[k] = binomialPmf(n, k, p);
         return;

@@ -3,7 +3,7 @@
  * Small statistics helpers shared by the evaluation harness and benches.
  *
  * The paper reports geometric means across workloads (Fig 14) and
- * min/max factors ("up to 20.4x"), so those summaries live here.
+ * max factors ("up to 20.4x"), so those summaries live here.
  */
 
 #ifndef HIGHLIGHT_COMMON_STATS_HH
@@ -16,12 +16,6 @@ namespace highlight
 
 /** Geometric mean of strictly positive values. Fatal on empty/non-pos. */
 double geomean(const std::vector<double> &values);
-
-/** Arithmetic mean. Fatal on empty input. */
-double mean(const std::vector<double> &values);
-
-/** Minimum element. Fatal on empty input. */
-double minOf(const std::vector<double> &values);
 
 /** Maximum element. Fatal on empty input. */
 double maxOf(const std::vector<double> &values);

@@ -68,23 +68,6 @@ TextTable::print(std::ostream &os) const
         emit(row);
 }
 
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    auto emit = [&os](const std::vector<std::string> &cells) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (i)
-                os << ",";
-            os << cells[i];
-        }
-        os << "\n";
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
-}
-
 namespace
 {
 

@@ -4,7 +4,7 @@
  *
  * Every bench binary regenerates one of the paper's tables or figures as
  * rows of text; TextTable keeps the formatting consistent (aligned
- * columns, optional title, CSV export for plotting).
+ * columns, optional title, JSON export).
  */
 
 #ifndef HIGHLIGHT_COMMON_TABLE_HH
@@ -45,9 +45,6 @@ class TextTable
 
     /** Render the aligned table. */
     void print(std::ostream &os) const;
-
-    /** Render as CSV (comma-separated, header first). */
-    void printCsv(std::ostream &os) const;
 
     /**
      * Render as JSON: {"title": ..., "header": [...], "rows": [[...]]}.

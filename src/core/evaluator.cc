@@ -108,6 +108,10 @@ std::vector<GemmWorkload>
 Evaluator::buildDnnWorkloads(const DnnModel &model,
                              const DnnScenario &scenario) const
 {
+    if (!(0.0 <= scenario.weight_sparsity && scenario.weight_sparsity < 1.0))
+        fatal(msgOf("buildDnnWorkloads: ", scenario.design,
+                    "'s weight sparsity ", scenario.weight_sparsity,
+                    " outside [0, 1)"));
     std::vector<GemmWorkload> suite;
     // The HSS weight pattern depends only on the scenario: chosen once,
     // when the first prunable layer needs it.

@@ -93,7 +93,7 @@ class Evaluator
      * Build the per-layer workloads for a DNN under a scenario: the
      * design's pruning approach is applied to prunable layers (choosing
      * the design's nearest supported pattern) and activations carry the
-     * model's typical density.
+     * model's typical density. Fatal unless 0 <= weight_sparsity < 1.
      */
     std::vector<GemmWorkload> buildDnnWorkloads(
         const DnnModel &model, const DnnScenario &scenario) const;

@@ -8,23 +8,6 @@
 namespace highlight
 {
 
-std::vector<double>
-HssDesignReport::latencies() const
-{
-    // With skipping SAFs and perfect structured balance, relative
-    // processing latency at a supported degree equals its density
-    // (Fig 6(a)).
-    std::vector<double> out;
-    for (const auto &d : degrees)
-        out.push_back(d.density);
-    return out;
-}
-
-DesignSpaceExplorer::DesignSpaceExplorer(ComponentLibrary lib)
-    : lib_(lib)
-{
-}
-
 HssDesignReport
 DesignSpaceExplorer::analyze(const HssDesignConfig &config) const
 {

@@ -5,9 +5,10 @@
  * Given candidate hardware configurations — how many HSS ranks, which
  * fixed G and H range per rank, and how the SAFs are laid out across
  * PEs and arrays — the explorer reports each design's supported
- * sparsity degrees, its per-rank Hmax, its relative processing latency
- * at each degree, and its muxing sparsity tax. This regenerates the
- * S-vs-SS comparison of Fig 6(a)/(b) and the rank-count ablation.
+ * sparsity degrees (a degree's density is its relative processing
+ * latency), its per-rank Hmax, and its muxing sparsity tax. This
+ * regenerates the S-vs-SS comparison of Fig 6(a)/(b) and the
+ * rank-count ablation.
  */
 
 #ifndef HIGHLIGHT_CORE_EXPLORER_HH
@@ -42,9 +43,6 @@ struct HssDesignReport
     long total_mux2 = 0;                  ///< 2:1-mux equivalents.
     double mux_area_um2 = 0.0;
     double mux_energy_per_step_pj = 0.0;
-
-    /** Relative processing latency at each degree (= density). */
-    std::vector<double> latencies() const;
 };
 
 /**
@@ -53,9 +51,6 @@ struct HssDesignReport
 class DesignSpaceExplorer
 {
   public:
-    explicit DesignSpaceExplorer(
-        ComponentLibrary lib = ComponentLibrary());
-
     /** Analyze one configuration. */
     HssDesignReport analyze(const HssDesignConfig &config) const;
 

@@ -10,13 +10,18 @@ namespace highlight
 GemmTiling
 computeTiling(const ArchSpec &arch, std::int64_t m, std::int64_t k,
               std::int64_t n, double a_stored_density,
-              double b_stored_density, const GlbPartition &part)
+              double b_stored_density)
 {
     if (m < 1 || k < 1 || n < 1)
         fatal(msgOf("computeTiling: bad GEMM ", m, "x", k, "x", n));
-    if (a_stored_density <= 0.0 || a_stored_density > 1.0 ||
-        b_stored_density <= 0.0 || b_stored_density > 1.0)
-        fatal("computeTiling: stored densities must be in (0, 1]");
+    // Written so that a NaN fails too: it would reach the float-to-int
+    // tile casts below.
+    if (!(0.0 < a_stored_density && a_stored_density <= 1.0) ||
+        !(0.0 < b_stored_density && b_stored_density <= 1.0))
+        fatal(msgOf("computeTiling: stored densities must be in (0, 1], "
+                    "got A ", a_stored_density, " and B ",
+                    b_stored_density));
+    const GlbPartition part;
 
     GemmTiling t;
     t.m = m;

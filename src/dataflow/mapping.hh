@@ -52,12 +52,13 @@ struct GemmTiling
  * @param m,k,n            GEMM dimensions.
  * @param a_stored_density Stored fraction of A (compression in effect).
  * @param b_stored_density Stored fraction of B.
- * @param part             GLB share split.
+ *
+ * Each operand's tile gets its GlbPartition share. Fatal unless both
+ * stored densities are in (0, 1]; a NaN is rejected too.
  */
 GemmTiling computeTiling(const ArchSpec &arch, std::int64_t m,
                          std::int64_t k, std::int64_t n,
-                         double a_stored_density, double b_stored_density,
-                         const GlbPartition &part = {});
+                         double a_stored_density, double b_stored_density);
 
 } // namespace highlight
 

@@ -60,7 +60,8 @@ DnnLayer convToGemm(const ConvShape &conv, bool prunable = true);
 /**
  * Toeplitz-expand an input activation tensor [C, H, W] for the given
  * convolution into the (C*R*S) x (P*Q) operand-B matrix (Fig 8(a)).
- * Used by the micro-simulator examples to run real convolutions.
+ * The tests use it to check, on real data, that convToGemm's shapes
+ * compute the convolution, in the microsim too.
  */
 DenseTensor toeplitzExpand(const DenseTensor &input,
                            const ConvShape &conv);

@@ -7,8 +7,6 @@
 namespace highlight
 {
 
-ComponentLibrary::ComponentLibrary(TechnologyParams tech) : tech_(tech) {}
-
 double
 ComponentLibrary::rfAccessPj(double capacity_kb) const
 {

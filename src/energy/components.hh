@@ -3,9 +3,10 @@
  * Accelergy-style component library (paper Sec 7.1.3).
  *
  * Translates (component, action) pairs into pJ, and component instances
- * into um^2, from a TechnologyParams table. Storage access energies
- * scale with the square root of capacity relative to each family's
- * reference point — the usual wordline/bitline scaling CACTI exhibits.
+ * into um^2, from the 65nm TechnologyParams table. Storage access
+ * energies scale with the square root of capacity relative to each
+ * family's reference point — the usual wordline/bitline scaling CACTI
+ * exhibits.
  */
 
 #ifndef HIGHLIGHT_ENERGY_COMPONENTS_HH
@@ -26,9 +27,6 @@ namespace highlight
 class ComponentLibrary
 {
   public:
-    explicit ComponentLibrary(
-        TechnologyParams tech = TechnologyParams::default65nm());
-
     const TechnologyParams &tech() const { return tech_; }
 
     // --- per-action energies (pJ) ---

@@ -47,9 +47,6 @@ struct TechnologyParams
     double rf_area_um2_per_bit = 1.5;   ///< Small RF arrays.
     double reg_area_um2_per_bit = 2.0;  ///< Flip-flop based registers.
     double mux2_area_um2 = 26.0;        ///< 16-bit 2-to-1 mux.
-
-    /** The default 65nm parameter set. */
-    static TechnologyParams default65nm() { return {}; }
 };
 
 } // namespace highlight

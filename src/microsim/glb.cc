@@ -10,20 +10,6 @@ namespace highlight
 MicroGlb::MicroGlb(const float *data, std::int64_t len, int row_words)
     : data_(data), len_(len), row_words_(row_words)
 {
-    validate();
-}
-
-MicroGlb::MicroGlb(std::vector<float> data, int row_words)
-    : owned_(std::move(data)), data_(owned_.data()),
-      len_(static_cast<std::int64_t>(owned_.size())),
-      row_words_(row_words)
-{
-    validate();
-}
-
-void
-MicroGlb::validate() const
-{
     if (row_words_ < 1)
         fatal(msgOf("MicroGlb: row_words ", row_words_));
     if (len_ < 0)
@@ -54,14 +40,6 @@ MicroGlb::fetchRowInto(std::int64_t row, float *out)
     std::copy(data_ + begin, data_ + begin + valid, out);
     std::fill(out + valid, out + row_words_, 0.0f);
     return static_cast<int>(valid);
-}
-
-std::vector<float>
-MicroGlb::fetchRow(std::int64_t row)
-{
-    std::vector<float> out(static_cast<std::size_t>(row_words_));
-    fetchRowInto(row, out.data());
-    return out;
 }
 
 } // namespace highlight

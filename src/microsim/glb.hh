@@ -18,7 +18,6 @@
 #define HIGHLIGHT_MICROSIM_GLB_HH
 
 #include <cstdint>
-#include <vector>
 
 namespace highlight
 {
@@ -67,19 +66,6 @@ class MicroGlb
      */
     MicroGlb(const float *data, std::int64_t len, int row_words);
 
-    /**
-     * Convenience owning constructor (tests, walkthroughs): copies the
-     * stream into internal storage and views that. Enforces the same
-     * invariants as the view constructor.
-     */
-    MicroGlb(std::vector<float> data, int row_words);
-
-    // Non-copyable/movable: `data_` may point into this object's own
-    // `owned_` storage, which a default copy/move would alias or leave
-    // dangling.
-    MicroGlb(const MicroGlb &) = delete;
-    MicroGlb &operator=(const MicroGlb &) = delete;
-
     /** Number of whole rows (the stream is zero-padded to row width). */
     std::int64_t numRows() const;
 
@@ -94,9 +80,6 @@ class MicroGlb
      */
     int fetchRowInto(std::int64_t row, float *out);
 
-    /** As fetchRowInto, returning a fresh vector (tests only). */
-    std::vector<float> fetchRow(std::int64_t row);
-
     /** Zero the access counters for the next restreaming pass. */
     void reset() { stats_ = GlbStats{}; }
 
@@ -104,10 +87,6 @@ class MicroGlb
     const GlbStats &stats() const { return stats_; }
 
   private:
-    /** Invariants shared by both constructors. */
-    void validate() const;
-
-    std::vector<float> owned_; ///< Backing store for the owning ctor.
     const float *data_ = nullptr;
     std::int64_t len_ = 0;
     int row_words_;

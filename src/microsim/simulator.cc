@@ -108,7 +108,7 @@ namespace
 truncatedStream(std::int64_t set_idx, std::int64_t need,
                 std::int64_t got)
 {
-    panic(msgOf("RowWorker: truncated operand-B stream — set ",
+    panic(msgOf("OperandBPass: truncated operand-B stream — set ",
                 set_idx, " needs ", need, " words, got ", got));
 }
 

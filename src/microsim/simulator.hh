@@ -98,7 +98,8 @@ struct SimResult
  * columns of a group before the next group — so each VFMU shift
  * delivers one set while A stays stationary. `b` must be K x N with K
  * divisible by `set_span`. This is the single source of the stream
- * ordering, used by run() and by tests that drive RowWorker directly.
+ * ordering, used by run() and by tests that drive RowGroupWorker
+ * directly.
  */
 std::vector<float> buildOrderedBStream(const DenseTensor &b,
                                        std::int64_t set_span);
@@ -276,7 +277,7 @@ class RowGroupWorker
     /**
      * Simulate output rows [row0, row0 + nrows), accumulating into
      * out[r*N .. +N) for each row r, against the operand-B pass.
-     * `nrows` must be in [1, groupCapacity()], the rows must exist in
+     * `nrows` must be in [1, group_capacity], the rows must exist in
      * operand A, and `out` must be a rank-2 tensor of ctx.n columns and
      * at least row0 + nrows rows (fatal otherwise). Without a shared
      * pass the first call runs OperandBPass, which panics on a
@@ -295,17 +296,8 @@ class RowGroupWorker
     void runGroup(std::int64_t row0, int nrows, DenseTensor &out,
                   LaneKernel kernel);
 
-    /** Single-row convenience (the ungrouped steady state). */
-    void
-    runRow(std::int64_t row, DenseTensor &out)
-    {
-        runGroup(row, 1, out);
-    }
-
     /** Activity accumulated over every row this worker has run. */
     const SimStats &stats() const { return stats_; }
-
-    int groupCapacity() const { return group_capacity_; }
 
   private:
     /**
@@ -325,12 +317,6 @@ class RowGroupWorker
     std::vector<double> pe_sum_, row_sum_;
     SimStats stats_;
 };
-
-/**
- * The historical single-row worker name; a RowGroupWorker with the
- * default group capacity of one row.
- */
-using RowWorker = RowGroupWorker;
 
 /**
  * The micro-simulator.

@@ -95,9 +95,6 @@ class Vfmu
      */
     void reset();
 
-    /** Valid words currently buffered. */
-    int validWords() const { return size_; }
-
     /** True when the stream and buffer are exhausted. */
     bool exhausted() const;
 

@@ -13,7 +13,7 @@ namespace highlight
 double
 blockNonEmptyProb(double density, std::int64_t block)
 {
-    if (density < 0.0 || density > 1.0)
+    if (!(0.0 <= density && density <= 1.0))
         fatal(msgOf("blockNonEmptyProb: density ", density));
     if (block < 1)
         fatal(msgOf("blockNonEmptyProb: block ", block));
@@ -85,12 +85,6 @@ unstructuredUtilization(double density, int lane_width, int sample_block)
                 balanceUtilization(density, lane_width, sample_block)};
     }
     return slot.util;
-}
-
-double
-hssDensity(const HssSpec &spec)
-{
-    return spec.density();
 }
 
 } // namespace highlight

@@ -1,7 +1,8 @@
 /**
  * @file
  * Statistical density models (the Sparseloop methodology [54]; the
- * paper adds an HSS density model, Sec 7.1.3).
+ * paper adds an HSS density model, Sec 7.1.3: a conforming operand's
+ * stored and compute density is exactly HssSpec::density()).
  *
  * Structured operands have *fixed* per-tile occupancy — that is the
  * whole point of HSS: tile occupancy equals G/H exactly, so workload
@@ -14,8 +15,6 @@
 #define HIGHLIGHT_MODEL_DENSITY_HH
 
 #include <cstdint>
-
-#include "sparsity/hss.hh"
 
 namespace highlight
 {
@@ -49,13 +48,6 @@ double blockNonEmptyProb(double density, std::int64_t block);
  */
 double unstructuredUtilization(double density, int lane_width,
                                int sample_block = 128);
-
-/**
- * The HSS density model: the exact stored/compute density of a
- * conforming operand is prod(Gn/Hn); this helper merely documents the
- * equivalence and funnels every model through one call site.
- */
-double hssDensity(const HssSpec &spec);
 
 } // namespace highlight
 

@@ -165,7 +165,6 @@ evaluateTraffic(const ArchSpec &arch, const ComponentLibrary &lib,
     // --- SAFs ---
     double saf_pj = p.mux_pj_per_step * steps;
     saf_pj += p.saf_pj_per_b_fetch * glb_b_reads;
-    saf_pj += p.saf_pj_per_a_word * glb_a_reads;
     if (saf_pj > 0.0)
         r.addEnergy("saf", saf_pj);
 

@@ -98,7 +98,6 @@ struct TrafficParams
     // --- SAF costs ---
     double mux_pj_per_step = 0.0;        ///< Whole-chip mux energy/step.
     double saf_pj_per_b_fetch = 0.0;     ///< e.g. VFMU buffer per word.
-    double saf_pj_per_a_word = 0.0;      ///< A-side decode per word.
 };
 
 /**

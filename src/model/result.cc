@@ -24,12 +24,6 @@ EvalResult::totalEnergyPj() const
 }
 
 double
-EvalResult::totalAreaUm2() const
-{
-    return breakdownTotal(area_um2);
-}
-
-double
 EvalResult::delaySeconds() const
 {
     return cycles / (clock_mhz * 1e6);

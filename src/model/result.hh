@@ -40,9 +40,6 @@ struct EvalResult
     /** Total energy in pJ. */
     double totalEnergyPj() const;
 
-    /** Total area in um^2. */
-    double totalAreaUm2() const;
-
     /** Execution time in seconds. */
     double delaySeconds() const;
 

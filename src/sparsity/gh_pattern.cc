@@ -18,12 +18,6 @@ GhPattern::density() const
     return static_cast<double>(g) / static_cast<double>(h);
 }
 
-double
-GhPattern::sparsity() const
-{
-    return 1.0 - density();
-}
-
 std::string
 GhPattern::str() const
 {

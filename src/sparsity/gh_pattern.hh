@@ -31,9 +31,6 @@ struct GhPattern
     /** Fraction of elements allowed nonzero: G/H. */
     double density() const;
 
-    /** Fraction of elements forced zero: 1 - G/H. */
-    double sparsity() const;
-
     /** True for G == H (no pruning constraint). */
     bool isDense() const { return g == h; }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <sstream>
 
 #include "common/logging.hh"
 
@@ -23,12 +22,6 @@ HssSpec::HssSpec(std::vector<GhPattern> rank_patterns)
 {
     if (patterns_.empty())
         fatal("HssSpec: no ranks");
-}
-
-HssSpec
-HssSpec::dense()
-{
-    return HssSpec({GhPattern(1, 1)});
 }
 
 const GhPattern &
@@ -108,16 +101,6 @@ RankSupport::patterns() const
     for (int h = h_min; h <= h_max; ++h)
         out.emplace_back(g, h);
     return out;
-}
-
-std::string
-RankSupport::str() const
-{
-    if (h_min == h_max)
-        return GhPattern(g, h_min).str();
-    std::ostringstream oss;
-    oss << g << ":{" << h_min << "<=H<=" << h_max << "}";
-    return oss.str();
 }
 
 std::vector<HssDegree>

@@ -35,9 +35,6 @@ class HssSpec
     /** Construct from per-rank patterns, rank 0 first. */
     explicit HssSpec(std::vector<GhPattern> rank_patterns);
 
-    /** A dense "HSS" (N ranks of G=H); density 1. */
-    static HssSpec dense();
-
     /** Number of sparse ranks N. */
     std::size_t numRanks() const { return patterns_.size(); }
 
@@ -105,9 +102,6 @@ struct RankSupport
 
     /** All patterns G:h for h in [h_min, h_max]. */
     std::vector<GhPattern> patterns() const;
-
-    /** "G:{h_min<=H<=h_max}" or "G:H" when the range is a point. */
-    std::string str() const;
 };
 
 /**

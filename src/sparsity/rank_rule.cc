@@ -42,15 +42,6 @@ RankRule::single() const
     return patterns_.front();
 }
 
-int
-RankRule::hMax() const
-{
-    int hmax = 0;
-    for (const auto &p : patterns_)
-        hmax = std::max(hmax, p.h);
-    return hmax;
-}
-
 std::string
 RankRule::str() const
 {

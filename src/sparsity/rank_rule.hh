@@ -55,9 +55,6 @@ class RankRule
     /** The single pattern; fatal if the rule allows several or none. */
     const GhPattern &single() const;
 
-    /** Largest H across allowed patterns (the hardware's Hmax). */
-    int hMax() const;
-
     /**
      * Rule text as it appears inside "(...)" in Table 2: "" for dense,
      * "Unconstrained", "2:4", or "2:{2<=H<=4}" for compact ranges.

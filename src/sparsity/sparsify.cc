@@ -127,7 +127,7 @@ hssSparsifyColumns(const DenseTensor &matrix, const HssSpec &spec)
 DenseTensor
 unstructuredSparsify(const DenseTensor &tensor, double sparsity)
 {
-    if (sparsity < 0.0 || sparsity > 1.0)
+    if (!(0.0 <= sparsity && sparsity <= 1.0))
         fatal(msgOf("unstructuredSparsify: sparsity ", sparsity,
                     " outside [0, 1]"));
     DenseTensor out = tensor;

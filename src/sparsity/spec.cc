@@ -14,17 +14,6 @@ SparsitySpec::SparsitySpec(std::vector<RankSpec> ranks)
         fatal("SparsitySpec: no ranks");
 }
 
-std::size_t
-SparsitySpec::numGhRanks() const
-{
-    std::size_t n = 0;
-    for (const auto &r : ranks_) {
-        if (r.rule.isGh())
-            ++n;
-    }
-    return n;
-}
-
 double
 SparsitySpec::structuredDensity() const
 {

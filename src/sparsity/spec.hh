@@ -39,9 +39,6 @@ class SparsitySpec
 
     const std::vector<RankSpec> &ranks() const { return ranks_; }
 
-    /** Number of ranks that carry a G:H rule (the "N" of N-rank HSS). */
-    std::size_t numGhRanks() const;
-
     /**
      * Overall density if every G:H rank is fully occupied:
      * prod(Gn/Hn) over G:H ranks (unconstrained ranks contribute an

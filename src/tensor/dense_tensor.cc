@@ -21,12 +21,6 @@ DenseTensor::DenseTensor(TensorShape shape, std::vector<float> data)
                     " != shape numel ", shape_.numel()));
 }
 
-DenseTensor
-DenseTensor::matrix(std::int64_t rows, std::int64_t cols)
-{
-    return DenseTensor(TensorShape({{"M", rows}, {"K", cols}}));
-}
-
 float
 DenseTensor::at(const std::vector<std::int64_t> &index) const
 {
@@ -37,22 +31,6 @@ void
 DenseTensor::set(const std::vector<std::int64_t> &index, float value)
 {
     data_[static_cast<std::size_t>(shape_.flatIndex(index))] = value;
-}
-
-float
-DenseTensor::atFlat(std::int64_t flat) const
-{
-    if (flat < 0 || flat >= numel())
-        panic(msgOf("atFlat: index ", flat, " out of range ", numel()));
-    return data_[static_cast<std::size_t>(flat)];
-}
-
-void
-DenseTensor::setFlat(std::int64_t flat, float value)
-{
-    if (flat < 0 || flat >= numel())
-        panic(msgOf("setFlat: index ", flat, " out of range ", numel()));
-    data_[static_cast<std::size_t>(flat)] = value;
 }
 
 float

@@ -36,32 +36,12 @@ class DenseTensor
     /** Construct from shape and explicit row-major data. */
     DenseTensor(TensorShape shape, std::vector<float> data);
 
-    /** Convenience: 2-D matrix with dims named "M" (rows), "K" (cols). */
-    static DenseTensor matrix(std::int64_t rows, std::int64_t cols);
-
     const TensorShape &shape() const { return shape_; }
     std::int64_t numel() const { return shape_.numel(); }
 
     /** Element access by multi-index (outermost dimension first). */
     float at(const std::vector<std::int64_t> &index) const;
     void set(const std::vector<std::int64_t> &index, float value);
-
-    /** Element access by flat row-major offset. */
-    float atFlat(std::int64_t flat) const;
-    void setFlat(std::int64_t flat, float value);
-
-    /**
-     * Unchecked flat access for hot loops (the micro-simulator's
-     * output accumulation): the caller guarantees 0 <= flat < numel().
-     */
-    float atFlatUnchecked(std::int64_t flat) const
-    {
-        return data_[static_cast<std::size_t>(flat)];
-    }
-    void setFlatUnchecked(std::int64_t flat, float value)
-    {
-        data_[static_cast<std::size_t>(flat)] = value;
-    }
 
     /** 2-D convenience accessors (valid only for rank-2 tensors). */
     float at2(std::int64_t row, std::int64_t col) const;

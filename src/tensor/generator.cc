@@ -35,7 +35,7 @@ randomDense(const TensorShape &shape, Rng &rng)
 DenseTensor
 randomUnstructured(const TensorShape &shape, double sparsity, Rng &rng)
 {
-    if (sparsity < 0.0 || sparsity > 1.0)
+    if (!(0.0 <= sparsity && sparsity <= 1.0))
         fatal(msgOf("randomUnstructured: sparsity ", sparsity,
                     " outside [0, 1]"));
     DenseTensor t = randomDense(shape, rng);

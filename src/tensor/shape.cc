@@ -43,26 +43,6 @@ TensorShape::dim(std::size_t i) const
     return dims_[i];
 }
 
-std::size_t
-TensorShape::indexOf(const std::string &name) const
-{
-    for (std::size_t i = 0; i < dims_.size(); ++i) {
-        if (dims_[i].name == name)
-            return i;
-    }
-    fatal(msgOf("TensorShape: no dimension named ", name, " in ", str()));
-}
-
-bool
-TensorShape::has(const std::string &name) const
-{
-    for (const auto &d : dims_) {
-        if (d.name == name)
-            return true;
-    }
-    return false;
-}
-
 std::vector<std::int64_t>
 TensorShape::strides() const
 {
@@ -88,21 +68,6 @@ TensorShape::flatIndex(const std::vector<std::int64_t> &index) const
         flat += index[i] * s[i];
     }
     return flat;
-}
-
-std::vector<std::int64_t>
-TensorShape::unflatten(std::int64_t flat) const
-{
-    if (flat < 0 || flat >= numel())
-        panic(msgOf("unflatten: flat index ", flat, " out of range ",
-                    numel()));
-    std::vector<std::int64_t> index(dims_.size(), 0);
-    const auto s = strides();
-    for (std::size_t i = 0; i < dims_.size(); ++i) {
-        index[i] = flat / s[i];
-        flat %= s[i];
-    }
-    return index;
 }
 
 std::string

@@ -55,12 +55,6 @@ class TensorShape
     /** Dimension by position (0 = outermost). */
     const Dim &dim(std::size_t i) const;
 
-    /** Position of the dimension with the given name; fatal if absent. */
-    std::size_t indexOf(const std::string &name) const;
-
-    /** True if a dimension with the given name exists. */
-    bool has(const std::string &name) const;
-
     /** All dimensions, outermost first. */
     const std::vector<Dim> &dims() const { return dims_; }
 
@@ -72,9 +66,6 @@ class TensorShape
 
     /** Flat row-major offset of the given multi-index. */
     std::int64_t flatIndex(const std::vector<std::int64_t> &index) const;
-
-    /** Multi-index of the given flat row-major offset. */
-    std::vector<std::int64_t> unflatten(std::int64_t flat) const;
 
     /** Human-readable form, e.g. "[C:4, R:3, S:3]". */
     std::string str() const;

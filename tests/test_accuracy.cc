@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "accuracy/accuracy_model.hh"
 #include "common/logging.hh"
 
@@ -46,7 +49,7 @@ TEST(Accuracy, MonotoneInSparsity)
             for (double s = 0.1; s < 0.95; s += 0.05) {
                 const double loss = AccuracyModel::loss(m, a, s);
                 EXPECT_GE(loss, prev)
-                    << dnnNameStr(m) << "/" << approachStr(a)
+                    << static_cast<int>(m) << "/" << approachStr(a)
                     << " at sparsity " << s;
                 prev = loss;
             }
@@ -68,9 +71,10 @@ TEST(Accuracy, FlexibilityOrderingAtEqualSparsity)
                 AccuracyModel::loss(m, PruningApproach::OneRankGh, s);
             const double channel =
                 AccuracyModel::loss(m, PruningApproach::Channel, s);
-            EXPECT_LE(unstructured, hss) << dnnNameStr(m) << " " << s;
-            EXPECT_LE(hss, one_rank) << dnnNameStr(m) << " " << s;
-            EXPECT_LT(one_rank, channel) << dnnNameStr(m) << " " << s;
+            const int model = static_cast<int>(m);
+            EXPECT_LE(unstructured, hss) << model << " " << s;
+            EXPECT_LE(hss, one_rank) << model << " " << s;
+            EXPECT_LT(one_rank, channel) << model << " " << s;
         }
     }
 }
@@ -105,9 +109,22 @@ TEST(Accuracy, RejectsOutOfRangeSparsity)
                  FatalError);
 }
 
+TEST(Accuracy, RejectsNanSparsity)
+{
+    // Past the range check, std::max(0.0, NaN) would make the loss 0.
+    try {
+        AccuracyModel::loss(DnnName::ResNet50, PruningApproach::Hss,
+                            std::numeric_limits<double>::quiet_NaN());
+        ADD_FAILURE() << "a NaN sparsity was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("sparsity nan outside"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Accuracy, NameStrings)
 {
-    EXPECT_EQ(dnnNameStr(DnnName::ResNet50), "ResNet50");
     EXPECT_EQ(approachStr(PruningApproach::Hss), "HSS");
     EXPECT_EQ(approachStr(PruningApproach::OneRankGh), "one-rank G:H");
 }

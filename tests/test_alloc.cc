@@ -245,11 +245,11 @@ TEST(AllocFree, RowWorkerSteadyStateAllocatesNothingAfterWarmUp)
         }
         const OperandBPass b_pass(mode);
         mode.b_pass = &b_pass;
-        RowWorker worker(mode); // construction is the warm-up
+        RowGroupWorker worker(mode); // construction is the warm-up
         const long long before = g_allocs.load();
         for (int pass = 0; pass < 3; ++pass) {
             for (std::int64_t row = 0; row < m; ++row)
-                worker.runRow(row, out);
+                worker.runGroup(row, 1, out);
         }
         const long long after = g_allocs.load();
         EXPECT_EQ(after - before, 0)
@@ -311,7 +311,7 @@ TEST(AllocFree, GroupWorkerSteadyStateAllocatesNothingAfterWarmUp)
             worker.runGroup(0, 4, out);  // full group
             worker.runGroup(4, 4, out);  // full group
             worker.runGroup(8, 2, out);  // partial trailing group
-            worker.runRow(0, out);       // single-row convenience
+            worker.runGroup(0, 1, out);  // single row
         }
         const long long after = g_allocs.load();
         EXPECT_EQ(after - before, 0)
@@ -353,7 +353,7 @@ TEST(AllocFree, WorkerWithoutASharedPassAllocatesOnlyOnItsFirstGroup)
         for (int pass = 0; pass < 3; ++pass) {
             worker.runGroup(4, 4, out);
             worker.runGroup(8, 2, out);
-            worker.runRow(0, out);
+            worker.runGroup(0, 1, out);
         }
         EXPECT_EQ(g_allocs.load() - after_first, 0)
             << (compressed ? "compressed" : "dense") << " later groups";

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "arch/arch_spec.hh"
 #include "common/logging.hh"
 #include "dataflow/mapping.hh"
@@ -95,6 +97,9 @@ TEST(Tiling, RejectsBadInputs)
                  FatalError);
     EXPECT_THROW(computeTiling(tcArch(), 1, 1, 1, 1.0, 1.5),
                  FatalError);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(computeTiling(tcArch(), 1, 1, 1, nan, 1.0), FatalError);
+    EXPECT_THROW(computeTiling(tcArch(), 1, 1, 1, 1.0, nan), FatalError);
 }
 
 TEST(Tiling, TileNeverExceedsWorkload)

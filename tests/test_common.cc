@@ -152,12 +152,10 @@ TEST(Stats, GeomeanRejectsNonPositive)
     EXPECT_THROW(geomean({1.0, -2.0}), FatalError);
 }
 
-TEST(Stats, MeanMinMax)
+TEST(Stats, MaxOfPicksTheLargest)
 {
-    const std::vector<double> v{2.0, 4.0, 9.0};
-    EXPECT_DOUBLE_EQ(mean(v), 5.0);
-    EXPECT_DOUBLE_EQ(minOf(v), 2.0);
-    EXPECT_DOUBLE_EQ(maxOf(v), 9.0);
+    EXPECT_DOUBLE_EQ(maxOf({2.0, 9.0, 4.0}), 9.0);
+    EXPECT_THROW(maxOf({}), FatalError);
 }
 
 TEST(Stats, BinomialPmfSumsToOne)
@@ -338,16 +336,6 @@ TEST(Table, RejectsMismatchedRow)
     TextTable t;
     t.setHeader({"a", "b"});
     EXPECT_THROW(t.addRow({"only-one"}), PanicError);
-}
-
-TEST(Table, CsvOutput)
-{
-    TextTable t;
-    t.setHeader({"x", "y"});
-    t.addRow({"1", "2"});
-    std::ostringstream oss;
-    t.printCsv(oss);
-    EXPECT_EQ(oss.str(), "x,y\n1,2\n");
 }
 
 TEST(Table, FmtPrecision)

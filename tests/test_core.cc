@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/logging.hh"
 #include "core/evaluator.hh"
 #include "core/explorer.hh"
@@ -77,6 +80,51 @@ TEST(Evaluator, BuildDnnWorkloadsChannelShrinksM)
     EXPECT_EQ(suite[0].m, model.layers[0].m / 2);
 }
 
+TEST(Evaluator, BuildDnnWorkloadsRejectsSparsityOutsideZeroToOne)
+{
+    // Unchecked, each of these builds layers without a word: dense ones
+    // for NaN and -0.5, M = 1 for channel pruning at 1.5, the sparsest
+    // supported spec for HSS at 1.2 and C0(1:8) for S2TA at 1.7.
+    const Evaluator ev;
+    const auto model = resnet50Model();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const DnnScenario bad[] = {
+        {"HighLight", PruningApproach::Hss, nan},
+        {"DSTC", PruningApproach::Unstructured, -0.5},
+        {"TC", PruningApproach::Channel, 1.5},
+        {"HighLight", PruningApproach::Hss, 1.2},
+        {"S2TA", PruningApproach::OneRankGh, 1.7},
+        {"STC", PruningApproach::OneRankGh, 1.0},
+    };
+    for (const DnnScenario &sc : bad) {
+        const std::string value =
+            msgOf("sparsity ", sc.weight_sparsity, " outside");
+        try {
+            ev.buildDnnWorkloads(model, sc);
+            ADD_FAILURE() << value << " was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(value), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(Evaluator, RunDnnRejectsNanSparsity)
+{
+    // Unchecked, a NaN reports a dense ResNet-50 with zero accuracy loss.
+    const Evaluator ev;
+    try {
+        ev.runDnn(resnet50Model(), DnnName::ResNet50,
+                  {"HighLight", PruningApproach::Hss,
+                   std::numeric_limits<double>::quiet_NaN()});
+        ADD_FAILURE() << "a NaN sparsity was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("sparsity nan outside"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Evaluator, RunDnnAggregates)
 {
     const Evaluator ev;
@@ -137,16 +185,6 @@ TEST(Explorer, Fig6DesignsCoverSameDegrees)
     EXPECT_GT(static_cast<double>(s.total_mux2) /
                   static_cast<double>(ss.total_mux2),
               2.0);
-}
-
-TEST(Explorer, LatenciesEqualDensities)
-{
-    const DesignSpaceExplorer ex;
-    const auto ss = ex.analyze(DesignSpaceExplorer::designSS());
-    const auto lats = ss.latencies();
-    ASSERT_EQ(lats.size(), ss.degrees.size());
-    for (std::size_t i = 0; i < lats.size(); ++i)
-        EXPECT_DOUBLE_EQ(lats[i], ss.degrees[i].density);
 }
 
 TEST(Explorer, RankAblationMoreRanksLowerTax)

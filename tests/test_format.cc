@@ -267,7 +267,7 @@ TEST(OperandB, RoundTripRandom)
     const auto back = b.decompress();
     for (std::int64_t i = 0; i < 96; ++i)
         EXPECT_FLOAT_EQ(back[static_cast<std::size_t>(i)],
-                        t.atFlat(i));
+                        t.data()[static_cast<std::size_t>(i)]);
 }
 
 TEST(OperandB, DenseStreamKeepsEverything)
@@ -415,7 +415,7 @@ TEST(Bitmask, RoundTripAndSizes)
     const auto back = b.decompress();
     for (std::int64_t i = 0; i < 64; ++i)
         EXPECT_FLOAT_EQ(back[static_cast<std::size_t>(i)],
-                        t.atFlat(i));
+                        t.data()[static_cast<std::size_t>(i)]);
     EXPECT_EQ(b.metadataBits(), 64); // 1 bit per dense element, always
     EXPECT_EQ(b.dataWords(), t.countNonzeros());
 }

@@ -132,6 +132,44 @@ class TestUnorderedIter(LintHarness):
             "void f() { for (const int x : v) emit(x); }\n")
 
 
+class TestNanBlindRange(LintHarness):
+    def test_strict_bounds_fire(self):
+        self.assert_fires(
+            "no-nan-blind-range",
+            "void f(double x) { if (x < 0.0 || x > 1.0) fail(x); }\n")
+
+    def test_inclusive_bounds_fire(self):
+        self.assert_fires(
+            "no-nan-blind-range",
+            "void f(double p) { if (p <= 0.0 || p >= 1.0) edge(p); }\n")
+
+    def test_member_over_two_lines_fires(self):
+        self.assert_fires(
+            "no-nan-blind-range",
+            "void f(const S &s) {\n"
+            "    if (s.weight < 0.0 ||\n"
+            "        s.weight >= 1.0) fail();\n"
+            "}\n")
+
+    def test_nan_safe_form_clean(self):
+        self.assert_clean(
+            "void f(double x) { if (!(0.0 <= x && x <= 1.0)) fail(x); }\n")
+
+    def test_integer_bounds_clean(self):
+        self.assert_clean(
+            "int f(int k, int n) { if (k < 0 || k > n) return 0; "
+            "return 1; }\n")
+
+    def test_two_variables_clean(self):
+        self.assert_clean(
+            "void f(double a, double b) { if (a < 0.0 || b > 1.0) g(); }\n")
+
+    def test_allow_suppresses(self):
+        self.assert_clean(
+            "// lint-allow(no-nan-blind-range): a NaN takes the else path\n"
+            "void f(double x) { if (x < 0.0 || x > 1.0) edge(x); }\n")
+
+
 class TestAllowEscapeHatch(LintHarness):
     def test_allow_with_reason_suppresses(self):
         self.assert_clean(

@@ -36,36 +36,40 @@ namespace highlight
 namespace
 {
 
-TEST(MicroGlb, AlignedRowFetches)
+/** A GLB view over all of `data`, which must outlive it. */
+MicroGlb
+glbOver(const std::vector<float> &data, int row_words)
 {
-    MicroGlb glb({1.0f, 2.0f, 3.0f, 4.0f, 5.0f}, 4);
-    EXPECT_EQ(glb.numRows(), 2); // padded to 8 words
-    const auto row0 = glb.fetchRow(0);
-    EXPECT_EQ(row0.size(), 4u);
-    EXPECT_FLOAT_EQ(row0[0], 1.0f);
-    const auto row1 = glb.fetchRow(1);
-    EXPECT_FLOAT_EQ(row1[0], 5.0f);
-    EXPECT_FLOAT_EQ(row1[3], 0.0f); // padding
-    EXPECT_EQ(glb.stats().row_fetches, 2);
-    EXPECT_EQ(glb.stats().words_read, 8);
-    EXPECT_THROW(glb.fetchRow(2), PanicError);
+    return MicroGlb(data.data(), static_cast<std::int64_t>(data.size()),
+                    row_words);
 }
 
-TEST(MicroGlb, BothConstructorsRejectTheSameMalformedInputs)
+TEST(MicroGlb, AlignedRowFetches)
 {
-    // The owning constructor used to skip the null/length validation
-    // the view constructor enforces; both must reject identically.
+    const std::vector<float> data{1.0f, 2.0f, 3.0f, 4.0f, 5.0f};
+    MicroGlb glb = glbOver(data, 4);
+    EXPECT_EQ(glb.numRows(), 2); // padded to 8 words
+    float row[4];
+    EXPECT_EQ(glb.fetchRowInto(0, row), 4);
+    EXPECT_FLOAT_EQ(row[0], 1.0f);
+    EXPECT_EQ(glb.fetchRowInto(1, row), 1); // one real word
+    EXPECT_FLOAT_EQ(row[0], 5.0f);
+    EXPECT_FLOAT_EQ(row[3], 0.0f); // padding
+    EXPECT_EQ(glb.stats().row_fetches, 2);
+    EXPECT_EQ(glb.stats().words_read, 8);
+    EXPECT_THROW(glb.fetchRowInto(2, row), PanicError);
+}
+
+TEST(MicroGlb, RejectsMalformedInputs)
+{
     EXPECT_THROW(MicroGlb(nullptr, 4, 16), FatalError);
     EXPECT_THROW(MicroGlb(nullptr, -1, 16), FatalError);
     std::vector<float> data(4, 1.0f);
     EXPECT_THROW(MicroGlb(data.data(), 4, 0), FatalError);
-    EXPECT_THROW(MicroGlb(std::vector<float>(4, 1.0f), 0), FatalError);
-    EXPECT_THROW(MicroGlb(std::vector<float>(4, 1.0f), -3), FatalError);
-    // Valid empty streams are fine through either constructor.
-    MicroGlb empty_view(nullptr, 0, 16);
-    EXPECT_EQ(empty_view.numRows(), 0);
-    MicroGlb empty_owned(std::vector<float>{}, 16);
-    EXPECT_EQ(empty_owned.numRows(), 0);
+    EXPECT_THROW(MicroGlb(data.data(), 4, -3), FatalError);
+    // A valid empty stream is fine.
+    MicroGlb empty(nullptr, 0, 16);
+    EXPECT_EQ(empty.numRows(), 0);
 }
 
 TEST(Vfmu, VariableShiftOverAlignedRows)
@@ -75,7 +79,7 @@ TEST(Vfmu, VariableShiftOverAlignedRows)
     std::vector<float> data(48);
     for (int i = 0; i < 48; ++i)
         data[static_cast<std::size_t>(i)] = static_cast<float>(i + 1);
-    MicroGlb glb(data, 16);
+    MicroGlb glb = glbOver(data, 16);
     Vfmu vfmu(glb, 32);
     const auto s1 = vfmu.readShift(12);
     ASSERT_EQ(s1.size(), 12u);
@@ -92,7 +96,7 @@ TEST(Vfmu, SkipsFetchWhenBufferSuffices)
     // Fig 12(b) step 2: 13 valid entries, next step needs 8 -> no GLB
     // fetch.
     std::vector<float> data(32, 1.0f);
-    MicroGlb glb(data, 16);
+    MicroGlb glb = glbOver(data, 16);
     Vfmu vfmu(glb, 32);
     (void)vfmu.readShift(3); // fetches a 16-word row, leaves 13
     const auto fetches_before = glb.stats().row_fetches;
@@ -111,7 +115,7 @@ TEST(Vfmu, ZeroShiftMovesNothingAndCountsNothing)
     std::vector<float> data(32);
     for (int i = 0; i < 32; ++i)
         data[static_cast<std::size_t>(i)] = static_cast<float>(i + 1);
-    MicroGlb glb(data, 16);
+    MicroGlb glb = glbOver(data, 16);
     Vfmu vfmu(glb, 32);
 
     float out[32];
@@ -136,7 +140,7 @@ TEST(Vfmu, ZeroShiftMovesNothingAndCountsNothing)
 TEST(Vfmu, RejectsShiftBeyondCapacity)
 {
     std::vector<float> data(32, 1.0f);
-    MicroGlb glb(data, 16);
+    MicroGlb glb = glbOver(data, 16);
     Vfmu vfmu(glb, 16);
     EXPECT_THROW(vfmu.readShift(17), FatalError);
 }
@@ -150,7 +154,7 @@ TEST(Vfmu, RingWrapAroundDeliversStreamInOrder)
     std::vector<float> data(96);
     for (int i = 0; i < 96; ++i)
         data[static_cast<std::size_t>(i)] = static_cast<float>(i + 1);
-    MicroGlb glb(data, 16);
+    MicroGlb glb = glbOver(data, 16);
     Vfmu vfmu(glb, 28);
     float next = 1.0f;
     for (int s = 0; s < 8; ++s) {
@@ -167,7 +171,7 @@ TEST(Vfmu, RefillExceedingCapacityPanics)
     // Capacity = one row: 13 buffered words + a 16-word refill cannot
     // fit, which models an undersized physical buffer.
     std::vector<float> data(64, 1.0f);
-    MicroGlb glb(data, 16);
+    MicroGlb glb = glbOver(data, 16);
     Vfmu vfmu(glb, 16);
     (void)vfmu.readShift(3); // buffer now holds 13 words
     EXPECT_THROW(vfmu.readShift(14), PanicError);
@@ -178,11 +182,10 @@ TEST(Vfmu, ResetRestreamsFromTheTop)
     std::vector<float> data(32);
     for (int i = 0; i < 32; ++i)
         data[static_cast<std::size_t>(i)] = static_cast<float>(i + 1);
-    MicroGlb glb(data, 16);
+    MicroGlb glb = glbOver(data, 16);
     Vfmu vfmu(glb, 32);
     (void)vfmu.readShift(20);
     vfmu.reset();
-    EXPECT_EQ(vfmu.validWords(), 0);
     EXPECT_EQ(vfmu.stats().shifts, 0);
     const auto again = vfmu.readShift(4);
     ASSERT_EQ(again.size(), 4u);
@@ -192,7 +195,7 @@ TEST(Vfmu, ResetRestreamsFromTheTop)
 TEST(Vfmu, ExhaustionAtStreamEnd)
 {
     std::vector<float> data(16, 1.0f);
-    MicroGlb glb(data, 16);
+    MicroGlb glb = glbOver(data, 16);
     Vfmu vfmu(glb, 32);
     (void)vfmu.readShift(16);
     EXPECT_TRUE(vfmu.exhausted());
@@ -533,16 +536,16 @@ TEST(Simulator, SingleRankSpecRuns)
 TEST(Simulator, RejectsMismatchedOperands)
 {
     const HssSpec spec({GhPattern(2, 4), GhPattern(2, 4)});
-    auto a = DenseTensor::matrix(2, 16);
-    auto b = DenseTensor::matrix(8, 4); // K mismatch
+    DenseTensor a(TensorShape({{"M", 2}, {"K", 16}}));
+    DenseTensor b(TensorShape({{"K", 8}, {"N", 4}})); // K mismatch
     EXPECT_THROW(HighlightSimulator().run(a, spec, b), FatalError);
 }
 
 TEST(Simulator, RejectsNonDivisibleK)
 {
     const HssSpec spec({GhPattern(2, 4), GhPattern(2, 4)});
-    auto a = DenseTensor::matrix(2, 20);
-    auto b = DenseTensor::matrix(20, 4);
+    DenseTensor a(TensorShape({{"M", 2}, {"K", 20}}));
+    DenseTensor b(TensorShape({{"K", 20}, {"N", 4}}));
     EXPECT_THROW(HighlightSimulator().run(a, spec, b), FatalError);
 }
 
@@ -643,8 +646,8 @@ TEST(RowWorker, PanicsOnTruncatedOperandBStream)
 
     // Sanity: the full stream runs clean and matches the reference.
     DenseTensor out(TensorShape({{"M", m}, {"N", n}}));
-    RowWorker whole(ctx);
-    whole.runRow(0, out);
+    RowGroupWorker whole(ctx);
+    whole.runGroup(0, 1, out);
     EXPECT_LT(out.maxAbsDiff(referenceGemm(a, b)), 1e-4);
 
     // A deliberately truncated GLB view of the same stream: the VFMU
@@ -657,8 +660,8 @@ TEST(RowWorker, PanicsOnTruncatedOperandBStream)
         SimContext cut = ctx;
         cut.stream_len = cut_len;
         DenseTensor out_cut(TensorShape({{"M", m}, {"N", n}}));
-        RowWorker truncated(cut);
-        EXPECT_THROW(truncated.runRow(0, out_cut), PanicError)
+        RowGroupWorker truncated(cut);
+        EXPECT_THROW(truncated.runGroup(0, 1, out_cut), PanicError)
             << "stream_len=" << cut_len;
     }
 }
@@ -698,16 +701,16 @@ TEST(RowWorker, PanicsOnTruncatedCompressedStream)
     ctx.n = n;
 
     DenseTensor out(TensorShape({{"M", m}, {"N", n}}));
-    RowWorker truncated(ctx);
-    EXPECT_THROW(truncated.runRow(0, out), PanicError);
+    RowGroupWorker truncated(ctx);
+    EXPECT_THROW(truncated.runGroup(0, 1, out), PanicError);
 
     // Sub-row truncation of the packed values: the GLB's padded final
     // row must still surface as a short read, not phantom zeros.
     SimContext barely = ctx;
     barely.stream_len = b_comp.dataWords() - 1;
     DenseTensor out2(TensorShape({{"M", m}, {"N", n}}));
-    RowWorker barely_cut(barely);
-    EXPECT_THROW(barely_cut.runRow(0, out2), PanicError);
+    RowGroupWorker barely_cut(barely);
+    EXPECT_THROW(barely_cut.runGroup(0, 1, out2), PanicError);
 }
 
 /**

@@ -199,12 +199,6 @@ TEST(Density, UtilizationIsBitIdenticalUnderFourThreads)
     EXPECT_EQ(mismatches, 0) << "of " << cases.size() << " values";
 }
 
-TEST(Density, HssDensityDelegates)
-{
-    const HssSpec spec({GhPattern(2, 4), GhPattern(4, 8)});
-    EXPECT_DOUBLE_EQ(hssDensity(spec), 0.25);
-}
-
 TEST(Result, EnergyAccumulation)
 {
     EvalResult r;

@@ -20,6 +20,11 @@ that property; this lint keeps them out of the tree:
   no-raw-env        getenv()/atoi()/atol(): env knobs must go through
                     src/common/env.{hh,cc} (strict parsing, one
                     auditable getenv).
+  no-nan-blind-range
+                    one variable tested against two floating-point
+                    literals joined by ||, as in `x < 0.0 || x > 1.0`:
+                    every comparison with NaN is false, so a NaN
+                    passes the check. Write `!(0.0 <= x && x <= 1.0)`.
 
 Escape hatch — on the offending line or the line just above:
 
@@ -72,6 +77,23 @@ RULE_ALLOWED_PATHS = {
     "no-random-device": ("src/common/random.",),
     "no-raw-env": ("src/common/env.",),
 }
+
+# no-nan-blind-range: `<side> || <side>`, each side a variable (plain,
+# or a member through . or ->) compared with a floating-point literal,
+# in either order. A literal needs a '.' or an exponent, so integer
+# checks such as `k < 0 || k > n` never match. The second side is a
+# lookahead, so a chain `a <= 0.0 || a > 1.0 || b ...` is scanned pair
+# by pair.
+_VAR = r"[A-Za-z_]\w*(?:(?:\.|->)[A-Za-z_]\w*)*"
+_FLT = (r"[-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?"
+        r"|\d+[eE][-+]?\d+)[fFlL]?")
+_CMP = r"(?:<=|>=|<|>)"
+_SIDE = r"(?:%s\s*%s\s*%s|%s\s*%s\s*%s)(?![\w.(\[])" % (
+    _VAR, _CMP, _FLT, _FLT, _CMP, _VAR)
+NAN_BLIND_RE = re.compile(r"(?<![\w.>])(%s)\s*\|\|\s*(?=(%s))"
+                          % (_SIDE, _SIDE))
+SIDE_VAR_RE = re.compile(r"(?<![\w.])(%s)\s*%s|%s\s*(%s)"
+                         % (_VAR, _CMP, _CMP, _VAR))
 
 UNORDERED_DECL_RE = re.compile(
     r"unordered_(?:map|set|multimap|multiset)\s*<[^;{}()]*>[ \t\n]*"
@@ -175,6 +197,19 @@ def lint_file(root, rel, violations):
         for idx, line in enumerate(code_lines, start=1):
             if rx.search(line):
                 report(idx, rule, msg)
+
+    for m in NAN_BLIND_RE.finditer(code):
+        first, second = (SIDE_VAR_RE.search(side)
+                         for side in (m.group(1), m.group(2)))
+        var = first.group(1) or first.group(2)
+        if var != (second.group(1) or second.group(2)):
+            continue
+        lineno = code.count("\n", 0, m.start()) + 1
+        report(lineno, "no-nan-blind-range",
+               "'%s' is range-checked with ||, which a NaN passes "
+               "(every comparison with NaN is false); write "
+               "!(lo <= %s && %s <= hi), or lint-allow with a reason"
+               % (var, var, var))
 
     # no-unordered-iter: range-for whose sequence is an identifier
     # declared with an unordered_* type in this file or in one of its
