@@ -40,8 +40,6 @@ runAblationBcompress()
         auto base_params = [&] {
             TrafficParams p;
             p.m = p.k = p.n = 1024;
-            p.a_density = spec.density();
-            p.b_density = db;
             p.a_stored_density = spec.density();
             p.a_meta_bits_per_word = bitsFor(4) + bitsFor(4) / 2.0;
             p.time_fraction = spec.density();

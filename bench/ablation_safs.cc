@@ -55,8 +55,6 @@ runAblationSafs()
     for (const auto &v : variants) {
         TrafficParams p;
         p.m = p.k = p.n = 1024;
-        p.a_density = spec.density();
-        p.b_density = b_density;
         p.a_stored_density = spec.density();
         p.a_meta_bits_per_word = bitsFor(4) + bitsFor(8) / 2.0;
         // Skipping at a rank removes that rank's ineffectual steps;

@@ -4,9 +4,9 @@
  * result matrix of the sweep artifacts and the `--json` dumps.
  *
  * The dumps print doubles at max_digits10 and table cells verbatim,
- * so two dumps are byte-identical iff the results are bit-identical;
- * CI byte-compares every artifact's dump across a native and a
- * generic build.
+ * so two dumps are byte-identical iff the results are bit-identical,
+ * and a change that must not move a result can cmp its dumps with
+ * those of its parent commit.
  */
 
 #ifndef HIGHLIGHT_BENCH_ARTIFACT_UTIL_HH

@@ -97,8 +97,8 @@ runFig17()
         const auto sb = hssSparsifyColumns(
             randomDense(TensorShape({{"K", sk}, {"N", sn}}), rng),
             HssSpec({GhPattern(4, 4), b_rank1}));
-        const auto sim_dsso = DssoSimulator(2).run(sa, a_rank0, sb,
-                                                   b_rank1);
+        const auto sim_dsso = DssoSimulator().run(sa, a_rank0, sb,
+                                                  b_rank1);
         const auto sim_hl = HighlightSimulator().run(
             sa, HssSpec({a_rank0, GhPattern(2, 2)}), sb);
         const double sim_ratio =

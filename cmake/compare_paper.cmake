@@ -2,8 +2,8 @@
 # tests/golden/, which pin every printed number across commits.
 #
 # With -DNAME=<artifact>: run `paper NAME --json` once. Its stdout must
-# equal GOLDEN_DIR/NAME.txt, and it must write the dump (CI's native
-# job byte-compares the dumps of two builds).
+# equal GOLDEN_DIR/NAME.txt, and it must write the dump, so that two
+# builds' or two commits' dumps can be compared with cmp.
 #
 # With -DNAMES=<all artifacts in table order>: run the whole paper in
 # one process twice, forward (no names) at HIGHLIGHT_THREADS=1 and

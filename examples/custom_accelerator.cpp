@@ -79,8 +79,6 @@ class HighLight3R : public Accelerator
         p.m = w.m;
         p.k = w.k;
         p.n = w.n;
-        p.a_density = w.a.density;
-        p.b_density = w.b.density;
         if (da < 1.0) {
             p.a_stored_density = da;
             // 2-bit offsets at each of three ranks, amortized by G=2.

@@ -76,8 +76,6 @@ DssoAccel::evaluate(const GemmWorkload &w) const
     p.m = w.m;
     p.k = w.k;
     p.n = w.n;
-    p.a_density = da;
-    p.b_density = db;
 
     // Each operand carries offset metadata only for its sparse rank
     // (Sec 7.5): A per-value rank-0 offsets, B per-block rank-1

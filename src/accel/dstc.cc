@@ -23,8 +23,6 @@ DstcLike::evaluate(const GemmWorkload &w) const
     p.m = w.m;
     p.k = w.k;
     p.n = w.n;
-    p.a_density = w.a.density;
-    p.b_density = w.b.density;
 
     // Bitmask compression: only nonzeros stored, but the mask costs
     // one bit per *dense* element — 1/density bits per stored word.
@@ -65,7 +63,6 @@ DstcLike::evaluate(const GemmWorkload &w) const
     // output-stationary tiling re-streams operands once per psum tile.
     p.accum = AccumStyle::OuterProduct;
     p.accum_access_pj = 2.0 * lib_.sramAccessPj(32.0);
-    p.output_stationary = true;
 
     // Merge/coordinate-compute network energy per step.
     p.mux_pj_per_step =

@@ -74,8 +74,6 @@ HighLightAccel::evaluate(const GemmWorkload &w) const
     p.m = w.m;
     p.k = w.k;
     p.n = w.n;
-    p.a_density = w.a.density;
-    p.b_density = w.b.density;
 
     // --- operand A: hierarchical CP storage + hierarchical skipping ---
     int h0 = 2, h1 = 4; // degenerate dense geometry

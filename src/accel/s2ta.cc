@@ -49,8 +49,6 @@ S2taLike::evaluate(const GemmWorkload &w) const
     p.m = w.m;
     p.k = w.k;
     p.n = w.n;
-    p.a_density = w.a.density;
-    p.b_density = w.b.density;
 
     // Both operands stored at their quantized block occupancy with
     // 3-bit intra-block offsets.

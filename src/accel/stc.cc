@@ -43,8 +43,6 @@ StcLike::evaluate(const GemmWorkload &w) const
     p.m = w.m;
     p.k = w.k;
     p.n = w.n;
-    p.a_density = w.a.density;
-    p.b_density = w.b.density;
 
     if (sparse_mode) {
         // A stored as 2-of-4 blocks: half the words plus a 2-bit

@@ -20,8 +20,6 @@ TcLike::evaluate(const GemmWorkload &w) const
     p.m = w.m;
     p.k = w.k;
     p.n = w.n;
-    p.a_density = w.a.density;
-    p.b_density = w.b.density;
     // Everything dense: full storage, full time, every lane slot burns
     // full MAC energy regardless of operand zeros.
     p.time_fraction = 1.0;

@@ -52,12 +52,6 @@ class CAPABILITY("mutex") Mutex
         mu_.unlock();
     }
 
-    bool
-    tryLock() TRY_ACQUIRE(true)
-    {
-        return mu_.try_lock();
-    }
-
   private:
     friend class MutexLock;
     std::mutex mu_;
@@ -101,12 +95,6 @@ class CondVar
     wait(MutexLock &lock)
     {
         cv_.wait(lock.lock_);
-    }
-
-    void
-    notifyOne() noexcept
-    {
-        cv_.notify_one();
     }
 
     void

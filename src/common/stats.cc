@@ -65,8 +65,8 @@ geomean(const std::vector<double> &values)
     requireNonEmpty(values, "geomean");
     double log_sum = 0.0;
     for (double v : values) {
-        if (v <= 0.0)
-            fatal(msgOf("geomean: non-positive value ", v));
+        if (!(v > 0.0))
+            fatal(msgOf("geomean: value ", v, " is not positive"));
         log_sum += std::log(v);
     }
     return std::exp(log_sum / static_cast<double>(values.size()));
@@ -76,6 +76,11 @@ double
 maxOf(const std::vector<double> &values)
 {
     requireNonEmpty(values, "maxOf");
+    // max_element would return a NaN or skip it, depending on where
+    // it sits.
+    for (std::size_t i = 0; i < values.size(); ++i)
+        if (std::isnan(values[i]))
+            fatal(msgOf("maxOf: value ", values[i], " at index ", i));
     return *std::max_element(values.begin(), values.end());
 }
 

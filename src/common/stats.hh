@@ -14,10 +14,13 @@
 namespace highlight
 {
 
-/** Geometric mean of strictly positive values. Fatal on empty/non-pos. */
+/**
+ * Geometric mean of strictly positive values. Fatal on empty input and
+ * on a value that is not positive (NaN included).
+ */
 double geomean(const std::vector<double> &values);
 
-/** Maximum element. Fatal on empty input. */
+/** Maximum element. Fatal on empty input and on a NaN. */
 double maxOf(const std::vector<double> &values);
 
 /** Probability mass P[X = k] for X ~ Binomial(n, p), computed stably. */

@@ -4,14 +4,14 @@
  *
  * These macros turn the repo's locking discipline into a
  * compiler-checked contract: a member declared `GUARDED_BY(mu_)` can
- * only be touched while `mu_` is held, a private helper declared
- * `REQUIRES(mu_)` can only be called with the lock already taken, and
- * `-Werror=thread-safety` (enabled for every Clang build in
- * CMakeLists.txt) turns a violation into a compile error instead of a
- * data race the TSan job may or may not catch. The macro set is the
- * standard one from Clang's thread-safety documentation; under
- * compilers without the attributes (GCC) every macro expands to
- * nothing, so the annotated code builds everywhere.
+ * only be touched while `mu_` is held, and `-Werror=thread-safety`
+ * (enabled for every Clang build in CMakeLists.txt) turns a violation
+ * into a compile error instead of a data race the TSan job may or may
+ * not catch. The macros are the part of the standard set from Clang's
+ * thread-safety documentation that the code uses; add another from
+ * that set when code needs it. Under compilers without the attributes
+ * (GCC) every macro expands to nothing, so the annotated code builds
+ * everywhere.
  *
  * The analysis only understands annotated lock types —
  * libstdc++'s std::mutex carries no capability attributes — so the
@@ -20,8 +20,6 @@
  *
  * Conventions for new code:
  *  - every member a mutex protects is `GUARDED_BY(that_mutex)`;
- *  - every `*Locked()` helper that expects the caller to hold the
- *    lock is `REQUIRES(that_mutex)`;
  *  - lock acquisition is scoped (`MutexLock lock(mu_);`) — bare
  *    lock()/unlock() pairs are what the analyzer cannot prove;
  *  - condition-variable predicates are written as explicit
@@ -56,53 +54,12 @@
 /** The member may only be accessed while holding capability `x`. */
 #define GUARDED_BY(x) HIGHLIGHT_THREAD_ANNOTATION(guarded_by(x))
 
-/** The pointed-to data may only be accessed while holding `x`. */
-#define PT_GUARDED_BY(x) HIGHLIGHT_THREAD_ANNOTATION(pt_guarded_by(x))
-
-/** The caller must hold the listed capabilities (not acquired here). */
-#define REQUIRES(...) \
-    HIGHLIGHT_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-
-/** Shared (reader) variant of REQUIRES. */
-#define REQUIRES_SHARED(...) \
-    HIGHLIGHT_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
-
 /** The function acquires the capability and holds it on return. */
 #define ACQUIRE(...) \
     HIGHLIGHT_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 
-/** Shared (reader) variant of ACQUIRE. */
-#define ACQUIRE_SHARED(...) \
-    HIGHLIGHT_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
-
 /** The function releases a capability the caller holds. */
 #define RELEASE(...) \
     HIGHLIGHT_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-/** Shared (reader) variant of RELEASE. */
-#define RELEASE_SHARED(...) \
-    HIGHLIGHT_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-
-/** The function acquires the capability iff it returns `b`. */
-#define TRY_ACQUIRE(b, ...) \
-    HIGHLIGHT_THREAD_ANNOTATION(try_acquire_capability(b, __VA_ARGS__))
-
-/** The caller must NOT hold the listed capabilities (deadlock guard
- *  for functions that acquire them internally). */
-#define EXCLUDES(...) \
-    HIGHLIGHT_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/** Runtime assertion that the capability is held (trusted by the
- *  analysis from this point on). */
-#define ASSERT_CAPABILITY(x) \
-    HIGHLIGHT_THREAD_ANNOTATION(assert_capability(x))
-
-/** The function returns a reference to the given capability. */
-#define RETURN_CAPABILITY(x) HIGHLIGHT_THREAD_ANNOTATION(lock_returned(x))
-
-/** Escape hatch: the function is not analyzed. Use only with a
- *  comment explaining why the discipline cannot be expressed. */
-#define NO_THREAD_SAFETY_ANALYSIS \
-    HIGHLIGHT_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 #endif // HIGHLIGHT_COMMON_THREAD_ANNOTATIONS_HH

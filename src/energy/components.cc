@@ -10,16 +10,18 @@ namespace highlight
 double
 ComponentLibrary::rfAccessPj(double capacity_kb) const
 {
-    if (capacity_kb <= 0.0)
-        fatal("rfAccessPj: non-positive capacity");
+    if (!(capacity_kb > 0.0))
+        fatal(msgOf("rfAccessPj: capacity ", capacity_kb,
+                    " kB is not positive"));
     return tech_.rf_base_pj * std::sqrt(capacity_kb / tech_.rf_base_kb);
 }
 
 double
 ComponentLibrary::sramAccessPj(double capacity_kb) const
 {
-    if (capacity_kb <= 0.0)
-        fatal("sramAccessPj: non-positive capacity");
+    if (!(capacity_kb > 0.0))
+        fatal(msgOf("sramAccessPj: capacity ", capacity_kb,
+                    " kB is not positive"));
     return tech_.sram_base_pj *
            std::sqrt(capacity_kb / tech_.sram_base_kb);
 }

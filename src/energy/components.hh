@@ -40,10 +40,13 @@ class ComponentLibrary
     /** Pipeline/operand register access. */
     double regAccessPj() const { return tech_.reg_access_pj; }
 
-    /** Register-file access for a RF of the given capacity. */
+    /**
+     * Register-file access for a RF of the given capacity. Fatal
+     * unless the capacity is positive (NaN is not).
+     */
     double rfAccessPj(double capacity_kb) const;
 
-    /** SRAM (GLB-class) access for the given capacity. */
+    /** SRAM (GLB-class) access; the capacity is checked likewise. */
     double sramAccessPj(double capacity_kb) const;
 
     /** DRAM access per 16-bit word. */

@@ -279,8 +279,9 @@ HierarchicalCpMatrix::metadataBits() const
 }
 
 double
-HierarchicalCpMatrix::compressionRatio(int word_bits) const
+HierarchicalCpMatrix::compressionRatio() const
 {
+    constexpr int word_bits = 16;
     const double dense_bits =
         static_cast<double>(shape_.numel()) * word_bits;
     const double stored_bits =

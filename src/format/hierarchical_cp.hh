@@ -144,7 +144,7 @@ class HierarchicalCpMatrix
      * Compression ratio vs. uncompressed 16-bit words:
      * (dense bits) / (data bits + metadata bits).
      */
-    double compressionRatio(int word_bits = 16) const;
+    double compressionRatio() const;
 
   private:
     TensorShape shape_;

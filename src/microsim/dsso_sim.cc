@@ -8,12 +8,6 @@
 namespace highlight
 {
 
-DssoSimulator::DssoSimulator(int num_pes) : num_pes_(num_pes)
-{
-    if (num_pes_ < 1)
-        fatal("DssoSimulator: need at least one PE");
-}
-
 DssoSimResult
 DssoSimulator::run(const DenseTensor &a, const GhPattern &a_rank0,
                    const DenseTensor &b, const GhPattern &b_rank1) const
@@ -37,13 +31,14 @@ DssoSimulator::run(const DenseTensor &a, const GhPattern &a_rank0,
 
     const std::int64_t blocks = k / h0;
     const std::int64_t groups = blocks / b_rank1.h;
+    const int num_pes = b_rank1.g;
 
     DssoSimResult result{DenseTensor(TensorShape({{"M", m}, {"N", n}})),
                          {}};
     DssoSimStats &st = result.stats;
 
     std::vector<MicroPe> pes;
-    for (int p = 0; p < num_pes_; ++p)
+    for (int p = 0; p < num_pes; ++p)
         pes.emplace_back(g0);
 
     // Pre-extract per-column non-empty block lists (B's rank-1
@@ -120,9 +115,9 @@ DssoSimulator::run(const DenseTensor &a, const GhPattern &a_rank0,
                 blocks - static_cast<std::int64_t>(live.size());
             double acc = 0.0;
             for (std::size_t i = 0; i < live.size();
-                 i += static_cast<std::size_t>(num_pes_)) {
+                 i += static_cast<std::size_t>(num_pes)) {
                 double psum = 0.0;
-                for (int p = 0; p < num_pes_; ++p) {
+                for (int p = 0; p < num_pes; ++p) {
                     const std::size_t idx =
                         i + static_cast<std::size_t>(p);
                     if (idx >= live.size())

@@ -53,17 +53,13 @@ struct DssoSimResult
 };
 
 /**
- * The DSSO micro-simulator.
+ * The DSSO micro-simulator. It has one PE per present B block of a
+ * rank-1 group (Gb of them), the count at which every step is fully
+ * utilized.
  */
 class DssoSimulator
 {
   public:
-    /**
-     * @param num_pes PEs processing selected B blocks in parallel
-     *                (matches Gb for full utilization).
-     */
-    explicit DssoSimulator(int num_pes = 2);
-
     /**
      * Run C = A * B.
      *
@@ -79,9 +75,6 @@ class DssoSimulator
     DssoSimResult run(const DenseTensor &a, const GhPattern &a_rank0,
                       const DenseTensor &b,
                       const GhPattern &b_rank1) const;
-
-  private:
-    int num_pes_;
 };
 
 } // namespace highlight

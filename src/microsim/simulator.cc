@@ -333,8 +333,6 @@ RowGroupWorker::runGroup(std::int64_t row0, int nrows, DenseTensor &out,
 HighlightSimulator::HighlightSimulator(MicrosimConfig config)
     : config_(config)
 {
-    if (config_.glb_row_words < 1)
-        fatal("HighlightSimulator: glb_row_words < 1");
     if (config_.group_rows < 0)
         fatal(msgOf("HighlightSimulator: group_rows ",
                     config_.group_rows, " < 0 (0 means auto)"));

@@ -45,8 +45,8 @@ class OperandBStream;
 /** Static configuration of the simulated datapath. */
 struct MicrosimConfig
 {
-    /** GLB fetch granularity in words (Fig 11 uses 16). */
-    int glb_row_words = 16;
+    /** GLB fetch granularity in words (Fig 11's row width). */
+    static constexpr int glb_row_words = 16;
     /** Stream operand B compressed (Sec 6.4) or dense. */
     bool compress_b = false;
     /**

@@ -46,7 +46,7 @@ evaluateTraffic(const ArchSpec &arch, const ComponentLibrary &lib,
     }
     GemmTiling tiling = computeTiling(
         eff_arch, p.m, p.k, p.n, p.a_stored_density, p.b_stored_density);
-    if (p.output_stationary) {
+    if (p.accum == AccumStyle::OuterProduct) {
         // Outer product: the resident tile is the 32-bit output tile,
         // not an A tile; operands re-stream once per output tile.
         const GlbPartition part;

@@ -6,7 +6,8 @@
  * TrafficParams record; the engine turns that record plus the
  * architecture and component library into cycle counts and a
  * per-component energy breakdown under one canonical A-stationary
- * tiling (see dataflow/mapping.hh):
+ * tiling (see dataflow/mapping.hh), or an output-stationary one for
+ * outer-product designs:
  *
  *   cycles  = M*N*K * time_fraction / (num_macs * utilization)
  *   DRAM    = A once + B per M-tile pass + outputs once
@@ -42,7 +43,14 @@ namespace highlight
 enum class AccumStyle
 {
     SpatialReduce, ///< K-lanes reduced before the RF (inner product).
-    OuterProduct,  ///< Every effectual MAC updates the RF (DSTC).
+    /**
+     * Every effectual MAC updates the RF (DSTC). The design keeps an
+     * output tile of 32-bit partial sums resident instead of an A
+     * tile, so the GLB tile extent is set by the psum footprint and
+     * operands re-stream per output tile (DSTC's dataflow tax,
+     * Sec 2.2.1).
+     */
+    OuterProduct,
 };
 
 /**
@@ -52,8 +60,6 @@ struct TrafficParams
 {
     // --- workload ---
     std::int64_t m = 0, k = 0, n = 0;
-    double a_density = 1.0; ///< Actual nonzero fraction of A.
-    double b_density = 1.0; ///< Actual nonzero fraction of B.
 
     // --- storage behaviour ---
     double a_stored_density = 1.0;    ///< Fraction of A words stored.
@@ -77,13 +83,6 @@ struct TrafficParams
     AccumStyle accum = AccumStyle::SpatialReduce;
     /** Scale on RF partial-sum traffic (activation gating savings). */
     double psum_fraction = 1.0;
-    /**
-     * Outer-product designs keep an output tile of 32-bit partial sums
-     * resident instead of an A tile, so the GLB tile extent is set by
-     * the psum footprint and operands re-stream per output tile
-     * (DSTC's dataflow tax, Sec 2.2.1).
-     */
-    bool output_stationary = false;
     /**
      * Energy per accumulation access for OuterProduct designs (a large
      * banked buffer holding 32-bit psums); < 0 uses the plain RF cost.

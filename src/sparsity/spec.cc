@@ -29,13 +29,12 @@ SparsitySpec::structuredDensity() const
 }
 
 std::string
-SparsitySpec::str(bool unicode) const
+SparsitySpec::str() const
 {
-    const char *arrow = unicode ? "→" : "->";
     std::ostringstream oss;
     for (std::size_t i = 0; i < ranks_.size(); ++i) {
         if (i)
-            oss << arrow;
+            oss << "->";
         oss << ranks_[i].name;
         const std::string rule = ranks_[i].rule.str();
         if (!rule.empty())

@@ -48,10 +48,9 @@ class SparsitySpec
 
     /**
      * The paper's arrow notation, e.g. "RS->C1->C0(2:4)" or
-     * "C(Unconstrained)->R->S". Pass unicode=true for the typographic
-     * arrow used in the paper's Table 2.
+     * "C(Unconstrained)->R->S".
      */
-    std::string str(bool unicode = false) const;
+    std::string str() const;
 
   private:
     std::vector<RankSpec> ranks_;

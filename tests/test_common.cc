@@ -146,16 +146,43 @@ TEST(Stats, GeomeanRejectsEmpty)
     EXPECT_THROW(geomean({}), FatalError);
 }
 
+/** Expect `run` to be fatal with a message that contains `text`. */
+template <typename F>
+void
+expectFatalNaming(F run, const std::string &text)
+{
+    try {
+        run();
+        ADD_FAILURE() << "accepted; expected a fatal naming " << text;
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(text), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Stats, GeomeanRejectsNonPositive)
 {
     EXPECT_THROW(geomean({1.0, 0.0}), FatalError);
     EXPECT_THROW(geomean({1.0, -2.0}), FatalError);
+    // Every comparison with NaN is false, so a `v <= 0.0` guard lets
+    // it through to a NaN mean.
+    const double nan = std::nan("");
+    expectFatalNaming([&] { geomean({1.0, nan}); }, "value nan");
+    expectFatalNaming([&] { geomean({nan, 1.0}); }, "value nan");
 }
 
 TEST(Stats, MaxOfPicksTheLargest)
 {
     EXPECT_DOUBLE_EQ(maxOf({2.0, 9.0, 4.0}), 9.0);
     EXPECT_THROW(maxOf({}), FatalError);
+    // std::max_element returns a leading NaN and skips any later one,
+    // so a NaN must be fatal wherever it sits.
+    for (std::size_t i = 0; i < 3; ++i) {
+        std::vector<double> values = {2.0, 9.0, 4.0};
+        values[i] = std::nan("");
+        expectFatalNaming([&] { maxOf(values); },
+                          msgOf("value nan at index ", i));
+    }
 }
 
 TEST(Stats, BinomialPmfSumsToOne)

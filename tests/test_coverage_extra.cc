@@ -72,8 +72,10 @@ TEST(EngineExtra, OutputStationaryIncreasesBPasses)
     const ComponentLibrary lib;
     auto a_stat = baseParams();
     a_stat.m = a_stat.k = a_stat.n = 1024;
+    // An outer-product design keeps its 32-bit psum tile resident, so
+    // B re-streams from DRAM once per (smaller) output tile.
     auto out_stat = a_stat;
-    out_stat.output_stationary = true;
+    out_stat.accum = AccumStyle::OuterProduct;
     const auto dram = [](const EvalResult &r) {
         return breakdownShare(r.energy_pj, "dram") * r.totalEnergyPj();
     };

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "common/logging.hh"
 #include "energy/components.hh"
 #include "energy/mux_model.hh"
@@ -64,6 +67,18 @@ TEST(Components, RejectsBadInputs)
     EXPECT_THROW(lib.sramAccessPj(0.0), FatalError);
     EXPECT_THROW(lib.rfAccessPj(-1.0), FatalError);
     EXPECT_THROW(lib.muxSelectPj(0), FatalError);
+    // A NaN capacity passes a `capacity_kb <= 0.0` guard.
+    const double nan = std::nan("");
+    for (const bool sram : {true, false}) {
+        try {
+            sram ? lib.sramAccessPj(nan) : lib.rfAccessPj(nan);
+            ADD_FAILURE() << "a NaN capacity was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("capacity nan kB"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Components, BreakdownHelpers)

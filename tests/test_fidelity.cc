@@ -35,9 +35,8 @@ TEST(Fig11, VfmuHandlesH1EqualThreeWithTwelveValueShifts)
         randomDense(TensorShape({{"M", m}, {"K", k}}), rng), spec);
     const auto b = randomDense(TensorShape({{"K", k}, {"N", n}}), rng);
 
-    MicrosimConfig cfg;
-    cfg.glb_row_words = 16; // Fig 11's row width
-    const auto r = HighlightSimulator(cfg).run(a, spec, b);
+    // MicrosimConfig::glb_row_words is Fig 11's row width, 16.
+    const auto r = HighlightSimulator().run(a, spec, b);
     EXPECT_LT(r.output.maxAbsDiff(referenceGemm(a, b)), 1e-4);
     // One shift of 12 per (group, column) step.
     EXPECT_EQ(r.stats.vfmu.shifts, r.stats.cycles);

@@ -170,6 +170,40 @@ class TestNanBlindRange(LintHarness):
             "void f(double x) { if (x < 0.0 || x > 1.0) edge(x); }\n")
 
 
+class TestNanBlindGuard(LintHarness):
+    def test_one_sided_guard_before_fatal_fires(self):
+        self.assert_fires(
+            "no-nan-blind-guard",
+            "double f(double v) {\n"
+            "    if (v <= 0.0)\n"
+            "        fatal(msgOf(\"bad \", v));\n"
+            "    return v;\n"
+            "}\n")
+
+    def test_member_guard_before_panic_fires(self):
+        self.assert_fires(
+            "no-nan-blind-guard",
+            "void f(const P &p) { if (p.x < 1.0) { panic(\"x\"); } }\n")
+
+    def test_nan_safe_form_clean(self):
+        self.assert_clean(
+            "void f(double v) { if (!(v > 0.0)) fatal(\"bad\"); }\n")
+
+    def test_integer_guard_clean(self):
+        self.assert_clean(
+            "void f(int n) { if (n < 1) fatal(\"bad\"); }\n")
+
+    def test_guard_that_only_returns_clean(self):
+        self.assert_clean(
+            "double f(double p) { if (p <= 0.0) return 1.0; "
+            "return p; }\n")
+
+    def test_allow_suppresses(self):
+        self.assert_clean(
+            "// lint-allow(no-nan-blind-guard): NaN is checked above\n"
+            "void f(double v) { if (v <= 0.0) fatal(\"bad\"); }\n")
+
+
 class TestAllowEscapeHatch(LintHarness):
     def test_allow_with_reason_suppresses(self):
         self.assert_clean(

@@ -1551,8 +1551,7 @@ TEST_P(DssoSimProperty, ExactResultsAndFig17SpeedRatio)
         randomDense(TensorShape({{"K", k}, {"N", n}}), rng),
         HssSpec({GhPattern(4, 4), b_rank1}));
 
-    const DssoSimulator dsso(2);
-    const auto r = dsso.run(a, a_rank0, b, b_rank1);
+    const auto r = DssoSimulator().run(a, a_rank0, b, b_rank1);
     EXPECT_LT(r.output.maxAbsDiff(referenceGemm(a, b)), 1e-3);
 
     // Block-level skipping: exactly Gb of every Hb blocks processed.
@@ -1607,15 +1606,16 @@ TEST(DssoSim, RejectsRankZeroBlocksBeyondEightBitOffsets)
     a.set2(0, 300, 1.0f);
     DenseTensor b(TensorShape({{"K", 512}, {"N", 1}}));
     b.set2(300, 0, 2.0f);
-    EXPECT_THROW(DssoSimulator(1).run(a, a_rank0, b, b_rank1),
+    EXPECT_THROW(DssoSimulator().run(a, a_rank0, b, b_rank1),
                  FatalError);
 }
 
 TEST(DssoSim, PerfectWorkloadBalanceAcrossPes)
 {
     // Alternating dense ranks give dense-sparse intersections that are
-    // perfectly balanced (Sec 7.5): with Gb = num_pes, every step
-    // occupies every PE, so mux selections split evenly.
+    // perfectly balanced (Sec 7.5): with one PE per present block of
+    // a group (Gb), every step occupies every PE, so mux selections
+    // split evenly.
     Rng rng(11);
     const GhPattern a_rank0(2, 4);
     const GhPattern b_rank1(2, 4);
@@ -1625,7 +1625,7 @@ TEST(DssoSim, PerfectWorkloadBalanceAcrossPes)
     const auto b = hssSparsifyColumns(
         randomDense(TensorShape({{"K", 64}, {"N", 4}}), rng),
         HssSpec({GhPattern(4, 4), b_rank1}));
-    const auto r = DssoSimulator(2).run(a, a_rank0, b, b_rank1);
+    const auto r = DssoSimulator().run(a, a_rank0, b, b_rank1);
     // Every cycle engages both PEs (2 blocks per group, 2 PEs).
     EXPECT_EQ(r.stats.pe.mux_selects, r.stats.cycles * 2 * 2);
 }

@@ -25,6 +25,12 @@ that property; this lint keeps them out of the tree:
                     literals joined by ||, as in `x < 0.0 || x > 1.0`:
                     every comparison with NaN is false, so a NaN
                     passes the check. Write `!(0.0 <= x && x <= 1.0)`.
+  no-nan-blind-guard
+                    an `if` whose whole condition is one variable
+                    compared with a floating-point literal, as in
+                    `if (v <= 0.0)`, when the next statement calls
+                    fatal( or panic(: a NaN skips the error. Write
+                    `if (!(v > 0.0))`.
 
 Escape hatch — on the offending line or the line just above:
 
@@ -94,6 +100,12 @@ NAN_BLIND_RE = re.compile(r"(?<![\w.>])(%s)\s*\|\|\s*(?=(%s))"
                           % (_SIDE, _SIDE))
 SIDE_VAR_RE = re.compile(r"(?<![\w.])(%s)\s*%s|%s\s*(%s)"
                          % (_VAR, _CMP, _CMP, _VAR))
+
+# no-nan-blind-guard: `if (<side>)` as the whole condition, then
+# (inside an optional brace) a call to fatal( or panic(.
+NAN_BLIND_GUARD_RE = re.compile(
+    r"\bif\s*\(\s*(%s)\s*\)\s*\{?\s*(?:\w+::)*(?:fatal|panic)\s*\("
+    % _SIDE)
 
 UNORDERED_DECL_RE = re.compile(
     r"unordered_(?:map|set|multimap|multiset)\s*<[^;{}()]*>[ \t\n]*"
@@ -210,6 +222,16 @@ def lint_file(root, rel, violations):
                "(every comparison with NaN is false); write "
                "!(lo <= %s && %s <= hi), or lint-allow with a reason"
                % (var, var, var))
+
+    for m in NAN_BLIND_GUARD_RE.finditer(code):
+        side = SIDE_VAR_RE.search(m.group(1))
+        var = side.group(1) or side.group(2)
+        lineno = code.count("\n", 0, m.start()) + 1
+        report(lineno, "no-nan-blind-guard",
+               "'%s' is guarded by one comparison, which a NaN fails, "
+               "so the error is skipped; write the passing condition "
+               "negated, as in if (!(%s > 0.0)), or lint-allow with a "
+               "reason" % (var, var))
 
     # no-unordered-iter: range-for whose sequence is an identifier
     # declared with an unordered_* type in this file or in one of its
